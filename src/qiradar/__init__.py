@@ -70,22 +70,3 @@ from .scenario import Scenario, parse_scenario
 from .cli import run_scenario
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "TargetParams", "apply_signal_phase", "hypothesis_h0", "hypothesis_h1", "noise_state",
-    "BinaryMeasurement", "RocPoint", "TrialOutcome", "born_probability", "detection_counts",
-    "empirical_error", "helstrom_measurement", "measurement_error", "roc_sweep",
-    "simulate_trials",
-    "DegenerateInput", "DimensionMismatch", "NumericalDomain", "ParseError", "QIRadarError",
-    "ValidationError",
-    "CONSTANTS", "LinkBudgetInputs", "LinkBudgetResult", "PhysicalConstants", "dbm_to_watts",
-    "evaluate_link_budget", "isolation_factor", "occupancy_to_excitation", "photon_energy",
-    "photon_rate", "range_multiplier", "shielding_effectiveness", "snr",
-    "stopband_attenuation", "thermal_occupancy", "watts_to_dbm",
-    "DistinguishabilityReport", "distinguishability", "fidelity", "helstrom_error",
-    "trace_distance",
-    "DensityOperator", "PureState", "Spectrum", "bell_phi_plus", "density_from_pure",
-    "eigendecompose_hermitian", "partial_trace", "pure_state", "sqrt_psd", "tensor",
-    "DetectionReport", "MonteCarloResult", "emit_report", "report_to_dict", "roc_csv",
-    "Scenario", "parse_scenario", "run_scenario",
-]

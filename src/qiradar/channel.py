@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
-from .qstate import DensityOperator, PureState, bell_phi_plus, density_from_pure, tensor
+from .qstate import DensityOperator, PureState
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,6 +36,13 @@ def _reduce_phase(phi: float) -> float:
         # fmod of a tiny negative can round back up to exactly 2π.
         reduced = 0.0
     return reduced
+
+
+def _excitation(p: float) -> float:
+    p = float(p)
+    if not (0.0 <= p < 1.0):
+        raise DegenerateInput(f"noise excitation must lie in [0, 1), got {p!r}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -53,16 +60,13 @@ class TargetParams:
     def __post_init__(self):
         phi = float(self.phase_phi)
         eta = float(self.reflectivity_eta)
-        p = float(self.noise_excitation_p)
         if not math.isfinite(phi):
             raise DegenerateInput(f"phase must be finite, got {self.phase_phi!r}")
         if not (0.0 <= eta <= 1.0):
             raise DegenerateInput(f"reflectivity must lie in [0, 1], got {eta!r}")
-        if not (0.0 <= p < 1.0):
-            raise DegenerateInput(f"noise excitation must lie in [0, 1), got {p!r}")
         object.__setattr__(self, "phase_phi", _reduce_phase(phi))
         object.__setattr__(self, "reflectivity_eta", eta)
-        object.__setattr__(self, "noise_excitation_p", p)
+        object.__setattr__(self, "noise_excitation_p", _excitation(self.noise_excitation_p))
 
 
 def apply_signal_phase(psi: PureState, phi: float) -> PureState:
@@ -81,26 +85,29 @@ def apply_signal_phase(psi: PureState, phi: float) -> PureState:
 
 def noise_state(p: float) -> DensityOperator:
     """Single-mode noise qubit diag(1 − p, p) for excitation probability p."""
-    p = float(p)
-    if not (0.0 <= p < 1.0):
-        raise DegenerateInput(f"noise excitation must lie in [0, 1), got {p!r}")
+    p = _excitation(p)
     return DensityOperator(np.diag([1.0 - p, p]).astype(complex), (2,))
+
+
+def _h0_matrix(p: float) -> np.ndarray:
+    return np.kron(np.diag([1.0 - p, p]).astype(complex), np.eye(2, dtype=complex) / 2.0)
 
 
 def hypothesis_h0(p: float) -> DensityOperator:
     """No-target hypothesis ρ₀ = noise_state(p) ⊗ I/2 on return ⊗ idler."""
-    idler = DensityOperator(np.eye(2, dtype=complex) / 2.0, (2,))
-    return tensor(noise_state(p), idler)
+    return DensityOperator(_h0_matrix(_excitation(p)), (2, 2))
 
 
 def hypothesis_h1(params: TargetParams) -> DensityOperator:
     """Target hypothesis ρ₁ = η |ψ′⟩⟨ψ′| + (1 − η) ρ₀.
 
     At η = 1 this is exactly the rank-1 projector onto the phase-shifted
-    pair; at η = 0 it collapses to hypothesis_h0(p).
+    pair; at η = 0 it collapses to hypothesis_h0(p). Built straight from the
+    validated TargetParams, so only the result is checked as a state.
     """
-    rho0 = hypothesis_h0(params.noise_excitation_p)
-    psi_prime = apply_signal_phase(bell_phi_plus(), params.phase_phi)
-    pure = density_from_pure(psi_prime)
+    amps = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    amps[2:] *= cmath.exp(1j * params.phase_phi)  # as apply_signal_phase(bell_phi_plus(), φ)
+    pure = np.outer(amps, amps.conj())
     eta = params.reflectivity_eta
-    return DensityOperator(eta * pure.matrix + (1.0 - eta) * rho0.matrix, (2, 2))
+    rho0 = _h0_matrix(params.noise_excitation_p)
+    return DensityOperator(eta * pure + (1.0 - eta) * rho0, (2, 2))

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import channel, detector, linkbudget, metrics
 from .errors import NumericalDomain, ParseError, QIRadarError, ValidationError
 from .report import DetectionReport, MonteCarloResult, emit_report, roc_csv
-from .scenario import MAX_SEED, Scenario, parse_scenario
+from .scenario import Scenario, parse_scenario
 
 
 def run_scenario(scenario: Scenario, partitions: int = 1) -> DetectionReport:
@@ -49,11 +49,9 @@ def _run(scenario: Scenario, partitions: int) -> DetectionReport:
         outcome_h0, outcome_h1 = detector.detection_counts(
             rho0, rho1, priors, scenario.trials, scenario.seed, partitions
         )
-        empirical = (
-            outcome_h0.decide_h1_count + outcome_h1.decide_h0_count
-        ) / scenario.trials
         monte_carlo = MonteCarloResult(
-            empirical_error=empirical, h0=outcome_h0, h1=outcome_h1, seed=scenario.seed
+            empirical_error=detector.outcome_error(outcome_h0, outcome_h1),
+            h0=outcome_h0, h1=outcome_h1, seed=scenario.seed,
         )
 
     roc = None
@@ -65,14 +63,13 @@ def _run(scenario: Scenario, partitions: int) -> DetectionReport:
         link_result = linkbudget.evaluate_link_budget(scenario.link_budget)
         warnings.extend(link_result.warnings)
 
-    if scenario.frequency_hz is not None and scenario.temperature_k is not None:
-        nbar = linkbudget.thermal_occupancy(scenario.frequency_hz, scenario.temperature_k)
-        if nbar > linkbudget.SATURATION_NBAR:
-            warnings.append(
-                f"noise_excitation {scenario.noise_excitation:.6g} was derived from thermal "
-                f"occupancy {nbar:.6g}; the two-level noise model saturates for occupancies "
-                f"far above 1"
-            )
+    nbar = scenario.thermal_occupancy
+    if nbar is not None and nbar > linkbudget.SATURATION_NBAR:
+        warnings.append(
+            f"noise_excitation {scenario.noise_excitation:.6g} was derived from thermal "
+            f"occupancy {nbar:.6g}; the two-level noise model saturates for occupancies "
+            f"far above 1"
+        )
 
     return DetectionReport(
         scenario=scenario,
@@ -85,20 +82,6 @@ def _run(scenario: Scenario, partitions: int) -> DetectionReport:
         link_budget=link_result,
         warnings=tuple(warnings),
     )
-
-
-def _seed_arg(text: str) -> int:
-    value = int(text)
-    if not (0 <= value <= MAX_SEED):
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}")
-    return value
-
-
-def _trials_arg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"trials must be >= 0, got {text}")
-    return value
 
 
 def _partitions_arg(text: str) -> int:
@@ -121,8 +104,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     run.add_argument("--roc-out", metavar="PATH",
                      help="write ROC points as CSV (requires roc_thresholds in the scenario)")
-    run.add_argument("--seed", type=_seed_arg, metavar="N", help="override the scenario seed")
-    run.add_argument("--trials", type=_trials_arg, metavar="N",
+    run.add_argument("--seed", type=int, metavar="N", help="override the scenario seed")
+    run.add_argument("--trials", type=int, metavar="N",
                      help="override the scenario trial count")
     run.add_argument("--partitions", type=_partitions_arg, metavar="N", default=1,
                      help="split Monte Carlo blocks over N independent partitions "
@@ -131,20 +114,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    arg_parser = build_arg_parser()
+    args = arg_parser.parse_args(argv)
 
     try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(args.scenario).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         return 2
 
     try:
         scenario = parse_scenario(text)
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
-        if args.trials is not None:
-            scenario = replace(scenario, trials=args.trials)
+        overrides = {name: getattr(args, name) for name in ("seed", "trials")
+                     if getattr(args, name) is not None}
+        if overrides:
+            try:
+                scenario = replace(scenario, **overrides)  # re-validates
+            except ValidationError as exc:
+                arg_parser.error(f"argument --{exc.field}: {exc}")
         if args.roc_out and scenario.roc_thresholds is None:
             raise ValidationError(
                 "--roc-out requires roc_thresholds in the scenario", field="roc_thresholds"

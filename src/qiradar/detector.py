@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, NumericalDomain
-from .metrics import check_priors, clamp_unit
+from .metrics import _require_same_dims, check_priors, clamp_unit
 from .qstate import DensityOperator, eigendecompose_hermitian
 
 TIE_ATOL = 1e-10       # eigenvalues in [-TIE_ATOL, TIE_ATOL] are assigned to H0
@@ -104,11 +104,6 @@ class RocPoint:
     threshold: float
     p_false_alarm: float
     p_detection: float
-
-
-def _require_same_dims(rho0: DensityOperator, rho1: DensityOperator) -> None:
-    if rho0.dims != rho1.dims:
-        raise DimensionMismatch(f"hypotheses live on different spaces: {rho0.dims} vs {rho1.dims}")
 
 
 def _positive_eigenspace_projector(matrix: np.ndarray) -> np.ndarray:
@@ -237,8 +232,14 @@ def empirical_error(rho0: DensityOperator, rho1: DensityOperator, priors, trials
     False alarms under H0 plus misses under H1, divided by the total trial
     count; converges to helstrom_error as trials grows.
     """
-    outcome_h0, outcome_h1 = detection_counts(rho0, rho1, priors, trials, seed, partitions)
-    return (outcome_h0.decide_h1_count + outcome_h1.decide_h0_count) / int(trials)
+    return outcome_error(*detection_counts(rho0, rho1, priors, trials, seed, partitions))
+
+
+def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
+    """Fraction of wrong calls in an (H0, H1) outcome pair: false alarms under
+    H0 plus misses under H1, over all trials."""
+    wrong = outcome_h0.decide_h1_count + outcome_h1.decide_h0_count
+    return wrong / (outcome_h0.trials + outcome_h1.trials)
 
 
 def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[RocPoint]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, NumericalDomain
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,10 @@ def photon_energy(f: float) -> float:
 def photon_rate(p: float, f: float) -> float:
     """Photons per second carried by power p at frequency f: P / (h·f)."""
     p = _require_positive("power", p)
-    return p / photon_energy(f)
+    energy = photon_energy(f)
+    if energy == 0.0:
+        raise NumericalDomain(f"photon energy at frequency {f!r} underflows to 0")
+    return p / energy
 
 
 def _occupancy_series(x: float) -> float:
@@ -93,13 +96,21 @@ def thermal_occupancy(f: float, t: float) -> float:
 
     Evaluated via expm1, switching to the Laurent series below
     x = h·f/(k_B·T) = 1e-6 to avoid cancellation. Occupancies below 1e-100
-    (a bath frozen for any practical purpose) are floored to exactly 0.
+    (a bath frozen for any practical purpose) are floored to exactly 0; one
+    beyond the float range raises NumericalDomain.
     """
     f = _require_positive("frequency", f)
     t = _require_positive("temperature", t)
-    x = CONSTANTS.planck_h * f / (CONSTANTS.boltzmann_kb * t)
+    kt = CONSTANTS.boltzmann_kb * t
+    if kt > 0.0:
+        x = CONSTANTS.planck_h * f / kt
+    else:  # k_B·T underflows; scale the ratio the other way round
+        x = CONSTANTS.planck_h / CONSTANTS.boltzmann_kb * (f / t)
     if x < SERIES_CROSSOVER_X:
-        return _occupancy_series(x)
+        nbar = _occupancy_series(x) if x > 0.0 else math.inf
+        if math.isinf(nbar):
+            raise NumericalDomain(f"thermal occupancy overflows at h·f/(k_B·T) = {x!r}")
+        return nbar
     if x > _FLOOR_X:
         return 0.0
     nbar = _occupancy_direct(x)
@@ -137,6 +148,12 @@ def range_multiplier(sensitivity_improvement: float) -> float:
     return ratio ** 0.25
 
 
+def _db20(ratio: float, what: str) -> float:
+    if ratio == 0.0:
+        raise NumericalDomain(f"{what} ratio underflows to 0")
+    return 20.0 * math.log10(ratio)
+
+
 def shielding_effectiveness(d: float, lam: float) -> float:
     """SE = 20·log₁₀(d/λ) in dB for shield thickness d and wavelength λ.
 
@@ -144,7 +161,7 @@ def shielding_effectiveness(d: float, lam: float) -> float:
     """
     d = _require_positive("shield thickness", d)
     lam = _require_positive("wavelength", lam)
-    return 20.0 * math.log10(d / lam)
+    return _db20(d / lam, "shield thickness to wavelength")
 
 
 def isolation_factor(n_ext: float, n_isolated: float) -> float:
@@ -159,7 +176,7 @@ def stopband_attenuation(a_stop: float, a_pass: float) -> float:
     amplitude is the smaller one (sign convention reported verbatim)."""
     a_stop = _require_positive("stopband amplitude", a_stop)
     a_pass = _require_positive("passband amplitude", a_pass)
-    return 20.0 * math.log10(a_stop / a_pass)
+    return _db20(a_stop / a_pass, "stopband to passband amplitude")
 
 
 @dataclass(frozen=True)

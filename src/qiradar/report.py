@@ -17,6 +17,7 @@ from .linkbudget import LinkBudgetInputs, LinkBudgetResult
 from .scenario import Scenario
 
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
+_SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # the echo keeps field order
 
 
 @dataclass(frozen=True)
@@ -45,20 +46,11 @@ class DetectionReport:
 
 
 def _scenario_dict(s: Scenario) -> dict:
-    return {
-        "phase_rad": s.phase_rad,
-        "reflectivity": s.reflectivity,
-        "noise_excitation": s.noise_excitation,
-        "frequency_hz": s.frequency_hz,
-        "temperature_k": s.temperature_k,
-        "env_phase_rad": s.env_phase_rad,
-        "prior_h0": s.prior_h0,
-        "prior_h1": s.prior_h1,
-        "trials": s.trials,
-        "seed": s.seed,
-        "roc_thresholds": list(s.roc_thresholds) if s.roc_thresholds is not None else None,
-        "link_budget": _link_inputs_dict(s.link_budget),
-    }
+    out = {name: getattr(s, name) for name in _SCENARIO_FIELDS}
+    if s.roc_thresholds is not None:
+        out["roc_thresholds"] = list(s.roc_thresholds)
+    out["link_budget"] = _link_inputs_dict(s.link_budget)
+    return out
 
 
 def _link_inputs_dict(inputs: LinkBudgetInputs | None) -> dict | None:

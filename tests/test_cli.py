@@ -4,9 +4,9 @@ import math
 import pytest
 
 from qiradar.cli import main, run_scenario
-from qiradar.errors import DegenerateInput, NumericalDomain
+from qiradar.errors import DegenerateInput, NumericalDomain, ValidationError
 from qiradar.report import ROC_CSV_HEADER, emit_report, report_to_dict, roc_csv
-from qiradar.scenario import parse_scenario
+from qiradar.scenario import Scenario, parse_scenario
 
 ANCHOR_DOC = (
     "phase_rad = 3.141592653589793\n"
@@ -102,6 +102,12 @@ class TestRunScenario:
         report = run_doc(doc)
         assert abs(report.scenario.noise_excitation - 0.9983464572061889) <= 1e-9
         assert any("saturates" in warning for warning in report.warnings)
+
+    def test_contradicting_noise_is_rejected_not_reported(self):
+        with pytest.raises(ValidationError) as err:
+            run_scenario(Scenario(phase_rad=1.0, reflectivity=0.6, noise_excitation=0.3,
+                                  frequency_hz=1e10, temperature_k=290.0))
+        assert err.value.field == "noise_excitation"
 
     def test_cold_thermal_derivation_does_not_warn(self):
         doc = (
@@ -231,6 +237,31 @@ class TestCommandLine:
         doc = "phase_rad = 1\nreflectivity = 2\nnoise_excitation = 0\n"
         assert main(["run", scenario_file(doc)]) == 2
         assert "reflectivity" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "bom.cfg"
+        path.write_text(ANCHOR_DOC, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["run", str(path), "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["scenario"]["phase_rad"] == math.pi
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"phase_rad = 1\n# caf\xe9\n")
+        assert main(["run", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_overrides_are_validated_by_the_scenario(self, scenario_file, capsys, monkeypatch):
+        def never(scenario, partitions=1):  # fail fast instead of running 1e13 trials
+            raise AssertionError("an invalid override reached run_scenario")
+
+        monkeypatch.setattr("qiradar.cli.run_scenario", never)
+        for flag, value in (("--trials", "-5"), ("--trials", "10000000000000"),
+                            ("--seed", str(2**64))):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", scenario_file(ANCHOR_DOC), flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2

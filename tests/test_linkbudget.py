@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qiradar.errors import DegenerateInput
+from qiradar.errors import DegenerateInput, NumericalDomain
 from qiradar.linkbudget import (
     CONSTANTS,
     LinkBudgetInputs,
@@ -264,3 +264,15 @@ class TestEvaluateLinkBudget:
         result = evaluate_link_budget(LinkBudgetInputs())
         assert result.power_dbm is None
         assert result.warnings == ()
+
+
+def test_results_beyond_the_float_range_raise_numerical_domain():
+    with pytest.raises(NumericalDomain):
+        thermal_occupancy(5e-324, 1e10)  # h·f/(k_B·T) underflows to 0
+    with pytest.raises(NumericalDomain):
+        photon_rate(1.0, 5e-324)  # h·f underflows to 0
+    with pytest.raises(NumericalDomain):
+        shielding_effectiveness(5e-324, 1e300)
+    with pytest.raises(NumericalDomain):
+        stopband_attenuation(5e-324, 1e300)
+    assert thermal_occupancy(1.0, 5e-324) == 0.0  # k_B·T underflows: a frozen bath

@@ -1,0 +1,126 @@
+"""Property tests: every input the public API accepts ends in a typed result.
+
+* Any text given to parse_scenario yields a Scenario, a ParseError or a
+  ValidationError.
+* Any field values given to Scenario(...) yield a Scenario or a
+  ValidationError.
+* Every accepted Scenario yields a report from run_scenario, or a
+  NumericalDomain when a result leaves the float range.
+
+Examples are derandomized and bounded so the suite stays fast and
+reproducible. Trial counts are kept small only for run time; every other
+field ranges over the whole float range.
+"""
+
+import math
+from dataclasses import fields
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qiradar.cli import run_scenario
+from qiradar.errors import NumericalDomain, ParseError, ValidationError
+from qiradar.linkbudget import LinkBudgetInputs
+from qiradar.report import emit_report, roc_csv
+from qiradar.scenario import KNOWN_KEYS, Scenario, parse_scenario
+
+BOUNDED = settings(max_examples=40, deadline=None, derandomize=True,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+positive = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+# Grammar characters plus a few that str methods treat specially (a line
+# separator, a BOM, non-ASCII digits and spaces). A fixed alphabet also spares
+# hypothesis building its Unicode tables on every fresh checkout.
+ALPHABET = " \t\n=:,#.-+_0123456789abcdefiklmnoprstuvwxyEN\u2028\x1c\ufeff\u00a0\u0661\u00e9"
+value_text = st.one_of(
+    any_float.map(repr),
+    st.integers().map(str),
+    st.lists(any_float.map(repr), min_size=1, max_size=4).map(", ".join),
+    st.text(alphabet=ALPHABET, max_size=8),
+)
+entry = st.builds(
+    lambda key, sep, value: f"{key}{sep}{value}",
+    st.sampled_from(sorted(KNOWN_KEYS) + ["bogus", ""]),
+    st.sampled_from(["=", ":", " = ", "\t:\t"]),
+    value_text,
+)
+lines = st.one_of(entry, st.text(alphabet=ALPHABET, max_size=16))
+documents = st.one_of(st.text(alphabet=ALPHABET), st.lists(lines, max_size=12).map("\n".join))
+
+
+@BOUNDED
+@given(documents)
+def test_any_text_parses_or_raises_typed(text):
+    try:
+        scenario = parse_scenario(text)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(scenario, Scenario)
+
+
+link_inputs = st.builds(
+    LinkBudgetInputs, **{f.name: st.none() | positive for f in fields(LinkBudgetInputs)}
+)
+anything = st.one_of(
+    st.none(), st.booleans(), st.integers(), any_float, st.sampled_from(["", "0.5", "x"]),
+    st.lists(any_float, max_size=3), st.tuples(any_float), link_inputs,
+)
+
+
+@BOUNDED
+@given(st.fixed_dictionaries({}, optional={f.name: anything for f in fields(Scenario)}))
+def test_any_field_values_build_or_raise_validation_error(values):
+    try:
+        scenario = Scenario(**{"phase_rad": None, "reflectivity": None, **values})
+    except ValidationError:
+        return
+    assert isinstance(scenario, Scenario)
+
+
+@st.composite
+def plausible_scenarios(draw):
+    """Scenario fields drawn mostly from their valid ranges."""
+    values = {
+        "phase_rad": draw(st.floats(allow_nan=False, allow_infinity=False)),
+        "reflectivity": draw(unit),
+        "env_phase_rad": draw(st.floats(allow_nan=False, allow_infinity=False)),
+        "trials": draw(st.integers(0, 3000)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    if draw(st.booleans()):
+        values["noise_excitation"] = draw(st.floats(0.0, 1.0, exclude_max=True))
+    else:
+        values["frequency_hz"] = draw(positive)
+        values["temperature_k"] = draw(positive)
+    if draw(st.booleans()):
+        p0 = draw(unit)
+        values["prior_h0"], values["prior_h1"] = p0, 1.0 - p0
+    if draw(st.booleans()):
+        thresholds = draw(st.lists(st.floats(0.0, 1.7976931348623157e308), min_size=1,
+                                   max_size=5))
+        values["roc_thresholds"] = sorted(thresholds)
+    if draw(st.booleans()):
+        values["link_budget"] = draw(link_inputs)
+    return values
+
+
+@BOUNDED
+@given(plausible_scenarios())
+def test_accepted_scenarios_run_or_raise_numerical_domain(values):
+    try:
+        scenario = Scenario(**values)
+    except ValidationError:
+        return
+    try:
+        report = run_scenario(scenario)
+    except NumericalDomain:
+        return
+    for fmt in ("structured", "table"):
+        assert emit_report(report, fmt).endswith("\n")
+    if report.roc is not None:
+        assert len(roc_csv(report.roc).splitlines()) == len(report.roc) + 1
+    assert 0.0 <= report.helstrom_error <= 0.5 + 1e-12
+    assert not math.isnan(report.trace_distance)

@@ -1,7 +1,11 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from qiradar.errors import ParseError, ValidationError
-from qiradar.scenario import KNOWN_KEYS, parse_scenario
+from qiradar.linkbudget import LinkBudgetInputs
+from qiradar.scenario import KNOWN_KEYS, MAX_TRIALS, Scenario, parse_scenario
 
 BASE = (
     "phase_rad = 3.141592653589793\n"
@@ -239,3 +243,94 @@ def test_known_keys_cover_grammar():
     assert "link_budget.power_w" in KNOWN_KEYS
     assert "link_budget.temperature_k" in KNOWN_KEYS
     assert not any(key.startswith("link_budget..") for key in KNOWN_KEYS)
+
+
+def test_value_may_contain_a_separator():
+    # The first separator splits the line: "phase_rad: 1=2" is the key
+    # phase_rad with the value "1=2", not the key "phase_rad: 1".
+    with pytest.raises(ParseError) as err:
+        parse_scenario("phase_rad: 1=2\nreflectivity = 0.5\nnoise_excitation = 0\n")
+    assert err.value.line == 1
+    assert "'phase_rad' is not a number" in str(err.value)
+
+
+def test_trials_above_maximum_rejected():
+    assert parse_with(f"trials = {MAX_TRIALS}\n").trials == MAX_TRIALS
+    with pytest.raises(ValidationError) as err:
+        parse_with("trials = 10000000000000\n")
+    assert err.value.field == "trials"
+
+
+DIRECT = {"phase_rad": 1.0, "reflectivity": 0.5, "noise_excitation": 0.25}
+THERMAL = {"frequency_hz": 1e10, "temperature_k": 290.0}
+
+
+class TestDirectConstruction:
+    """Scenario validates itself, whether or not it came through the parser."""
+
+    @pytest.mark.parametrize("fields, field", [
+        ({"trials": -5}, "trials"),
+        ({"trials": MAX_TRIALS + 1}, "trials"),
+        ({"roc_thresholds": (2.0, 1.0, 0.0)}, "roc_thresholds"),
+        ({"roc_thresholds": (-1.0, 0.0)}, "roc_thresholds"),
+        ({"roc_thresholds": ()}, "roc_thresholds"),
+        ({"noise_excitation": 0.3, **THERMAL}, "noise_excitation"),
+        ({"noise_excitation": None, "frequency_hz": 1e10}, "noise_excitation"),
+        ({"noise_excitation": None, "frequency_hz": 1e10, "temperature_k": 0.0},
+         "temperature_k"),
+        ({"reflectivity": 2}, "reflectivity"),
+        ({"reflectivity": None}, "reflectivity"),
+        ({"prior_h0": 0.9, "prior_h1": 0.9}, "prior_h0"),
+        ({"prior_h0": 0.4}, "prior_h0"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"phase_rad": math.nan}, "phase_rad"),
+        ({"phase_rad": "1.0"}, "phase_rad"),
+        ({"env_phase_rad": 10**400}, "env_phase_rad"),
+        ({"phase_rad": -1e308, "env_phase_rad": 1e308}, "env_phase_rad"),
+        ({"link_budget": {"power_w": 1e-16}}, "link_budget"),
+    ])
+    def test_invalid_fields_rejected(self, fields, field):
+        with pytest.raises(ValidationError) as err:
+            Scenario(**{**DIRECT, **fields})
+        assert err.value.field == field
+
+    def test_values_are_normalized(self):
+        scenario = Scenario(phase_rad=1, reflectivity=1, noise_excitation=0,
+                            roc_thresholds=[0, 1], prior_h0=1, prior_h1=0)
+        assert scenario == Scenario(1.0, 1.0, 0.0, prior_h0=1.0, prior_h1=0.0,
+                                    roc_thresholds=(0.0, 1.0))
+        assert isinstance(scenario.phase_rad, float)
+        assert scenario.roc_thresholds == (0.0, 1.0)
+
+    def test_thermal_pair_derives_noise(self):
+        scenario = Scenario(phase_rad=0.5, reflectivity=0.6, **THERMAL)
+        assert scenario == parse_scenario(
+            "phase_rad = 0.5\nreflectivity = 0.6\nfrequency_hz = 1e10\ntemperature_k = 290\n"
+        )
+        assert abs(scenario.thermal_occupancy - 603.7620924857771) <= 1e-9
+        assert Scenario(**DIRECT).thermal_occupancy is None
+
+    def test_replace_revalidates(self):
+        parsed = parse_with("trials = 10\n")
+        assert replace(parsed, seed=7).seed == 7
+        with pytest.raises(ValidationError) as err:
+            replace(parsed, seed=-1)
+        assert err.value.field == "seed"
+        with pytest.raises(ValidationError):
+            replace(parsed, roc_thresholds=(1.0, 0.5))
+
+    def test_replace_of_a_thermal_scenario_passes(self):
+        thermal = parse_scenario(
+            "phase_rad = 0.5\nreflectivity = 0.6\nfrequency_hz = 1e10\ntemperature_k = 290\n"
+        )
+        moved = replace(thermal, seed=3, trials=100)
+        assert moved.noise_excitation == thermal.noise_excitation
+        with pytest.raises(ValidationError) as err:
+            replace(thermal, temperature_k=4.0)
+        assert err.value.field == "noise_excitation"
+
+    def test_link_budget_inputs_accepted(self):
+        inputs = LinkBudgetInputs(power_w=1e-16)
+        assert Scenario(**DIRECT, link_budget=inputs).link_budget is inputs
