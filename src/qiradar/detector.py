@@ -107,11 +107,11 @@ class RocPoint:
 
 
 def _positive_eigenspace_projector(matrix: np.ndarray) -> np.ndarray:
-    """Projector onto the strictly positive (λ > 1e-10) eigenspace."""
+    """Projector onto the strictly positive (λ > 1e-10) eigenspace, per stack member."""
     spectrum = eigendecompose_hermitian(matrix)
-    columns = spectrum.eigenvectors[:, spectrum.eigenvalues > TIE_ATOL]
-    projector = columns @ columns.conj().T
-    return (projector + projector.conj().T) / 2.0
+    columns = spectrum.eigenvectors * (spectrum.eigenvalues > TIE_ATOL)[..., None, :]
+    projector = columns @ columns.conj().swapaxes(-1, -2)
+    return (projector + projector.conj().swapaxes(-1, -2)) / 2.0
 
 
 def helstrom_measurement(rho0: DensityOperator, rho1: DensityOperator,
@@ -158,9 +158,12 @@ def _count_decide_h1(p: float, trials: int, seed: int, tag: int, partitions: int
     """Count draws below p over the block-structured stream (seed, tag).
 
     The partition loop only changes which chunk of blocks each pass handles;
-    the merged count is identical for every partition count.
+    the merged count is identical for every partition count. Partitions
+    beyond the block count would get no block, so there are at most as many
+    partitions as blocks.
     """
     n_blocks = -(-trials // BLOCK_SIZE)
+    partitions = min(partitions, n_blocks)
     total = 0
     for part in range(partitions):
         first = part * n_blocks // partitions
@@ -177,7 +180,8 @@ def simulate_trials(m: BinaryMeasurement, rho_true: DensityOperator, trials: int
     """Draw ``trials`` independent measurement outcomes on ``rho_true``.
 
     Deterministic for a fixed seed; ``partitions`` splits the work into
-    independent block ranges without changing the merged counts.
+    independent block ranges (at most one per block) without changing the
+    merged counts.
     """
     trials = int(trials)
     if trials < 1:
@@ -242,21 +246,33 @@ def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
     return wrong / (outcome_h0.trials + outcome_h1.trials)
 
 
+def _float_or_nan(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[RocPoint]:
     """Quantum Neyman-Pearson sweep.
 
     For each threshold t the test decides H1 on the strictly positive
     eigenspace of ρ₁ − t·ρ₀; the point records (t, Tr(P·ρ₀), Tr(P·ρ₁)).
-    The t = 1 point coincides with the equal-prior Helstrom test.
+    The t = 1 point coincides with the equal-prior Helstrom test. One
+    stacked eigensolve serves every threshold.
     """
     _require_same_dims(rho0, rho1)
-    points = []
-    for raw in thresholds:
-        t = float(raw)
-        if not math.isfinite(t) or t < 0.0:
-            raise DegenerateInput(f"thresholds must be finite and >= 0, got {raw!r}")
-        projector = _positive_eigenspace_projector(rho1.matrix - t * rho0.matrix)
-        p_fa = clamp_unit(float(np.trace(projector @ rho0.matrix).real), "false-alarm probability")
-        p_d = clamp_unit(float(np.trace(projector @ rho1.matrix).real), "detection probability")
-        points.append(RocPoint(threshold=t, p_false_alarm=p_fa, p_detection=p_d))
-    return points
+    raw = list(thresholds)
+    try:
+        t = np.fromiter(raw, dtype=float, count=len(raw))
+    except (TypeError, ValueError):  # NaN marks each entry float() rejects
+        t = np.array([_float_or_nan(v) for v in raw])
+    bad = np.flatnonzero(~((t >= 0.0) & (t < math.inf)))  # NaN fails both
+    if bad.size:
+        raise DegenerateInput(f"thresholds must be finite and >= 0, got {raw[bad[0]]!r}")
+    projectors = _positive_eigenspace_projector(rho1.matrix - t[:, None, None] * rho0.matrix)
+    p_fa = np.trace(projectors @ rho0.matrix, axis1=-2, axis2=-1).real
+    p_d = np.trace(projectors @ rho1.matrix, axis1=-2, axis2=-1).real
+    return [RocPoint(float(ti), clamp_unit(float(fa), "false-alarm probability"),
+                     clamp_unit(float(d), "detection probability"))
+            for ti, fa, d in zip(t, p_fa, p_d)]

@@ -52,10 +52,27 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _ratio(num: float, den: float, what: str) -> float:
+    """num / den; a quotient beyond the float range raises NumericalDomain,
+    so no calculator returns inf (which no JSON report can carry)."""
+    ratio = num / den
+    if ratio == math.inf:
+        raise NumericalDomain(f"{what} ratio overflows the float range")
+    return ratio
+
+
+def _db20(num: float, den: float, what: str) -> float:
+    """20·log₁₀(num / den); the ratio may neither overflow nor underflow to 0."""
+    ratio = _ratio(num, den, what)
+    if ratio == 0.0:
+        raise NumericalDomain(f"{what} ratio underflows to 0")
+    return 20.0 * math.log10(ratio)
+
+
 def watts_to_dbm(p: float) -> float:
     """Power in dB relative to 1 mW: 10·log₁₀(P / 1 mW)."""
     p = _require_positive("power", p)
-    return 10.0 * math.log10(p / MILLIWATT)
+    return 10.0 * math.log10(_ratio(p, MILLIWATT, "power to 1 mW"))
 
 
 def dbm_to_watts(x: float) -> float:
@@ -78,7 +95,7 @@ def photon_rate(p: float, f: float) -> float:
     energy = photon_energy(f)
     if energy == 0.0:
         raise NumericalDomain(f"photon energy at frequency {f!r} underflows to 0")
-    return p / energy
+    return _ratio(p, energy, "power to photon energy")
 
 
 def _occupancy_series(x: float) -> float:
@@ -135,7 +152,7 @@ def snr(p_signal: float, p_noise: float) -> float:
     """Signal-to-noise power ratio P_signal / P_noise."""
     p_signal = _require_positive("signal power", p_signal)
     p_noise = _require_positive("noise power", p_noise)
-    return p_signal / p_noise
+    return _ratio(p_signal, p_noise, "signal to noise power")
 
 
 def range_multiplier(sensitivity_improvement: float) -> float:
@@ -148,12 +165,6 @@ def range_multiplier(sensitivity_improvement: float) -> float:
     return ratio ** 0.25
 
 
-def _db20(ratio: float, what: str) -> float:
-    if ratio == 0.0:
-        raise NumericalDomain(f"{what} ratio underflows to 0")
-    return 20.0 * math.log10(ratio)
-
-
 def shielding_effectiveness(d: float, lam: float) -> float:
     """SE = 20·log₁₀(d/λ) in dB for shield thickness d and wavelength λ.
 
@@ -161,14 +172,14 @@ def shielding_effectiveness(d: float, lam: float) -> float:
     """
     d = _require_positive("shield thickness", d)
     lam = _require_positive("wavelength", lam)
-    return _db20(d / lam, "shield thickness to wavelength")
+    return _db20(d, lam, "shield thickness to wavelength")
 
 
 def isolation_factor(n_ext: float, n_isolated: float) -> float:
     """Isolation ratio I = N_ext / N_isolated."""
     n_ext = _require_positive("external noise", n_ext)
     n_isolated = _require_positive("isolated noise", n_isolated)
-    return n_ext / n_isolated
+    return _ratio(n_ext, n_isolated, "external to isolated noise")
 
 
 def stopband_attenuation(a_stop: float, a_pass: float) -> float:
@@ -176,7 +187,7 @@ def stopband_attenuation(a_stop: float, a_pass: float) -> float:
     amplitude is the smaller one (sign convention reported verbatim)."""
     a_stop = _require_positive("stopband amplitude", a_stop)
     a_pass = _require_positive("passband amplitude", a_pass)
-    return _db20(a_stop / a_pass, "stopband to passband amplitude")
+    return _db20(a_stop, a_pass, "stopband to passband amplitude")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ Conventions
 * Subsystem order is fixed globally: signal (or return) mode first, idler
   second. A composite basis index factors as ``i = i_first * d_second +
   i_second``.
-* ``Spectrum`` eigenvalues are sorted descending.
+* ``Spectrum`` eigenvalues are sorted descending along the last axis; a
+  stack of matrices ``(..., d, d)`` is decomposed member by member.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ def _as_dims(dims) -> tuple[int, ...]:
             f"total dimension {math.prod(out)} exceeds the supported maximum {MAX_DIMENSION}"
         )
     return out
-
-
-def _matrix_of(m) -> np.ndarray:
-    """Accept either a DensityOperator or a raw array-like."""
-    if isinstance(m, DensityOperator):
-        return m.matrix
-    return np.asarray(m, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -124,18 +118,19 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of a stack of them.
 
-    ``eigenvalues`` is real and sorted descending; column ``k`` of
-    ``eigenvectors`` is the unit eigenvector for ``eigenvalues[k]``.
+    ``eigenvalues`` is real and descending along its last axis; column ``k``
+    of ``eigenvectors`` is the unit eigenvector for ``eigenvalues[..., k]``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        """V diag(λ) V†, which must reproduce the decomposed matrix."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        """V diag(λ) V† per stack member, which must reproduce the input."""
+        v = self.eigenvectors
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def pure_state(amplitudes, dims) -> PureState:
@@ -197,18 +192,19 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 
 def eigendecompose_hermitian(m) -> Spectrum:
-    """Eigendecompose a Hermitian matrix (descending eigenvalue order).
+    """Eigendecompose a Hermitian matrix or stack ``(..., d, d)``, descending.
 
-    Accepts a DensityOperator or a raw square array. Inputs that deviate from
-    hermiticity by more than 1e-8 raise NumericalDomain.
+    Accepts a DensityOperator or a raw array. A matrix or stack member that
+    deviates from hermiticity by more than 1e-8 raises NumericalDomain.
     """
-    mat = _matrix_of(m)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = m.matrix if isinstance(m, DensityOperator) else np.asarray(m, dtype=complex)
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    if float(np.max(np.abs(mat - mat.conj().T))) > DECOMP_ATOL:
+    adjoint = mat.conj().swapaxes(-1, -2)
+    if float(np.abs(mat - adjoint).max(initial=0.0)) > DECOMP_ATOL:
         raise NumericalDomain("matrix is not Hermitian within 1e-8")
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+    w, v = np.linalg.eigh((mat + adjoint) / 2.0)
+    return Spectrum(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 
 
 def sqrt_psd(m) -> np.ndarray:
@@ -226,5 +222,5 @@ def sqrt_psd(m) -> np.ndarray:
             f"eigenvalue {smallest:.3g} is below -1e-10, matrix is not positive semidefinite"
         )
     w[w < 0.0] = 0.0
-    root = (spectrum.eigenvectors * np.sqrt(w)) @ spectrum.eigenvectors.conj().T
+    root = Spectrum(np.sqrt(w), spectrum.eigenvectors).reconstruct()
     return (root + root.conj().T) / 2.0

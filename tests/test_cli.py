@@ -137,7 +137,7 @@ class TestReportSerialization:
 
     def test_partition_count_does_not_change_output(self):
         reference = emit_report(run_doc(FULL_DOC, partitions=1), "structured")
-        for partitions in (2, 5):
+        for partitions in (2, 5, 10**12):  # 10**12 acts as the block count
             assert emit_report(run_doc(FULL_DOC, partitions=partitions),
                                "structured") == reference
 
@@ -290,3 +290,20 @@ class TestCommandLine:
             main(["run", scenario_file(ANCHOR_DOC), "--partitions", "0"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_structured_report_is_strict_json(self, scenario_file, capsys):
+        def no_constants(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        doc = ANCHOR_DOC + "".join(f"link_budget.{key} = {value}\n" for key, value in (
+            ("power_w", 1e280), ("noise_power_w", 1e-27), ("frequency_hz", 1e10),
+            ("temperature_k", 290), ("noise_ext", 1e300), ("noise_isolated", 1e-5),
+            ("shield_thickness_m", 1e300), ("wavelength_m", 1e-5)))
+        assert main(["run", scenario_file(doc), "--format", "structured"]) == 0
+        parsed = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        assert parsed["link_budget"]["snr"] == 1e280 / 1e-27
+        overflowing = (ANCHOR_DOC + "link_budget.power_w = 1e300\n"
+                       "link_budget.noise_power_w = 1e-300\n")
+        assert main(["run", scenario_file(overflowing), "--format", "structured"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows" in captured.err

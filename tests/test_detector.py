@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,13 @@ from qiradar.detector import (
     simulate_trials,
 )
 from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
-from qiradar.metrics import helstrom_error
-from qiradar.qstate import DensityOperator, bell_phi_plus, density_from_pure
+from qiradar.metrics import clamp_unit, helstrom_error
+from qiradar.qstate import (
+    DensityOperator,
+    bell_phi_plus,
+    density_from_pure,
+    eigendecompose_hermitian,
+)
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]), (2,))
 KET1 = DensityOperator(np.diag([0.0, 1.0]), (2,))
@@ -230,7 +236,7 @@ class TestEmpiricalError:
         rho0 = hypothesis_h0(0.5)
         rho1 = hypothesis_h1(TargetParams(math.pi / 4, 0.75, 0.5))
         reference = empirical_error(rho0, rho1, HALF, 50_000, seed=314159)
-        for partitions in (2, 5):
+        for partitions in (2, 5, 10**12):  # 4 blocks each; 10**12 acts as 4
             assert empirical_error(rho0, rho1, HALF, 50_000, seed=314159,
                                    partitions=partitions) == reference
 
@@ -275,8 +281,30 @@ class TestRocSweep:
             assert second.p_detection >= first.p_detection - 1e-9
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(DegenerateInput):
-            roc_sweep(KET0, KET1, [-0.5])
+        for bad in ([-0.5], [0.5, "a"], [None], [float("nan")], [[1.0]]):
+            with pytest.raises(DegenerateInput, match="got " + re.escape(repr(bad[-1]))):
+                roc_sweep(KET0, KET1, bad)
+
+    def test_no_thresholds_give_no_points(self):
+        assert roc_sweep(KET0, KET1, []) == []
+
+    def test_stacked_sweep_equals_the_per_threshold_loop(self):
+        # Reference: one eigensolve per threshold, positive columns sliced out.
+        rng = np.random.default_rng(2718)
+        pairs = [(hypothesis_h0(0.2), hypothesis_h1(TargetParams(1.0, 0.6, 0.2)))]
+        pairs += [(random_density(rng, 4), random_density(rng, 4)) for _ in range(5)]
+        thresholds = [0.0, 0.25, 0.4, 1.0, 4.15, 8.0]  # 0.4: triply degenerate crossing
+        for rho0, rho1 in pairs:
+            expected = []
+            for t in thresholds:
+                spectrum = eigendecompose_hermitian(rho1.matrix - t * rho0.matrix)
+                columns = spectrum.eigenvectors[:, spectrum.eigenvalues > 1e-10]
+                projector = columns @ columns.conj().T
+                projector = (projector + projector.conj().T) / 2.0
+                expected.append((t, *(clamp_unit(float(np.trace(projector @ rho.matrix).real), "")
+                                      for rho in (rho0, rho1))))
+            swept = roc_sweep(rho0, rho1, thresholds)
+            assert [(p.threshold, p.p_false_alarm, p.p_detection) for p in swept] == expected
 
 
 class TestOptimality:

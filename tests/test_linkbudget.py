@@ -276,3 +276,14 @@ def test_results_beyond_the_float_range_raise_numerical_domain():
     with pytest.raises(NumericalDomain):
         stopband_attenuation(5e-324, 1e300)
     assert thermal_occupancy(1.0, 5e-324) == 0.0  # k_B·T underflows: a frozen bath
+    # Quotients of positive finite inputs that overflow to inf, which no JSON
+    # report can carry.
+    for calculator, args in ((watts_to_dbm, (1e306,)), (photon_rate, (1e300, 1e10)),
+                             (snr, (1e300, 1e-300)), (isolation_factor, (1e300, 1e-300)),
+                             (shielding_effectiveness, (1e300, 1e-300)),
+                             (stopband_attenuation, (1e300, 1e-300))):
+        with pytest.raises(NumericalDomain, match="overflows"):
+            calculator(*args)
+    with pytest.raises(NumericalDomain, match="signal to noise"):
+        evaluate_link_budget(LinkBudgetInputs(power_w=1e300, noise_power_w=1e-300))
+    assert snr(1e300, 1e-8) == 1e308  # large but finite passes

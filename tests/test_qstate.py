@@ -202,6 +202,45 @@ class TestEigendecomposeHermitian:
         with pytest.raises(NumericalDomain):
             eigendecompose_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_matches_each_member_bit_for_bit(self):
+        rng = np.random.default_rng(77)
+        g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        stack = (g + g.conj().swapaxes(-1, -2)).reshape(2, 3, 4, 4)
+        spectrum = eigendecompose_hermitian(stack)
+        assert spectrum.eigenvalues.shape == (2, 3, 4)
+        assert spectrum.eigenvectors.shape == (2, 3, 4, 4)
+        for index in np.ndindex(2, 3):
+            alone = eigendecompose_hermitian(stack[index])
+            assert np.array_equal(spectrum.eigenvalues[index], alone.eigenvalues)
+            assert np.array_equal(spectrum.eigenvectors[index], alone.eigenvectors)
+            assert np.all(np.diff(alone.eigenvalues) <= 0.0)
+
+    def test_stack_with_one_non_hermitian_member_rejected(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+        with pytest.raises(NumericalDomain):
+            eigendecompose_hermitian(stack)
+
+    def test_stack_reconstruction_roundtrip(self):
+        rng = np.random.default_rng(4343)
+        g = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        stack = g + g.conj().swapaxes(-1, -2)
+        spectrum = eigendecompose_hermitian(stack)
+        rebuilt = spectrum.reconstruct()
+        np.testing.assert_allclose(rebuilt, stack, atol=1e-8)
+        for index, member in enumerate(rebuilt):
+            alone = eigendecompose_hermitian(stack[index]).reconstruct()
+            assert np.array_equal(member, alone)
+
+    def test_empty_stack_gives_empty_spectrum(self):
+        spectrum = eigendecompose_hermitian(np.zeros((0, 4, 4)))
+        assert spectrum.eigenvalues.shape == (0, 4)
+        assert spectrum.reconstruct().shape == (0, 4, 4)
+
+    def test_non_square_rejected(self):
+        for shape in ((4,), (2, 3), (5, 2, 3)):
+            with pytest.raises(DimensionMismatch):
+                eigendecompose_hermitian(np.zeros(shape))
+
 
 class TestSqrtPsd:
     def test_scaled_identity(self):
