@@ -32,6 +32,7 @@ MAX_SEED = 2**64 - 1
 
 PROJECTOR_ATOL = 1e-8  # idempotency and orthogonality tolerance
 COMPLETE_ATOL = 1e-9   # hermiticity and completeness tolerance
+ROC_STACK_ENTRIES = 1 << 16  # matrix entries per stacked ROC eigensolve: ~1 MB per scratch array
 
 HYPOTHESIS_H0 = "H0"
 HYPOTHESIS_H1 = "H1"
@@ -249,7 +250,7 @@ def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
 def _float_or_nan(value) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return math.nan
 
 
@@ -259,20 +260,23 @@ def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[
     For each threshold t the test decides H1 on the strictly positive
     eigenspace of ρ₁ − t·ρ₀; the point records (t, Tr(P·ρ₀), Tr(P·ρ₁)).
     The t = 1 point coincides with the equal-prior Helstrom test. One
-    stacked eigensolve serves every threshold.
+    stacked eigensolve serves up to ROC_STACK_ENTRIES / d² thresholds.
     """
     _require_same_dims(rho0, rho1)
     raw = list(thresholds)
-    try:
-        t = np.fromiter(raw, dtype=float, count=len(raw))
-    except (TypeError, ValueError):  # NaN marks each entry float() rejects
-        t = np.array([_float_or_nan(v) for v in raw])
+    values = [_float_or_nan(v) for v in raw]  # NaN: float() rejects it
+    t = np.array(values, dtype=float)
     bad = np.flatnonzero(~((t >= 0.0) & (t < math.inf)))  # NaN fails both
     if bad.size:
         raise DegenerateInput(f"thresholds must be finite and >= 0, got {raw[bad[0]]!r}")
-    projectors = _positive_eigenspace_projector(rho1.matrix - t[:, None, None] * rho0.matrix)
-    p_fa = np.trace(projectors @ rho0.matrix, axis1=-2, axis2=-1).real
-    p_d = np.trace(projectors @ rho1.matrix, axis1=-2, axis2=-1).real
-    return [RocPoint(float(ti), clamp_unit(float(fa), "false-alarm probability"),
-                     clamp_unit(float(d), "detection probability"))
-            for ti, fa, d in zip(t, p_fa, p_d)]
+    step = max(1, ROC_STACK_ENTRIES // rho0.matrix.size)
+    points = []
+    for lo in range(0, t.size, step):
+        stack = rho1.matrix - t[lo:lo + step, None, None] * rho0.matrix
+        projectors = _positive_eigenspace_projector(stack)
+        p_fa = np.trace(projectors @ rho0.matrix, axis1=-2, axis2=-1).real
+        p_d = np.trace(projectors @ rho1.matrix, axis1=-2, axis2=-1).real
+        points += [RocPoint(ti, clamp_unit(float(fa), "false-alarm probability"),
+                            clamp_unit(float(d), "detection probability"))
+                   for ti, fa, d in zip(values[lo:lo + step], p_fa, p_d)]
+    return points

@@ -215,6 +215,8 @@ def sqrt_psd(m) -> np.ndarray:
     PSD with S·S equal to the input within 1e-8.
     """
     spectrum = eigendecompose_hermitian(m)
+    if spectrum.eigenvalues.ndim != 1:
+        raise DimensionMismatch(f"expected one matrix, got shape {spectrum.eigenvectors.shape}")
     w = spectrum.eigenvalues.copy()
     smallest = float(w[-1])
     if smallest < -EIG_CLAMP:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
+from qiradar import detector
 from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
 from qiradar.detector import (
     BinaryMeasurement,
@@ -281,15 +282,17 @@ class TestRocSweep:
             assert second.p_detection >= first.p_detection - 1e-9
 
     def test_negative_threshold_rejected(self):
-        for bad in ([-0.5], [0.5, "a"], [None], [float("nan")], [[1.0]]):
+        for bad in ([-0.5], [0.5, "a"], [None], [float("nan")], [[1.0]], [10**400]):
             with pytest.raises(DegenerateInput, match="got " + re.escape(repr(bad[-1]))):
                 roc_sweep(KET0, KET1, bad)
 
     def test_no_thresholds_give_no_points(self):
         assert roc_sweep(KET0, KET1, []) == []
 
-    def test_stacked_sweep_equals_the_per_threshold_loop(self):
+    @pytest.mark.parametrize("entries", [1 << 16, 48, 80, 1])  # 6, 3, 5, 1 thresholds per stack
+    def test_stacked_sweep_equals_the_per_threshold_loop(self, entries, monkeypatch):
         # Reference: one eigensolve per threshold, positive columns sliced out.
+        monkeypatch.setattr(detector, "ROC_STACK_ENTRIES", entries)
         rng = np.random.default_rng(2718)
         pairs = [(hypothesis_h0(0.2), hypothesis_h1(TargetParams(1.0, 0.6, 0.2)))]
         pairs += [(random_density(rng, 4), random_density(rng, 4)) for _ in range(5)]

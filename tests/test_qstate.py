@@ -268,6 +268,11 @@ class TestSqrtPsd:
         with pytest.raises(NumericalDomain):
             sqrt_psd(np.diag([1.0, -1e-6]))
 
+    def test_stack_rejected(self):
+        for d in (1, 2, 4):
+            with pytest.raises(DimensionMismatch):
+                sqrt_psd(np.broadcast_to(np.eye(d) / d, (3, d, d)))
+
 
 class TestDensityOperatorInvariants:
     def test_non_hermitian_rejected(self):
