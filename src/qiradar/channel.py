@@ -89,8 +89,10 @@ def noise_state(p: float) -> DensityOperator:
     return DensityOperator(np.diag([1.0 - p, p]).astype(complex), (2,))
 
 
-def _h0_matrix(p: float) -> np.ndarray:
-    return np.kron(np.diag([1.0 - p, p]).astype(complex), np.eye(2, dtype=complex) / 2.0)
+def _h0_matrix(p: float) -> np.ndarray:  # diag(1 − p, p) ⊗ I/2; halving is exact
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0.flat[::5] = ((1.0 - p) / 2.0, (1.0 - p) / 2.0, p / 2.0, p / 2.0)
+    return rho0
 
 
 def hypothesis_h0(p: float) -> DensityOperator:

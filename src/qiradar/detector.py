@@ -59,14 +59,14 @@ class BinaryMeasurement:
                 f"projectors must be square and congruent, got {p1.shape} and {p0.shape}"
             )
         for name, proj in (("project_h1", p1), ("project_h0", p0)):
-            if float(np.max(np.abs(proj - proj.conj().T))) > COMPLETE_ATOL:
+            if float(np.abs(proj - proj.conj().T).max()) > COMPLETE_ATOL:
                 raise NumericalDomain(f"{name} is not Hermitian within 1e-9")
-            if float(np.max(np.abs(proj @ proj - proj))) > PROJECTOR_ATOL:
+            if float(np.abs(proj @ proj - proj).max()) > PROJECTOR_ATOL:
                 raise NumericalDomain(f"{name} is not idempotent within 1e-8")
         identity = np.eye(p1.shape[0])
-        if float(np.max(np.abs(p0 + p1 - identity))) > COMPLETE_ATOL:
+        if float(np.abs(p0 + p1 - identity).max()) > COMPLETE_ATOL:
             raise NumericalDomain("projectors do not sum to the identity within 1e-9")
-        if float(np.max(np.abs(p1 @ p0))) > PROJECTOR_ATOL:
+        if float(np.abs(p1 @ p0).max()) > PROJECTOR_ATOL:
             raise NumericalDomain("projectors are not orthogonal within 1e-8")
         p1.setflags(write=False)
         p0.setflags(write=False)
@@ -263,7 +263,10 @@ def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[
     stacked eigensolve serves up to ROC_STACK_ENTRIES / d² thresholds.
     """
     _require_same_dims(rho0, rho1)
-    raw = list(thresholds)
+    try:
+        raw = list(thresholds)
+    except TypeError:
+        raise DegenerateInput(f"thresholds must be a list of numbers, got {thresholds!r}") from None
     values = [_float_or_nan(v) for v in raw]  # NaN: float() rejects it
     t = np.array(values, dtype=float)
     bad = np.flatnonzero(~((t >= 0.0) & (t < math.inf)))  # NaN fails both

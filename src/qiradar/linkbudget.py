@@ -80,7 +80,10 @@ def dbm_to_watts(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise DegenerateInput(f"dBm value must be finite, got {x!r}")
-    return MILLIWATT * 10.0 ** (x / 10.0)
+    try:
+        return MILLIWATT * 10.0 ** (x / 10.0)
+    except OverflowError:
+        raise NumericalDomain(f"{x!r} dBm overflows the float range in watts") from None
 
 
 def photon_energy(f: float) -> float:

@@ -97,7 +97,7 @@ class DensityOperator:
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} does not match subsystem dimensions {dims}"
             )
-        if float(np.max(np.abs(mat - mat.conj().T))) > STATE_ATOL:
+        if float(np.abs(mat - mat.conj().T).max()) > STATE_ATOL:
             raise NumericalDomain("matrix is not Hermitian within 1e-9")
         trace = complex(mat.trace())
         if abs(trace - 1.0) > STATE_ATOL:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from itertools import repeat
 
 from .detector import RocPoint, TrialOutcome
 from .errors import DegenerateInput
@@ -18,6 +20,7 @@ from .scenario import Scenario
 
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
 _SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # the echo keeps field order
+_CONTAINERS = (dict, list, tuple)  # what json.dumps indents
 
 
 @dataclass(frozen=True)
@@ -165,10 +168,41 @@ def _table_lines(report: DetectionReport) -> list[str]:
     return lines
 
 
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """One item per line at ``depth``; with indent=None json runs its C encoder."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def _is_flat(values) -> bool:
+    return not any(map(isinstance, values, repeat(_CONTAINERS)))
+
+
+def _to_json(o, depth: int = 0) -> str:
+    """json.dumps(o, indent=2, sort_keys=True) for str-keyed o, walking in Python
+    only the containers that hold containers. An encoded string holds no raw
+    newline, so a list of flat dicts (the ROC) is re-indented at "},<pad2>{"."""
+    if not isinstance(o, _CONTAINERS) or not o:
+        return _flat_encoder(depth).encode(o)  # scalars, {} and []
+    pad, pad2 = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    if _is_flat(o.values() if isinstance(o, dict) else o):
+        body = _flat_encoder(depth + 1).encode(o)[1:-1]
+    elif isinstance(o, dict):
+        body = ("," + pad).join(f"{_flat_encoder(0).encode(k)}: {_to_json(v, depth + 1)}"
+                                for k, v in sorted(o.items()))
+    elif all(isinstance(v, dict) and v and _is_flat(v.values()) for v in o):
+        body = "{" + pad2 + _flat_encoder(depth + 2).encode(o)[2:-2].replace(
+            "}," + pad2 + "{", pad + "}," + pad + "{" + pad2) + pad + "}"
+    else:
+        body = ("," + pad).join(_to_json(v, depth + 1) for v in o)
+    opener, closer = "{}" if isinstance(o, dict) else "[]"
+    return opener + pad + body + pad[:-2] + closer
+
+
 def emit_report(report: DetectionReport, format: str = "table") -> str:
     """Render a report as 'structured' (JSON) or 'table' text."""
     if format == "structured":
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        return _to_json(report_to_dict(report)) + "\n"
     if format == "table":
         return "\n".join(_table_lines(report)) + "\n"
     raise DegenerateInput(f"unknown report format {format!r}")

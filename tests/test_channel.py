@@ -6,6 +6,7 @@ import pytest
 from conftest import random_pure
 from qiradar.channel import (
     TargetParams,
+    _h0_matrix,
     apply_signal_phase,
     hypothesis_h0,
     hypothesis_h1,
@@ -119,6 +120,12 @@ class TestHypotheses:
     def test_h0_vacuum_noise(self):
         np.testing.assert_allclose(hypothesis_h0(0.0).matrix,
                                    np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-15)
+
+    def test_h0_matrix_bits_equal_the_kronecker_product(self):
+        edges = [0.0, 5e-324, 1e-300, 0.5, math.nextafter(1.0, 0.0)]
+        for p in edges + list(np.random.default_rng(20240).random(200)):
+            kron = np.kron(np.diag([1.0 - p, p]).astype(complex), np.eye(2, dtype=complex) / 2.0)
+            assert _h0_matrix(p).tobytes() == kron.tobytes(), p
 
     def test_h0_idler_factor(self):
         for p in P_GRID:

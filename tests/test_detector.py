@@ -286,6 +286,11 @@ class TestRocSweep:
             with pytest.raises(DegenerateInput, match="got " + re.escape(repr(bad[-1]))):
                 roc_sweep(KET0, KET1, bad)
 
+    def test_non_iterable_thresholds_rejected(self):
+        for bad in (5, 0.5, None):
+            with pytest.raises(DegenerateInput, match="got " + re.escape(repr(bad))):
+                roc_sweep(KET0, KET1, bad)
+
     def test_no_thresholds_give_no_points(self):
         assert roc_sweep(KET0, KET1, []) == []
 

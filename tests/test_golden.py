@@ -5,7 +5,9 @@ structured and table reports of example.cfg and thermal.cfg, and
 example.cfg's ROC CSV. example.cfg runs 100000 Monte Carlo trials, so its
 golden also pins the exact decision counts of the current Monte Carlo stream.
 dense.roc.csv pins a 1000-threshold ROC whose grid hits the triply
-degenerate eigenvalue crossing of ρ₁ − tρ₀ at t = 0.4 exactly.
+degenerate eigenvalue crossing of ρ₁ − tρ₀ at t = 0.4 exactly, and
+dense.structured.json the structured report of the same scenario, whose
+long ROC list and threshold echo take the encoder's one-call paths.
 A change that moves any byte fails here; a deliberate contract change must
 regenerate the goldens and say so.
 """
@@ -51,3 +53,11 @@ def test_dense_roc_csv_matches_golden(tmp_path):
     roc = tmp_path / "roc.csv"
     assert main(["run", str(cfg), "--out", str(tmp_path / "report"), "--roc-out", str(roc)]) == 0
     assert roc.read_bytes() == (GOLDEN / "dense.roc.csv").read_bytes()
+
+
+def test_dense_structured_report_matches_golden(tmp_path):
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(DENSE_SCENARIO, encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["run", str(cfg), "--format", "structured", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "dense.structured.json").read_bytes()

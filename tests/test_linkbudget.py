@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,12 @@ class TestDbmConversions:
             watts_to_dbm(-1e-15)
         with pytest.raises(DegenerateInput):
             dbm_to_watts(math.inf)
+
+    def test_overflow_raises_numerical_domain(self):
+        assert dbm_to_watts(3080.0) == pytest.approx(1e305, rel=1e-12)
+        for x in (3090.0, 1e4, 1.7976931348623157e308):
+            with pytest.raises(NumericalDomain, match=re.escape(repr(x))):
+                dbm_to_watts(x)
 
 
 class TestPhotonBudget:
