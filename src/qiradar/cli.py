@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import channel, detector, linkbudget, metrics
-from .errors import NumericalDomain, ParseError, QIRadarError, ValidationError
+from .errors import ParseError, QIRadarError, ValidationError
 from .report import DetectionReport, MonteCarloResult, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
 
@@ -140,11 +140,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalDomain as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except QIRadarError as exc:
-        # A validated scenario should never hit these; treat as numerical failure.
+    except QIRadarError as exc:  # NumericalDomain, or any other failure of a valid scenario
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

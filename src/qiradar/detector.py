@@ -264,6 +264,8 @@ def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[
     """
     _require_same_dims(rho0, rho1)
     try:
+        if isinstance(thresholds, (str, bytes, bytearray)):  # would iterate per character
+            raise TypeError
         raw = list(thresholds)
     except TypeError:
         raise DegenerateInput(f"thresholds must be a list of numbers, got {thresholds!r}") from None

@@ -28,7 +28,6 @@ from .errors import DegenerateInput, DimensionMismatch, NumericalDomain
 MAX_DIMENSION = 16
 STATE_ATOL = 1e-9    # norm, trace and hermiticity tolerance on stored states
 DECOMP_ATOL = 1e-8   # eigendecomposition round-trip tolerance
-EIG_CLAMP = 1e-10    # eigenvalues in [-EIG_CLAMP, 0) count as roundoff zeros
 
 
 def _as_dims(dims) -> tuple[int, ...]:
@@ -210,18 +209,19 @@ def eigendecompose_hermitian(m) -> Spectrum:
 def sqrt_psd(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix.
 
-    Eigenvalues in [-1e-10, 0) are clamped to 0 before the square root;
-    anything below -1e-10 raises NumericalDomain. The result S is Hermitian
-    PSD with S·S equal to the input within 1e-8.
+    Eigenvalues in [-STATE_ATOL, 0) = [-1e-9, 0), the window DensityOperator
+    accepts, are clamped to 0 before the square root; anything below raises
+    NumericalDomain. The result S is Hermitian PSD with S·S equal to the
+    input within 1e-8.
     """
     spectrum = eigendecompose_hermitian(m)
     if spectrum.eigenvalues.ndim != 1:
         raise DimensionMismatch(f"expected one matrix, got shape {spectrum.eigenvectors.shape}")
     w = spectrum.eigenvalues.copy()
     smallest = float(w[-1])
-    if smallest < -EIG_CLAMP:
+    if smallest < -STATE_ATOL:
         raise NumericalDomain(
-            f"eigenvalue {smallest:.3g} is below -1e-10, matrix is not positive semidefinite"
+            f"eigenvalue {smallest:.3g} is below -1e-9, matrix is not positive semidefinite"
         )
     w[w < 0.0] = 0.0
     root = Spectrum(np.sqrt(w), spectrum.eigenvectors).reconstruct()

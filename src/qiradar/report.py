@@ -3,7 +3,8 @@
 The structured format is a JSON document with stable, sorted field names and
 full shortest-round-trip float precision, so two runs of the same scenario
 and seed are byte-identical and every numeric survives a parse round trip
-exactly. The table format is for reading, 6 significant digits.
+exactly. The table format renders the same document for reading: its fields
+in document order, 6 significant digits.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from itertools import repeat
 
 from .detector import RocPoint, TrialOutcome
 from .errors import DegenerateInput
-from .linkbudget import LinkBudgetInputs, LinkBudgetResult
+from .linkbudget import LinkBudgetResult
 from .scenario import Scenario
 
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
-_SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # the echo keeps field order
 _CONTAINERS = (dict, list, tuple)  # what json.dumps indents
 
 
@@ -48,68 +48,45 @@ class DetectionReport:
     warnings: tuple[str, ...] = ()
 
 
-def _scenario_dict(s: Scenario) -> dict:
-    out = {name: getattr(s, name) for name in _SCENARIO_FIELDS}
-    if s.roc_thresholds is not None:
-        out["roc_thresholds"] = list(s.roc_thresholds)
-    out["link_budget"] = _link_inputs_dict(s.link_budget)
-    return out
+@lru_cache(maxsize=None)
+def _field_names(cls: type, omit: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in omit)
 
 
-def _link_inputs_dict(inputs: LinkBudgetInputs | None) -> dict | None:
-    if inputs is None:
+def _fields(record, *omit: str) -> dict | None:
+    """A dataclass's fields by name in declaration order, minus those in ``omit``."""
+    if record is None:
         return None
-    return {f.name: getattr(inputs, f.name) for f in fields(LinkBudgetInputs)}
-
-
-def _outcome_dict(outcome: TrialOutcome) -> dict:
-    return {
-        "decide_h0_count": outcome.decide_h0_count,
-        "decide_h1_count": outcome.decide_h1_count,
-        "trials": outcome.trials,
-        "true_hypothesis": outcome.true_hypothesis,
-    }
-
-
-def _link_result_dict(result: LinkBudgetResult | None) -> dict | None:
-    if result is None:
-        return None
-    out = {f.name: getattr(result, f.name) for f in fields(LinkBudgetResult)}
-    del out["warnings"]  # reported at the top level of the document
-    return out
+    return {name: getattr(record, name) for name in _field_names(type(record), omit)}
 
 
 def report_to_dict(report: DetectionReport) -> dict:
-    """Plain-types view of a report, the payload of the structured format."""
-    monte_carlo = None
-    if report.monte_carlo is not None:
-        monte_carlo = {
-            "empirical_error": report.monte_carlo.empirical_error,
-            "seed": report.monte_carlo.seed,
-            "h0": _outcome_dict(report.monte_carlo.h0),
-            "h1": _outcome_dict(report.monte_carlo.h1),
-        }
-    roc = None
-    if report.roc is not None:
-        roc = [
-            {
-                "threshold": point.threshold,
-                "p_false_alarm": point.p_false_alarm,
-                "p_detection": point.p_detection,
-            }
-            for point in report.roc
-        ]
+    """Plain-types view of a report: the payload of the structured format, and
+    in this key order the rows of the table format."""
+    scenario, mc = report.scenario, report.monte_carlo
+    if mc is not None:
+        mc = {**_fields(mc), "h0": _fields(mc.h0, "seed"), "h1": _fields(mc.h1, "seed")}
     return {
-        "scenario": _scenario_dict(report.scenario),
+        "scenario": {**_fields(scenario),
+                     "roc_thresholds": scenario.roc_thresholds and list(scenario.roc_thresholds),
+                     "link_budget": _fields(scenario.link_budget)},
         "phase_effective_rad": report.phase_effective_rad,
         "metrics": {
             "trace_distance": report.trace_distance,
             "fidelity": report.fidelity,
             "helstrom_error": report.helstrom_error,
         },
-        "monte_carlo": monte_carlo,
-        "roc": roc,
-        "link_budget": _link_result_dict(report.link_budget),
+        "monte_carlo": mc,
+        # RocPoint's fields spelled out: a _fields call per point would dominate a long ROC
+        "roc": None if report.roc is None else [
+            {
+                "threshold": point.threshold,
+                "p_false_alarm": point.p_false_alarm,
+                "p_detection": point.p_detection,
+            }
+            for point in report.roc
+        ],
+        "link_budget": _fields(report.link_budget, "warnings"),  # warnings are top-level
         "warnings": list(report.warnings),
     }
 
@@ -117,54 +94,38 @@ def report_to_dict(report: DetectionReport) -> dict:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".6g")
+    if isinstance(value, list):
+        return ", ".join(map(_fmt, value))
     return str(value)
 
 
+def _rows(values: dict, width: int = 24) -> list[str]:
+    """One "  key<pad>value" line per value that is neither None nor a dict."""
+    return ["  " + key.ljust(width) + _fmt(value) for key, value in values.items()
+            if value is not None and not isinstance(value, dict)]
+
+
 def _table_lines(report: DetectionReport) -> list[str]:
-    lines = ["scenario"]
-    for key, value in _scenario_dict(report.scenario).items():
-        if key == "link_budget" or value is None:
+    """The document's fields in document order: a titled section per dict and a
+    row per top-level number; the ROC keeps its columns."""
+    lines = []
+    for key, value in report_to_dict(report).items():
+        if value is None or value == []:
             continue
-        if key == "roc_thresholds":
-            value = ", ".join(_fmt(t) for t in value)
-        lines.append(f"  {key:<24}{_fmt(value)}")
-    lines.append(f"  {'phase_effective_rad':<24}{_fmt(report.phase_effective_rad)}")
-    lines.append("metrics")
-    lines.append(f"  {'trace_distance':<24}{_fmt(report.trace_distance)}")
-    lines.append(f"  {'fidelity':<24}{_fmt(report.fidelity)}")
-    lines.append(f"  {'helstrom_error':<24}{_fmt(report.helstrom_error)}")
-    if report.monte_carlo is not None:
-        mc = report.monte_carlo
-        lines.append("monte carlo")
-        lines.append(f"  {'empirical_error':<24}{_fmt(mc.empirical_error)}")
-        lines.append(f"  {'seed':<24}{mc.seed}")
-        lines.append(
-            f"  {'h0 decisions':<24}h0={mc.h0.decide_h0_count} h1={mc.h0.decide_h1_count}"
-            f" of {mc.h0.trials}"
-        )
-        lines.append(
-            f"  {'h1 decisions':<24}h0={mc.h1.decide_h0_count} h1={mc.h1.decide_h1_count}"
-            f" of {mc.h1.trials}"
-        )
-    if report.roc is not None:
-        lines.append("roc")
-        lines.append(f"  {'threshold':>12} {'p_false_alarm':>14} {'p_detection':>12}")
-        for point in report.roc:
-            lines.append(
-                f"  {_fmt(point.threshold):>12} {_fmt(point.p_false_alarm):>14}"
-                f" {_fmt(point.p_detection):>12}"
-            )
-    link = _link_result_dict(report.link_budget)
-    if link is not None:
-        lines.append("link budget")
-        for key, value in link.items():
-            if value is None:
-                continue
-            lines.append(f"  {key:<28}{_fmt(value)}")
-    if report.warnings:
-        lines.append("warnings")
-        for warning in report.warnings:
-            lines.append(f"  - {warning}")
+        if key == "roc":
+            lines += ["roc", f"  {'threshold':>12} {'p_false_alarm':>14} {'p_detection':>12}"]
+            lines += [f"  {_fmt(p.threshold):>12} {_fmt(p.p_false_alarm):>14}"
+                      f" {_fmt(p.p_detection):>12}" for p in report.roc]
+        elif key == "warnings":
+            lines += ["warnings"] + [f"  - {warning}" for warning in value]
+        elif isinstance(value, dict):
+            lines.append(key.replace("_", " "))
+            lines += _rows(value, 28 if key == "link_budget" else 24)  # its keys run to 26
+            if key == "monte_carlo":
+                lines += _rows({f"{h} decisions": "h0={decide_h0_count} h1={decide_h1_count}"
+                                " of {trials}".format(**value[h]) for h in ("h0", "h1")})
+        else:
+            lines += _rows({key: value})  # phase_effective_rad, under the scenario rows
     return lines
 
 

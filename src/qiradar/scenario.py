@@ -47,11 +47,6 @@ MAX_TRIALS = 10**9  # about 6 s of Monte Carlo, the longest run a document may a
 _LINK_PREFIX = "link_budget."
 _LINK_KEYS = frozenset(_LINK_PREFIX + f.name for f in fields(LinkBudgetInputs))
 _INT_KEYS = frozenset({"trials", "seed"})
-_SCALAR_KEYS = _INT_KEYS | {
-    "phase_rad", "reflectivity", "noise_excitation", "frequency_hz", "temperature_k",
-    "env_phase_rad", "prior_h0", "prior_h1", "roc_thresholds",
-}
-KNOWN_KEYS = _SCALAR_KEYS | _LINK_KEYS
 
 _set = object.__setattr__  # fills in the fields of a frozen Scenario
 
@@ -185,6 +180,10 @@ class Scenario:
         _require(all(a <= b for a, b in zip(thresholds, thresholds[1:])), name,
                  "roc_thresholds must be in ascending order")
         _set(self, name, thresholds)
+
+
+# A document names each Scenario field but link_budget, which it gives as dotted keys.
+KNOWN_KEYS = frozenset(f.name for f in fields(Scenario) if f.name != "link_budget") | _LINK_KEYS
 
 
 def _split_line(raw: str, line_no: int) -> tuple[str, str]:

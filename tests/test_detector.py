@@ -287,7 +287,7 @@ class TestRocSweep:
                 roc_sweep(KET0, KET1, bad)
 
     def test_non_iterable_thresholds_rejected(self):
-        for bad in (5, 0.5, None):
+        for bad in (5, 0.5, None, "123", b"12"):
             with pytest.raises(DegenerateInput, match="got " + re.escape(repr(bad))):
                 roc_sweep(KET0, KET1, bad)
 

@@ -7,7 +7,9 @@ golden also pins the exact decision counts of the current Monte Carlo stream.
 dense.roc.csv pins a 1000-threshold ROC whose grid hits the triply
 degenerate eigenvalue crossing of ρ₁ − tρ₀ at t = 0.4 exactly, and
 dense.structured.json the structured report of the same scenario, whose
-long ROC list and threshold echo take the encoder's one-call paths.
+long ROC list and threshold echo take the encoder's one-call paths. The
+edge goldens pin every link-budget row with all four warnings, a thermal
+noise source and a Monte Carlo run whose H0 outcome has zero trials.
 A change that moves any byte fails here; a deliberate contract change must
 regenerate the goldens and say so.
 """
@@ -61,3 +63,36 @@ def test_dense_structured_report_matches_golden(tmp_path):
     out = tmp_path / "report"
     assert main(["run", str(cfg), "--format", "structured", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "dense.structured.json").read_bytes()
+
+
+EDGE_SCENARIO = """\
+phase_rad = 1.25
+reflectivity = 0.35
+frequency_hz = 1e9
+temperature_k = 300
+env_phase_rad = -0.75
+prior_h0 = 0
+prior_h1 = 1
+trials = 3000
+seed = 7
+roc_thresholds = 0, 0.5, 1, 2
+link_budget.power_w = 1e-16
+link_budget.noise_power_w = 1e-15
+link_budget.frequency_hz = 1e9
+link_budget.temperature_k = 300
+link_budget.shield_thickness_m = 1e-4
+link_budget.wavelength_m = 1e-2
+link_budget.amplitude_stop = 0.1
+link_budget.amplitude_pass = 1
+link_budget.noise_ext = 3
+link_budget.noise_isolated = 2
+"""
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMAT_SUFFIX))
+def test_edge_report_matches_golden(fmt, tmp_path):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(EDGE_SCENARIO, encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["run", str(cfg), "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"edge.{FORMAT_SUFFIX[fmt]}").read_bytes()

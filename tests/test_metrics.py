@@ -110,6 +110,15 @@ class TestFidelity:
             f = fidelity(a, b)
             assert 0.0 <= f <= 1.0
 
+    def test_accepts_every_state_the_constructor_accepts(self):
+        # An eigenvalue of -5e-10 is inside DensityOperator's window, so the
+        # square root must clamp it rather than raise.
+        a = DensityOperator(np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]).astype(complex), dims=(2, 2))
+        b = hypothesis_h0(0.2)
+        for first, second in ((a, b), (b, a)):
+            assert 0.0 <= fidelity(first, second) <= 1.0
+            distinguishability(first, second)
+
 
 class TestHelstromError:
     def test_identical_states(self):

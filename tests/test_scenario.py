@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -243,6 +243,13 @@ def test_known_keys_cover_grammar():
     assert "link_budget.power_w" in KNOWN_KEYS
     assert "link_budget.temperature_k" in KNOWN_KEYS
     assert not any(key.startswith("link_budget..") for key in KNOWN_KEYS)
+
+
+def test_known_keys_are_the_scenario_fields():
+    scalars = {f.name for f in fields(Scenario)} - {"link_budget"}
+    dotted = {"link_budget." + f.name for f in fields(LinkBudgetInputs)}
+    assert KNOWN_KEYS == scalars | dotted
+    assert len(KNOWN_KEYS) == 21  # 11 scenario fields and 10 link-budget inputs
 
 
 def test_value_may_contain_a_separator():
