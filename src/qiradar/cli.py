@@ -17,22 +17,21 @@ from .report import DetectionReport, MonteCarloResult, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
 
 
-def run_scenario(scenario: Scenario, partitions: int = 1) -> DetectionReport:
+def run_scenario(scenario: Scenario) -> DetectionReport:
     """Run the full detection pipeline for one validated scenario.
 
     Builds both hypothesis states at the effective phase (phase_rad minus
     env_phase_rad), computes the three distinguishability metrics, then runs
     Monte Carlo trials, the ROC sweep and the link-budget calculators when
-    the scenario asks for them. Deterministic for a fixed seed, independent
-    of ``partitions``.
+    the scenario asks for them. Deterministic for a fixed seed.
     """
     try:
-        return _run(scenario, partitions)
+        return _run(scenario)
     except QIRadarError as exc:
         raise type(exc)(f"while running scenario: {exc}") from exc
 
 
-def _run(scenario: Scenario, partitions: int) -> DetectionReport:
+def _run(scenario: Scenario) -> DetectionReport:
     warnings: list[str] = []
     params = channel.TargetParams(
         phase_phi=scenario.phase_rad - scenario.env_phase_rad,
@@ -47,7 +46,7 @@ def _run(scenario: Scenario, partitions: int) -> DetectionReport:
     monte_carlo = None
     if scenario.trials > 0:
         outcome_h0, outcome_h1 = detector.detection_counts(
-            rho0, rho1, priors, scenario.trials, scenario.seed, partitions
+            rho0, rho1, priors, scenario.trials, scenario.seed
         )
         monte_carlo = MonteCarloResult(
             empirical_error=detector.outcome_error(outcome_h0, outcome_h1),
@@ -84,13 +83,6 @@ def _run(scenario: Scenario, partitions: int) -> DetectionReport:
     )
 
 
-def _partitions_arg(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"partitions must be >= 1, got {text}")
-    return value
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qiradar",
@@ -107,9 +99,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, metavar="N", help="override the scenario seed")
     run.add_argument("--trials", type=int, metavar="N",
                      help="override the scenario trial count")
-    run.add_argument("--partitions", type=_partitions_arg, metavar="N", default=1,
-                     help="split Monte Carlo blocks over N independent partitions "
-                          "(results do not depend on N)")
     return parser
 
 
@@ -136,7 +125,7 @@ def main(argv=None) -> int:
             raise ValidationError(
                 "--roc-out requires roc_thresholds in the scenario", field="roc_thresholds"
             )
-        report = run_scenario(scenario, partitions=args.partitions)
+        report = run_scenario(scenario)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,10 @@ Reproducible Monte Carlo
 ------------------------
 Trials are consumed in fixed blocks of 8192 draws. Block ``b`` of the stream
 for hypothesis tag ``t`` (0 for H0, 1 for H1) under seed ``s`` comes from
-``Generator(PCG64(SeedSequence((s, t, b))))``. Merged counts therefore depend
-only on (seed, trials), never on how many partitions the blocks are dealt out
-to, so parallel workers can split the block range and still reproduce a
-single-worker run bit for bit.
+``Generator(PCG64(SeedSequence((s, t, b))))``, and a trial decides H1 when
+its uniform draw is below the Born probability. Counts therefore depend only
+on (seed, trials), and any split of the block range into independently
+counted parts sums to the same total.
 """
 
 from __future__ import annotations
@@ -155,45 +155,30 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _count_decide_h1(p: float, trials: int, seed: int, tag: int, partitions: int) -> int:
-    """Count draws below p over the block-structured stream (seed, tag).
-
-    The partition loop only changes which chunk of blocks each pass handles;
-    the merged count is identical for every partition count. Partitions
-    beyond the block count would get no block, so there are at most as many
-    partitions as blocks.
-    """
-    n_blocks = -(-trials // BLOCK_SIZE)
-    partitions = min(partitions, n_blocks)
+def _count_decide_h1(p: float, trials: int, seed: int, tag: int) -> int:
+    """Count draws below p over the block-structured stream (seed, tag)."""
     total = 0
-    for part in range(partitions):
-        first = part * n_blocks // partitions
-        last = (part + 1) * n_blocks // partitions
-        for block in range(first, last):
-            n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, tag, block))))
-            total += int(np.count_nonzero(rng.random(n) < p))
+    for block in range(-(-trials // BLOCK_SIZE)):
+        n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, tag, block))))
+        total += int(np.count_nonzero(rng.random(n) < p))
     return total
 
 
 def simulate_trials(m: BinaryMeasurement, rho_true: DensityOperator, trials: int, seed: int,
-                    true_hypothesis: str = HYPOTHESIS_H1, partitions: int = 1) -> TrialOutcome:
+                    true_hypothesis: str = HYPOTHESIS_H1) -> TrialOutcome:
     """Draw ``trials`` independent measurement outcomes on ``rho_true``.
 
-    Deterministic for a fixed seed; ``partitions`` splits the work into
-    independent block ranges (at most one per block) without changing the
-    merged counts.
+    Deterministic for a fixed seed: the counts depend only on (seed, trials).
     """
     trials = int(trials)
     if trials < 1:
         raise DegenerateInput(f"trials must be >= 1, got {trials}")
     if true_hypothesis not in _STREAM_TAG:
         raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {true_hypothesis!r}")
-    if int(partitions) < 1:
-        raise DegenerateInput(f"partitions must be >= 1, got {partitions!r}")
     seed = _check_seed(seed)
     p = born_probability(m, rho_true)
-    decide_h1 = _count_decide_h1(p, trials, seed, _STREAM_TAG[true_hypothesis], int(partitions))
+    decide_h1 = _count_decide_h1(p, trials, seed, _STREAM_TAG[true_hypothesis])
     return TrialOutcome(
         decide_h1_count=decide_h1,
         decide_h0_count=trials - decide_h1,
@@ -204,7 +189,7 @@ def simulate_trials(m: BinaryMeasurement, rho_true: DensityOperator, trials: int
 
 
 def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trials: int,
-                     seed: int, partitions: int = 1) -> tuple[TrialOutcome, TrialOutcome]:
+                     seed: int) -> tuple[TrialOutcome, TrialOutcome]:
     """Run the Helstrom test under both true states.
 
     Trials are allocated deterministically: floor(π₀·trials) under H0, the
@@ -220,24 +205,24 @@ def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trial
     n_h1 = trials - n_h0
     m = helstrom_measurement(rho0, rho1, priors)
     if n_h0 > 0:
-        outcome_h0 = simulate_trials(m, rho0, n_h0, seed, HYPOTHESIS_H0, partitions)
+        outcome_h0 = simulate_trials(m, rho0, n_h0, seed, HYPOTHESIS_H0)
     else:
         outcome_h0 = TrialOutcome(0, 0, 0, HYPOTHESIS_H0, seed)
     if n_h1 > 0:
-        outcome_h1 = simulate_trials(m, rho1, n_h1, seed, HYPOTHESIS_H1, partitions)
+        outcome_h1 = simulate_trials(m, rho1, n_h1, seed, HYPOTHESIS_H1)
     else:
         outcome_h1 = TrialOutcome(0, 0, 0, HYPOTHESIS_H1, seed)
     return outcome_h0, outcome_h1
 
 
 def empirical_error(rho0: DensityOperator, rho1: DensityOperator, priors, trials: int,
-                    seed: int, partitions: int = 1) -> float:
+                    seed: int) -> float:
     """Empirical error rate of the Helstrom test over ``trials`` trials.
 
     False alarms under H0 plus misses under H1, divided by the total trial
     count; converges to helstrom_error as trials grows.
     """
-    return outcome_error(*detection_counts(rho0, rho1, priors, trials, seed, partitions))
+    return outcome_error(*detection_counts(rho0, rho1, priors, trials, seed))
 
 
 def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:

@@ -9,9 +9,9 @@ eigenvalues, so everything reduces to Hermitian eigenproblems. At equal
 priors the Helstrom bound is P_e = ½(1 − D), the minimum error probability
 of any binary test between the two states.
 
-Results are clamped back into their closed ranges when roundoff pushes them
-out by at most 1e-9; larger excursions raise NumericalDomain so genuine bugs
-are not silently hidden.
+Results are clamped back into their closed ranges when they leave them by at
+most CLAMP_WINDOW, the most that states DensityOperator accepts can produce;
+larger excursions raise NumericalDomain so genuine bugs are not hidden.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, NumericalDomain
-from .qstate import DensityOperator, eigendecompose_hermitian, sqrt_psd
+from .qstate import MAX_DIMENSION, STATE_ATOL, DensityOperator, eigendecompose_hermitian, sqrt_psd
 
-CLAMP_WINDOW = 1e-9
+# Accepted states (δ = STATE_ATOL, n <= MAX_DIMENSION): trace <= 1 + δ, at most n - 1 eigenvalues
+# in [-δ, 0), entries Hermitian within δ (<= n^1.5 δ/2 in trace norm). So D, P_e, F and Born
+# probabilities of an accepted pair leave [0, 1] by at most (2n - 1 + n^1.5/2)δ, about 6.3e-8.
+CLAMP_WINDOW = (2 * MAX_DIMENSION - 1 + MAX_DIMENSION**1.5 / 2) * STATE_ATOL
 FVG_ATOL = 1e-7  # Fuchs-van de Graaff sandwich slack
 PRIOR_ATOL = 1e-9
 

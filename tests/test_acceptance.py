@@ -9,11 +9,15 @@ change that moves a number past its contract shows up as a hard failure.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qiradar
 from conftest import random_density, random_unitary
 from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
 from qiradar.cli import main
@@ -250,20 +254,28 @@ def test_deterministic_reports(tmp_path):
         encoding="utf-8",
     )
     outputs = {}
-    for label, extra in (
-        ("first run", []),
-        ("second run", []),
-        ("four partitions", ["--partitions", "4"]),
-        ("nine partitions", ["--partitions", "9"]),
-    ):
+
+    def run(label, command):
         out = tmp_path / f"report-{label.replace(' ', '-')}.json"
         roc = tmp_path / f"roc-{label.replace(' ', '-')}.csv"
-        code = main(["run", str(scenario), "--format", "structured",
-                     "--out", str(out), "--roc-out", str(roc), *extra])
+        code = command(["run", str(scenario), "--format", "structured",
+                        "--out", str(out), "--roc-out", str(roc)])
         if code != 0:
             failures.append(f"{label}: exit code {code}")
-            continue
-        outputs[label] = (out.read_bytes(), roc.read_bytes())
+        else:
+            outputs[label] = (out.read_bytes(), roc.read_bytes())
+
+    def fresh_interpreter(argv):
+        # Another process with another string-hash seed, importing the same
+        # package as this one.
+        package_root = str(Path(qiradar.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": path}
+        return subprocess.run([sys.executable, "-m", "qiradar", *argv], env=env).returncode
+
+    run("first run", main)
+    run("second run", main)
+    run("fresh interpreter", fresh_interpreter)
     reference = outputs.get("first run")
     for label, blobs in outputs.items():
         if blobs != reference:

@@ -23,8 +23,8 @@ FULL_DOC = ANCHOR_DOC + (
 )
 
 
-def run_doc(doc: str, partitions: int = 1):
-    return run_scenario(parse_scenario(doc), partitions=partitions)
+def run_doc(doc: str):
+    return run_scenario(parse_scenario(doc))
 
 
 class TestRunScenario:
@@ -135,12 +135,6 @@ class TestReportSerialization:
         second = emit_report(run_doc(FULL_DOC), "structured")
         assert first == second
 
-    def test_partition_count_does_not_change_output(self):
-        reference = emit_report(run_doc(FULL_DOC, partitions=1), "structured")
-        for partitions in (2, 5, 10**12):  # 10**12 acts as the block count
-            assert emit_report(run_doc(FULL_DOC, partitions=partitions),
-                               "structured") == reference
-
     def test_table_spot_checks(self):
         table = emit_report(run_doc(FULL_DOC), "table")
         assert table.splitlines()[0] == "scenario"
@@ -221,13 +215,6 @@ class TestCommandLine:
         assert parsed["monte_carlo"]["seed"] == 314
         assert parsed["monte_carlo"]["h0"]["trials"] == 2048
 
-    def test_partitions_flag_is_invisible_in_output(self, scenario_file, capsys):
-        path = scenario_file(FULL_DOC)
-        assert main(["run", path, "--format", "structured"]) == 0
-        reference = capsys.readouterr().out
-        assert main(["run", path, "--format", "structured", "--partitions", "3"]) == 0
-        assert capsys.readouterr().out == reference
-
     def test_parse_error_exits_2(self, scenario_file, capsys):
         assert main(["run", scenario_file("phase_rad = what\n")]) == 2
         err = capsys.readouterr().err
@@ -252,7 +239,7 @@ class TestCommandLine:
         assert "cannot read" in capsys.readouterr().err
 
     def test_overrides_are_validated_by_the_scenario(self, scenario_file, capsys, monkeypatch):
-        def never(scenario, partitions=1):  # fail fast instead of running 1e13 trials
+        def never(scenario):  # fail fast instead of running 1e13 trials
             raise AssertionError("an invalid override reached run_scenario")
 
         monkeypatch.setattr("qiradar.cli.run_scenario", never)
@@ -274,7 +261,7 @@ class TestCommandLine:
         assert "roc_thresholds" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, scenario_file, capsys, monkeypatch):
-        def explode(scenario, partitions=1):
+        def explode(scenario):
             raise NumericalDomain("synthetic numerical failure")
 
         monkeypatch.setattr("qiradar.cli.run_scenario", explode)
@@ -284,10 +271,6 @@ class TestCommandLine:
     def test_bad_flag_values_exit_2(self, scenario_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", scenario_file(ANCHOR_DOC), "--seed", "-1"])
-        assert exc.value.code == 2
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["run", scenario_file(ANCHOR_DOC), "--partitions", "0"])
         assert exc.value.code == 2
         capsys.readouterr()
 

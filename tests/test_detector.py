@@ -164,15 +164,33 @@ class TestSimulateTrials:
         never = simulate_trials(never_measurement(4), rho, 1000, seed=1)
         assert never.decide_h1_count == 0
 
-    def test_partition_invariance(self):
-        rho0, rho1 = pure_pair(math.pi / 2)
+    @pytest.mark.parametrize("trials", [1, 8192, 8193, 3 * 8192 + 17])
+    def test_counts_follow_the_documented_block_stream(self, trials):
+        # The stream contract (README "Determinism"): block b of the stream
+        # for tag t under seed s holds min(8192, remaining) uniforms from
+        # Generator(PCG64(SeedSequence((s, t, b)))), and a trial decides H1
+        # when its draw is below the Born probability. Any split of the
+        # block range reproduces these counts because each block is seeded
+        # on its own.
+        def stream_count(p, n, seed, tag):
+            total = 0
+            for b in range(-(-n // 8192)):
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, tag, b))))
+                total += int(np.count_nonzero(rng.random(min(8192, n - 8192 * b)) < p))
+            return total
+
+        rho0 = hypothesis_h0(0.3)
+        rho1 = hypothesis_h1(TargetParams(1.0, 0.6, 0.3))
         m = helstrom_measurement(rho0, rho1, HALF)
-        # 100_000 trials spans 13 blocks; merged counts must not depend on
-        # how the blocks are chunked.
-        reference = simulate_trials(m, rho1, 100_000, seed=5150, partitions=1)
-        for partitions in (2, 3, 7, 13):
-            split = simulate_trials(m, rho1, 100_000, seed=5150, partitions=partitions)
-            assert split.decide_h1_count == reference.decide_h1_count
+        for seed in (5150, 2**64 - 1):
+            expected = {tag: stream_count(born_probability(m, rho), trials, seed, tag)
+                        for tag, rho in ((0, rho0), (1, rho1))}
+            for tag, hypothesis, rho in ((0, "H0", rho0), (1, "H1", rho1)):
+                out = simulate_trials(m, rho, trials, seed, true_hypothesis=hypothesis)
+                assert out.decide_h1_count == expected[tag]
+            out0, out1 = detection_counts(rho0, rho1, HALF, 2 * trials, seed)
+            assert (out0.trials, out1.trials) == (trials, trials)
+            assert (out0.decide_h1_count, out1.decide_h1_count) == (expected[0], expected[1])
 
     def test_binomial_consistency(self):
         rho0, rho1 = pure_pair(math.pi / 2)
@@ -192,8 +210,6 @@ class TestSimulateTrials:
             simulate_trials(m, rho1, 10, seed=-1)
         with pytest.raises(DegenerateInput):
             simulate_trials(m, rho1, 10, seed=1, true_hypothesis="H2")
-        with pytest.raises(DegenerateInput):
-            simulate_trials(m, rho1, 10, seed=1, partitions=0)
 
     def test_trial_outcome_count_invariant(self):
         with pytest.raises(DegenerateInput):
@@ -232,14 +248,6 @@ class TestEmpiricalError:
         rho0, rho1 = pure_pair(math.pi / 2)
         out0, out1 = detection_counts(rho0, rho1, (0.0, 1.0), 100, seed=1)
         assert (out0.trials, out1.trials) == (0, 100)
-
-    def test_partition_invariance(self):
-        rho0 = hypothesis_h0(0.5)
-        rho1 = hypothesis_h1(TargetParams(math.pi / 4, 0.75, 0.5))
-        reference = empirical_error(rho0, rho1, HALF, 50_000, seed=314159)
-        for partitions in (2, 5, 10**12):  # 4 blocks each; 10**12 acts as 4
-            assert empirical_error(rho0, rho1, HALF, 50_000, seed=314159,
-                                   partitions=partitions) == reference
 
 
 class TestRocSweep:

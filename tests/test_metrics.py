@@ -8,7 +8,9 @@ from conftest import random_density, random_pure, random_unitary
 from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
 from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
 from qiradar.metrics import (
+    CLAMP_WINDOW,
     DistinguishabilityReport,
+    clamp_unit,
     distinguishability,
     fidelity,
     helstrom_error,
@@ -24,6 +26,19 @@ def phase_pair(phi):
     """The entangled pair and its phase-shifted copy, both as projectors."""
     psi = bell_phi_plus()
     return density_from_pure(psi), density_from_pure(apply_signal_phase(psi, phi))
+
+
+def edge_state(d, first, tilt=0.0):
+    """A state DensityOperator accepts at the edge of its tolerances: trace
+    1 + 9e-10, all weight on basis state ``first`` and -9e-10 on the d - 1
+    others, and ``tilt`` added to the upper triangle only (a hermiticity
+    residual the constructor accepts up to 1e-9)."""
+    eps = 9e-10
+    diagonal = np.full(d, -eps)
+    diagonal[first] = 1.0 + eps + (d - 1) * eps
+    matrix = np.diag(diagonal).astype(complex)
+    matrix[np.triu_indices(d, 1)] = tilt
+    return DensityOperator(matrix, (d,))
 
 
 def nuclear_norm(matrix):
@@ -228,3 +243,35 @@ class TestDistinguishabilityReport:
             DistinguishabilityReport(1.5, 0.2, 0.1, (0.5, 0.5))
         with pytest.raises(NumericalDomain):
             DistinguishabilityReport(0.5, 0.2, 0.7, (0.5, 0.5))
+
+
+class TestClampWindow:
+    def test_found_pair_is_certainly_distinguishable(self):
+        a = DensityOperator(np.diag([1 + 9e-10, 0, 0, -9e-10]).astype(complex), (2, 2))
+        b = DensityOperator(np.diag([-9e-10, 0, 0, 1 + 9e-10]).astype(complex), (2, 2))
+        assert trace_distance(a, b) == 1.0  # 1 + 1.8e-9 before clamping
+        assert helstrom_error(a, b) == 0.0
+        report = distinguishability(a, b)
+        assert (report.trace_distance, report.fidelity, report.helstrom_error) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_worst_accepted_pair_is_clamped(self, d):
+        # Each state carries its weight where the other is negative, and the
+        # opposite hermiticity residuals add up in the difference.
+        a, b = edge_state(d, 0, 9e-10), edge_state(d, d - 1, -9e-10)
+        hermitian = [(m.matrix + m.matrix.conj().T) / 2 for m in (a, b)]
+        excess = 0.5 * np.abs(np.linalg.eigvalsh(hermitian[0] - hermitian[1])).sum() - 1.0
+        assert 1e-9 < excess <= CLAMP_WINDOW
+        assert trace_distance(a, b) == 1.0
+        for priors in ((0.5, 0.5), (0.3, 0.7)):
+            assert helstrom_error(a, b, priors) == 0.0
+        pure = edge_state(d, 0)
+        assert pure.matrix[0, 0].real ** 2 > 1.0 + 1e-9  # F before clamping
+        assert fidelity(pure, pure) == 1.0
+
+    def test_larger_excursions_still_raise(self):
+        for value in (1.0 + 2 * CLAMP_WINDOW, -2 * CLAMP_WINDOW):
+            with pytest.raises(NumericalDomain):
+                clamp_unit(value, "probe")
+        assert clamp_unit(1.0 + CLAMP_WINDOW, "probe") == 1.0
+        assert clamp_unit(-CLAMP_WINDOW, "probe") == 0.0
