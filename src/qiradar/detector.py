@@ -7,17 +7,17 @@ error probability.
 
 Reproducible Monte Carlo
 ------------------------
-Trials are consumed in fixed blocks of 8192 draws. Block ``b`` of the stream
-for hypothesis tag ``t`` (0 for H0, 1 for H1) under seed ``s`` comes from
-``Generator(PCG64(SeedSequence((s, t, b))))``, and a trial decides H1 when
-its uniform draw is below the Born probability. Counts therefore depend only
-on (seed, trials), and any split of the block range into independently
-counted parts sums to the same total.
+The trials under one hypothesis are independent Bernoulli(p) outcomes, p the
+Born probability of the H1 projector, so their decide-H1 count is one
+Binomial(trials, p) draw. For hypothesis tag ``t`` (0 for H0, 1 for H1)
+under seed ``s`` it is ``Generator(PCG64(SeedSequence((s, t)))).binomial(trials, p)``,
+so counts depend only on (seed, trials) and cost the same at any trial count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +27,8 @@ from .metrics import _require_same_dims, check_priors, clamp_unit
 from .qstate import DensityOperator, eigendecompose_hermitian
 
 TIE_ATOL = 1e-10       # eigenvalues in [-TIE_ATOL, TIE_ATOL] are assigned to H0
-BLOCK_SIZE = 8192      # draws consumed per RNG block
 MAX_SEED = 2**64 - 1
+MAX_TRIALS = 10**9     # the longest Monte Carlo run; one binomial draw each way, well under 1 ms
 
 PROJECTOR_ATOL = 1e-8  # idempotency and orthogonality tolerance
 COMPLETE_ATOL = 1e-9   # hermiticity and completeness tolerance
@@ -148,21 +148,29 @@ def measurement_error(m: BinaryMeasurement, rho0: DensityOperator, rho1: Density
     return p0 * false_alarm + p1 * (1.0 - detection)
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not (0 <= seed <= MAX_SEED):
-        raise DegenerateInput(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return seed
+def _check_integer(name: str, value, low: int, high: int) -> int:
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value <= high):
+        raise DegenerateInput(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
 
 
-def _count_decide_h1(p: float, trials: int, seed: int, tag: int) -> int:
-    """Count draws below p over the block-structured stream (seed, tag)."""
-    total = 0
-    for block in range(-(-trials // BLOCK_SIZE)):
-        n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, tag, block))))
-        total += int(np.count_nonzero(rng.random(n) < p))
-    return total
+def _check_seed(seed) -> int:
+    return _check_integer("seed", seed, 0, MAX_SEED)
+
+
+def _check_trials(trials) -> int:
+    return _check_integer("trials", trials, 1, MAX_TRIALS)
+
+
+def _outcome(m: BinaryMeasurement, rho: DensityOperator, trials: int, seed: int,
+             hypothesis: str) -> TrialOutcome:
+    """Decision counts of ``trials`` measurements of ``m`` on ``rho``: one
+    binomial draw from the stream (seed, tag of ``hypothesis``)."""
+    stream = np.random.SeedSequence((seed, _STREAM_TAG[hypothesis]))
+    decide_h1 = int(np.random.Generator(np.random.PCG64(stream)).binomial(
+        trials, born_probability(m, rho)))
+    return TrialOutcome(decide_h1, trials - decide_h1, trials, hypothesis, seed)
 
 
 def simulate_trials(m: BinaryMeasurement, rho_true: DensityOperator, trials: int, seed: int,
@@ -171,21 +179,10 @@ def simulate_trials(m: BinaryMeasurement, rho_true: DensityOperator, trials: int
 
     Deterministic for a fixed seed: the counts depend only on (seed, trials).
     """
-    trials = int(trials)
-    if trials < 1:
-        raise DegenerateInput(f"trials must be >= 1, got {trials}")
+    trials = _check_trials(trials)
     if true_hypothesis not in _STREAM_TAG:
         raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {true_hypothesis!r}")
-    seed = _check_seed(seed)
-    p = born_probability(m, rho_true)
-    decide_h1 = _count_decide_h1(p, trials, seed, _STREAM_TAG[true_hypothesis])
-    return TrialOutcome(
-        decide_h1_count=decide_h1,
-        decide_h0_count=trials - decide_h1,
-        trials=trials,
-        true_hypothesis=true_hypothesis,
-        seed=seed,
-    )
+    return _outcome(m, rho_true, trials, _check_seed(seed), true_hypothesis)
 
 
 def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trials: int,
@@ -193,26 +190,17 @@ def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trial
     """Run the Helstrom test under both true states.
 
     Trials are allocated deterministically: floor(π₀·trials) under H0, the
-    remainder under H1. Returns the (H0, H1) outcome pair.
+    remainder under H1; a side with no trials counts zero. Returns the
+    (H0, H1) outcome pair.
     """
     _require_same_dims(rho0, rho1)
     p0, _ = check_priors(priors)
-    trials = int(trials)
-    if trials < 1:
-        raise DegenerateInput(f"trials must be >= 1, got {trials}")
+    trials = _check_trials(trials)
     seed = _check_seed(seed)
     n_h0 = math.floor(p0 * trials)
-    n_h1 = trials - n_h0
     m = helstrom_measurement(rho0, rho1, priors)
-    if n_h0 > 0:
-        outcome_h0 = simulate_trials(m, rho0, n_h0, seed, HYPOTHESIS_H0)
-    else:
-        outcome_h0 = TrialOutcome(0, 0, 0, HYPOTHESIS_H0, seed)
-    if n_h1 > 0:
-        outcome_h1 = simulate_trials(m, rho1, n_h1, seed, HYPOTHESIS_H1)
-    else:
-        outcome_h1 = TrialOutcome(0, 0, 0, HYPOTHESIS_H1, seed)
-    return outcome_h0, outcome_h1
+    return (_outcome(m, rho0, n_h0, seed, HYPOTHESIS_H0),
+            _outcome(m, rho1, trials - n_h0, seed, HYPOTHESIS_H1))
 
 
 def empirical_error(rho0: DensityOperator, rho1: DensityOperator, priors, trials: int,

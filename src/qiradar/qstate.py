@@ -82,7 +82,8 @@ class DensityOperator:
 
     The three defining properties are checked on construction: hermiticity
     within 1e-9 max-entry error, unit trace within 1e-9, and smallest
-    eigenvalue >= -1e-9.
+    eigenvalue of (A + A†)/2, the matrix every later eigensolve decomposes,
+    >= -1e-9. The matrix is stored as given.
     """
 
     matrix: np.ndarray
@@ -96,12 +97,14 @@ class DensityOperator:
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} does not match subsystem dimensions {dims}"
             )
-        if float(np.abs(mat - mat.conj().T).max()) > STATE_ATOL:
+        adjoint = mat.conj().T
+        if float(np.abs(mat - adjoint).max()) > STATE_ATOL:
             raise NumericalDomain("matrix is not Hermitian within 1e-9")
         trace = complex(mat.trace())
         if abs(trace - 1.0) > STATE_ATOL:
             raise NumericalDomain(f"trace deviates from 1 by {abs(trace - 1.0):.3g}")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
+        # eigvalsh(mat) would read only the lower triangle
+        smallest = float(np.linalg.eigvalsh(mat + adjoint)[0]) / 2.0
         if smallest < -STATE_ATOL:
             raise NumericalDomain(
                 f"smallest eigenvalue {smallest:.3g} is below -1e-9, not positive semidefinite"

@@ -88,6 +88,7 @@ def report_to_dict(report: DetectionReport) -> dict:
         ],
         "link_budget": _fields(report.link_budget, "warnings"),  # warnings are top-level
         "warnings": list(report.warnings),
+        "versions": {"mc_stream": 2},  # stream 2: one binomial draw per hypothesis
     }
 
 

@@ -37,12 +37,10 @@ import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .detector import MAX_SEED
+from .detector import MAX_SEED, MAX_TRIALS
 from .errors import DegenerateInput, NumericalDomain, ParseError, ValidationError
 from .linkbudget import LinkBudgetInputs, occupancy_to_excitation, thermal_occupancy
 from .metrics import check_priors
-
-MAX_TRIALS = 10**9  # about 6 s of Monte Carlo, the longest run a document may ask for
 
 _LINK_PREFIX = "link_budget."
 _LINK_KEYS = frozenset(_LINK_PREFIX + f.name for f in fields(LinkBudgetInputs))

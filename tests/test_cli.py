@@ -6,7 +6,7 @@ import pytest
 from qiradar.cli import main, run_scenario
 from qiradar.errors import DegenerateInput, NumericalDomain, ValidationError
 from qiradar.report import ROC_CSV_HEADER, emit_report, report_to_dict, roc_csv
-from qiradar.scenario import Scenario, parse_scenario
+from qiradar.scenario import MAX_TRIALS, Scenario, parse_scenario
 
 ANCHOR_DOC = (
     "phase_rad = 3.141592653589793\n"
@@ -75,6 +75,13 @@ class TestRunScenario:
         expected = (mc.h0.decide_h1_count + mc.h1.decide_h0_count) / 1000
         assert mc.empirical_error == expected
         assert 0.0 <= mc.empirical_error <= 1.0
+
+    def test_monte_carlo_at_max_trials_agrees_with_helstrom_error(self):
+        report = run_scenario(Scenario(phase_rad=1.0, reflectivity=0.6, noise_excitation=0.3,
+                                       trials=MAX_TRIALS, seed=20240817))
+        analytic = report.helstrom_error
+        sigma = math.sqrt(analytic * (1.0 - analytic) / MAX_TRIALS)
+        assert abs(report.monte_carlo.empirical_error - analytic) <= 4.0 * sigma
 
     def test_roc_points(self):
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1, 4\n")

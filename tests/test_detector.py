@@ -8,6 +8,7 @@ from conftest import random_density, random_unitary
 from qiradar import detector
 from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
 from qiradar.detector import (
+    MAX_TRIALS,
     BinaryMeasurement,
     TrialOutcome,
     born_probability,
@@ -157,40 +158,37 @@ class TestSimulateTrials:
         assert out.true_hypothesis == "H0"
         assert out.seed == 7
 
-    def test_certain_outcomes(self):
+    @pytest.mark.parametrize("trials", [1000, MAX_TRIALS])
+    def test_certain_outcomes(self, trials):
         rho = random_density(np.random.default_rng(21), 4, dims=(4,))
-        always = simulate_trials(identity_measurement(4), rho, 1000, seed=1)
-        assert always.decide_h1_count == 1000
-        never = simulate_trials(never_measurement(4), rho, 1000, seed=1)
+        always = simulate_trials(identity_measurement(4), rho, trials, seed=1)
+        assert always.decide_h1_count == trials
+        never = simulate_trials(never_measurement(4), rho, trials, seed=1)
         assert never.decide_h1_count == 0
 
-    @pytest.mark.parametrize("trials", [1, 8192, 8193, 3 * 8192 + 17])
-    def test_counts_follow_the_documented_block_stream(self, trials):
-        # The stream contract (README "Determinism"): block b of the stream
-        # for tag t under seed s holds min(8192, remaining) uniforms from
-        # Generator(PCG64(SeedSequence((s, t, b)))), and a trial decides H1
-        # when its draw is below the Born probability. Any split of the
-        # block range reproduces these counts because each block is seeded
-        # on its own.
+    @pytest.mark.parametrize("trials", [1, 2**20 + 1, MAX_TRIALS])
+    def test_counts_follow_the_documented_stream(self, trials):
+        # The stream contract (README "Determinism"): the decide-H1 count of
+        # n trials under tag t and seed s is one draw
+        # Generator(PCG64(SeedSequence((s, t)))).binomial(n, p), p the Born
+        # probability of the Helstrom H1 projector.
         def stream_count(p, n, seed, tag):
-            total = 0
-            for b in range(-(-n // 8192)):
-                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, tag, b))))
-                total += int(np.count_nonzero(rng.random(min(8192, n - 8192 * b)) < p))
-            return total
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, tag))))
+            return int(rng.binomial(n, p))
 
         rho0 = hypothesis_h0(0.3)
         rho1 = hypothesis_h1(TargetParams(1.0, 0.6, 0.3))
         m = helstrom_measurement(rho0, rho1, HALF)
+        p = {0: born_probability(m, rho0), 1: born_probability(m, rho1)}
+        n_h0 = trials // 2
         for seed in (5150, 2**64 - 1):
-            expected = {tag: stream_count(born_probability(m, rho), trials, seed, tag)
-                        for tag, rho in ((0, rho0), (1, rho1))}
             for tag, hypothesis, rho in ((0, "H0", rho0), (1, "H1", rho1)):
                 out = simulate_trials(m, rho, trials, seed, true_hypothesis=hypothesis)
-                assert out.decide_h1_count == expected[tag]
-            out0, out1 = detection_counts(rho0, rho1, HALF, 2 * trials, seed)
-            assert (out0.trials, out1.trials) == (trials, trials)
-            assert (out0.decide_h1_count, out1.decide_h1_count) == (expected[0], expected[1])
+                assert out.decide_h1_count == stream_count(p[tag], trials, seed, tag)
+            out0, out1 = detection_counts(rho0, rho1, HALF, trials, seed)
+            assert (out0.trials, out1.trials) == (n_h0, trials - n_h0)
+            assert out0.decide_h1_count == stream_count(p[0], n_h0, seed, 0)
+            assert out1.decide_h1_count == stream_count(p[1], trials - n_h0, seed, 1)
 
     def test_binomial_consistency(self):
         rho0, rho1 = pure_pair(math.pi / 2)
@@ -201,13 +199,27 @@ class TestSimulateTrials:
         sigma = math.sqrt(p * (1.0 - p) / trials)
         assert abs(out.decide_h1_count / trials - p) <= 4.0 * sigma
 
-    def test_degenerate_inputs_rejected(self):
+    @pytest.mark.parametrize("trials, seed", [
+        (0, 1),
+        (10, -1),
+        (10, 2**64),
+        (MAX_TRIALS + 1, 1),
+        (10**19, 1),  # would not finish on a per-trial stream and overflows a binomial's n
+        (1.5, 1),     # a float is not a count, not even rounded down
+        (10, 1.5),
+        (True, 1),
+    ])
+    def test_degenerate_inputs_rejected(self, trials, seed):
         rho0, rho1 = pure_pair(1.0)
         m = helstrom_measurement(rho0, rho1, HALF)
         with pytest.raises(DegenerateInput):
-            simulate_trials(m, rho1, 0, seed=1)
+            simulate_trials(m, rho1, trials, seed=seed)
         with pytest.raises(DegenerateInput):
-            simulate_trials(m, rho1, 10, seed=-1)
+            detection_counts(rho0, rho1, HALF, trials, seed)
+
+    def test_unknown_hypothesis_rejected(self):
+        rho0, rho1 = pure_pair(1.0)
+        m = helstrom_measurement(rho0, rho1, HALF)
         with pytest.raises(DegenerateInput):
             simulate_trials(m, rho1, 10, seed=1, true_hypothesis="H2")
 

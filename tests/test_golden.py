@@ -3,7 +3,9 @@
 The files under ``tests/golden/`` are the CLI output for ``scenarios/``: the
 structured and table reports of example.cfg and thermal.cfg, and
 example.cfg's ROC CSV. example.cfg runs 100000 Monte Carlo trials, so its
-golden also pins the exact decision counts of the current Monte Carlo stream.
+golden also pins the exact decision counts of Monte Carlo stream version 2
+(one binomial draw per hypothesis), the version every report names in its
+``versions`` block.
 dense.roc.csv pins a 1000-threshold ROC whose grid hits the triply
 degenerate eigenvalue crossing of ρ₁ − tρ₀ at t = 0.4 exactly, and
 dense.structured.json the structured report of the same scenario, whose
@@ -11,7 +13,7 @@ long ROC list and threshold echo take the encoder's one-call paths. The
 edge goldens pin every link-budget row with all four warnings, a thermal
 noise source and a Monte Carlo run whose H0 outcome has zero trials.
 A change that moves any byte fails here; a deliberate contract change must
-regenerate the goldens and say so.
+bump its entry in ``versions``, regenerate the goldens and say so.
 """
 
 from pathlib import Path

@@ -31,13 +31,16 @@ def phase_pair(phi):
 def edge_state(d, first, tilt=0.0):
     """A state DensityOperator accepts at the edge of its tolerances: trace
     1 + 9e-10, all weight on basis state ``first`` and -9e-10 on the d - 1
-    others, and ``tilt`` added to the upper triangle only (a hermiticity
-    residual the constructor accepts up to 1e-9)."""
+    others, and ``tilt`` added above the diagonal and subtracted below it (a
+    hermiticity residual of 2·|tilt|, which the constructor accepts up to
+    1e-9). The residual is anti-Hermitian: a Hermitian one would move the
+    eigenvalues of (A + A†)/2 below the constructor's -1e-9 floor."""
     eps = 9e-10
     diagonal = np.full(d, -eps)
     diagonal[first] = 1.0 + eps + (d - 1) * eps
     matrix = np.diag(diagonal).astype(complex)
     matrix[np.triu_indices(d, 1)] = tilt
+    matrix[np.tril_indices(d, -1)] = -tilt
     return DensityOperator(matrix, (d,))
 
 
@@ -256,9 +259,10 @@ class TestClampWindow:
 
     @pytest.mark.parametrize("d", [4, 16])
     def test_worst_accepted_pair_is_clamped(self, d):
-        # Each state carries its weight where the other is negative, and the
-        # opposite hermiticity residuals add up in the difference.
-        a, b = edge_state(d, 0, 9e-10), edge_state(d, d - 1, -9e-10)
+        # Each state carries its weight where the other is negative; their
+        # opposite residuals add up in the stored difference, and hermitizing
+        # removes them.
+        a, b = edge_state(d, 0, 4.5e-10), edge_state(d, d - 1, -4.5e-10)
         hermitian = [(m.matrix + m.matrix.conj().T) / 2 for m in (a, b)]
         excess = 0.5 * np.abs(np.linalg.eigvalsh(hermitian[0] - hermitian[1])).sum() - 1.0
         assert 1e-9 < excess <= CLAMP_WINDOW

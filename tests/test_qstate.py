@@ -288,6 +288,20 @@ class TestDensityOperatorInvariants:
         with pytest.raises(NumericalDomain):
             DensityOperator(np.diag([1.5, -0.5]), (2,))
 
+    def test_psd_floor_is_checked_on_the_hermitized_matrix(self):
+        # The lower triangle alone has eigenvalues -9e-10, inside the window,
+        # but (A + A†)/2, which every later eigensolve decomposes, reaches
+        # -1.35e-9; accepting it let fidelity(a, a) raise NumericalDomain.
+        m = np.diag([1 + 3.6e-9, -9e-10, -9e-10, -9e-10]).astype(complex)
+        m[np.triu_indices(4, 1)] += 9e-10
+        with pytest.raises(NumericalDomain, match="smallest eigenvalue"):
+            DensityOperator(m, (4,))
+
+    def test_hermiticity_residual_is_stored_as_given(self):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = 5e-10
+        assert np.array_equal(DensityOperator(m, (2,)).matrix, m)
+
     def test_shape_dims_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             DensityOperator(np.eye(2) / 2, (2, 2))
