@@ -38,6 +38,13 @@ def _reduce_phase(phi: float) -> float:
     return reduced
 
 
+def _reflectivity(eta: float) -> float:
+    eta = float(eta)
+    if not (0.0 <= eta <= 1.0):
+        raise DegenerateInput(f"reflectivity must lie in [0, 1], got {eta!r}")
+    return eta
+
+
 def _excitation(p: float) -> float:
     p = float(p)
     if not (0.0 <= p < 1.0):
@@ -59,13 +66,10 @@ class TargetParams:
 
     def __post_init__(self):
         phi = float(self.phase_phi)
-        eta = float(self.reflectivity_eta)
         if not math.isfinite(phi):
             raise DegenerateInput(f"phase must be finite, got {self.phase_phi!r}")
-        if not (0.0 <= eta <= 1.0):
-            raise DegenerateInput(f"reflectivity must lie in [0, 1], got {eta!r}")
         object.__setattr__(self, "phase_phi", _reduce_phase(phi))
-        object.__setattr__(self, "reflectivity_eta", eta)
+        object.__setattr__(self, "reflectivity_eta", _reflectivity(self.reflectivity_eta))
         object.__setattr__(self, "noise_excitation_p", _excitation(self.noise_excitation_p))
 
 

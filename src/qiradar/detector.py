@@ -24,14 +24,13 @@ import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, NumericalDomain
 from .metrics import _require_same_dims, check_priors, clamp_unit
-from .qstate import DensityOperator, eigendecompose_hermitian
+from .qstate import STATE_ATOL, DensityOperator, eigendecompose_hermitian
 
 TIE_ATOL = 1e-10       # eigenvalues in [-TIE_ATOL, TIE_ATOL] are assigned to H0
 MAX_SEED = 2**64 - 1
 MAX_TRIALS = 10**9     # the longest Monte Carlo run; one binomial draw each way, well under 1 ms
 
-PROJECTOR_ATOL = 1e-8  # idempotency and orthogonality tolerance
-COMPLETE_ATOL = 1e-9   # hermiticity and completeness tolerance
+PROJECTOR_ATOL = 1e-8  # idempotency tolerance; hermiticity uses STATE_ATOL
 ROC_STACK_ENTRIES = 1 << 16  # matrix entries per stacked ROC eigensolve: ~1 MB per scratch array
 
 HYPOTHESIS_H0 = "H0"
@@ -41,37 +40,28 @@ _STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}
 
 @dataclass(frozen=True)
 class BinaryMeasurement:
-    """Complementary orthogonal projector pair realizing a two-outcome test.
+    """Two-outcome projective test given by its "target present" projector.
 
-    project_h1 decides "target present", project_h0 decides "no target".
-    Idempotency, hermiticity, completeness (sum = identity) and mutual
-    orthogonality are verified on construction.
+    project_h1 decides H1; its complement I − project_h1 decides H0. Finite
+    entries, hermiticity and idempotency of project_h1 are verified on
+    construction. The complement is then a projector orthogonal to
+    project_h1, and the pair sums to the identity by construction.
     """
 
     project_h1: np.ndarray
-    project_h0: np.ndarray
 
     def __post_init__(self):
         p1 = np.array(self.project_h1, dtype=complex)
-        p0 = np.array(self.project_h0, dtype=complex)
-        if p1.ndim != 2 or p1.shape[0] != p1.shape[1] or p1.shape != p0.shape:
-            raise DimensionMismatch(
-                f"projectors must be square and congruent, got {p1.shape} and {p0.shape}"
-            )
-        for name, proj in (("project_h1", p1), ("project_h0", p0)):
-            if float(np.abs(proj - proj.conj().T).max()) > COMPLETE_ATOL:
-                raise NumericalDomain(f"{name} is not Hermitian within 1e-9")
-            if float(np.abs(proj @ proj - proj).max()) > PROJECTOR_ATOL:
-                raise NumericalDomain(f"{name} is not idempotent within 1e-8")
-        identity = np.eye(p1.shape[0])
-        if float(np.abs(p0 + p1 - identity).max()) > COMPLETE_ATOL:
-            raise NumericalDomain("projectors do not sum to the identity within 1e-9")
-        if float(np.abs(p1 @ p0).max()) > PROJECTOR_ATOL:
-            raise NumericalDomain("projectors are not orthogonal within 1e-8")
+        if p1.ndim != 2 or p1.shape[0] != p1.shape[1] or not p1.size:
+            raise DimensionMismatch(f"project_h1 must be a non-empty square matrix, got {p1.shape}")
+        if not np.isfinite(p1).all():
+            raise NumericalDomain("project_h1 has a non-finite entry")
+        if not (float(np.abs(p1 - p1.conj().T).max()) <= STATE_ATOL):
+            raise NumericalDomain(f"project_h1 is not Hermitian within {STATE_ATOL:g}")
+        if not (float(np.abs(p1 @ p1 - p1).max()) <= PROJECTOR_ATOL):
+            raise NumericalDomain(f"project_h1 is not idempotent within {PROJECTOR_ATOL:g}")
         p1.setflags(write=False)
-        p0.setflags(write=False)
         object.__setattr__(self, "project_h1", p1)
-        object.__setattr__(self, "project_h0", p0)
 
     @property
     def dimension(self) -> int:
@@ -94,8 +84,7 @@ class TrialOutcome:
                 f"counts {self.decide_h1_count} + {self.decide_h0_count} "
                 f"do not sum to {self.trials} trials"
             )
-        if self.true_hypothesis not in _STREAM_TAG:
-            raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {self.true_hypothesis!r}")
+        _stream_tag(self.true_hypothesis)
 
 
 @dataclass(frozen=True)
@@ -105,6 +94,14 @@ class RocPoint:
     threshold: float
     p_false_alarm: float
     p_detection: float
+
+
+def _stream_tag(hypothesis) -> int:
+    """The Monte Carlo stream tag of a hypothesis label, which must be H0 or H1."""
+    try:
+        return _STREAM_TAG[hypothesis]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {hypothesis!r}") from None
 
 
 def _positive_eigenspace_projector(matrix: np.ndarray) -> np.ndarray:
@@ -124,9 +121,8 @@ def helstrom_measurement(rho0: DensityOperator, rho1: DensityOperator,
     """
     _require_same_dims(rho0, rho1)
     p0, p1 = check_priors(priors)
-    project_h1 = _positive_eigenspace_projector(p1 * rho1.matrix - p0 * rho0.matrix)
-    project_h0 = np.eye(rho0.dimension, dtype=complex) - project_h1
-    return BinaryMeasurement(project_h1=project_h1, project_h0=project_h0)
+    return BinaryMeasurement(
+        _positive_eigenspace_projector(p1 * rho1.matrix - p0 * rho0.matrix))
 
 
 def born_probability(m: BinaryMeasurement, rho: DensityOperator) -> float:
@@ -140,7 +136,7 @@ def born_probability(m: BinaryMeasurement, rho: DensityOperator) -> float:
 
 def measurement_error(m: BinaryMeasurement, rho0: DensityOperator, rho1: DensityOperator,
                       priors=(0.5, 0.5)) -> float:
-    """Analytic error probability π₀·Tr(P₁ρ₀) + π₁·Tr(P₀ρ₁) of a measurement."""
+    """Analytic error probability π₀·Tr(P₁ρ₀) + π₁·Tr((I − P₁)ρ₁) of a measurement."""
     _require_same_dims(rho0, rho1)
     p0, p1 = check_priors(priors)
     false_alarm = born_probability(m, rho0)
@@ -167,7 +163,7 @@ def _outcome(m: BinaryMeasurement, rho: DensityOperator, trials: int, seed: int,
              hypothesis: str) -> TrialOutcome:
     """Decision counts of ``trials`` measurements of ``m`` on ``rho``: one
     binomial draw from the stream (seed, tag of ``hypothesis``)."""
-    stream = np.random.SeedSequence((seed, _STREAM_TAG[hypothesis]))
+    stream = np.random.SeedSequence((seed, _stream_tag(hypothesis)))
     decide_h1 = int(np.random.Generator(np.random.PCG64(stream)).binomial(
         trials, born_probability(m, rho)))
     return TrialOutcome(decide_h1, trials - decide_h1, trials, hypothesis, seed)
@@ -180,8 +176,6 @@ def simulate_trials(m: BinaryMeasurement, rho_true: DensityOperator, trials: int
     Deterministic for a fixed seed: the counts depend only on (seed, trials).
     """
     trials = _check_trials(trials)
-    if true_hypothesis not in _STREAM_TAG:
-        raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {true_hypothesis!r}")
     return _outcome(m, rho_true, trials, _check_seed(seed), true_hypothesis)
 
 

@@ -38,7 +38,7 @@ def clamp_unit(value: float, what: str) -> float:
         return 0.0
     if 1.0 < value <= 1.0 + CLAMP_WINDOW:
         return 1.0
-    if value < 0.0 or value > 1.0:
+    if not (0.0 <= value <= 1.0):  # NaN fails too
         raise NumericalDomain(f"{what} = {value:.12g} lies outside [0, 1] beyond roundoff")
     return value
 
@@ -51,9 +51,7 @@ def check_priors(priors) -> tuple[float, float]:
         raise DegenerateInput(f"priors must be a pair of reals, got {priors!r}")
     if len(priors) != 2:
         raise DegenerateInput(f"priors must be a pair, got {len(priors)} values")
-    if not (math.isfinite(p0) and math.isfinite(p1)):
-        raise DegenerateInput(f"priors must be finite, got {priors!r}")
-    if p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > PRIOR_ATOL:
+    if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= PRIOR_ATOL):  # NaN and inf fail
         raise DegenerateInput(f"priors must be nonnegative and sum to 1, got {priors!r}")
     return p0, p1
 
@@ -111,7 +109,7 @@ class DistinguishabilityReport:
             raise NumericalDomain(f"metrics out of range: D={d!r}, F={f!r}")
         if not (0.0 <= pe <= 0.5 + 1e-12):
             raise NumericalDomain(f"Helstrom error out of range: {pe!r}")
-        if 1.0 - math.sqrt(f) > d + FVG_ATOL or d > math.sqrt(1.0 - f) + FVG_ATOL:
+        if not (1.0 - math.sqrt(f) <= d + FVG_ATOL and d <= math.sqrt(1.0 - f) + FVG_ATOL):
             raise NumericalDomain(
                 f"Fuchs-van de Graaff sandwich violated: D={d!r}, F={f!r}"
             )

@@ -27,7 +27,7 @@ from .errors import DegenerateInput, DimensionMismatch, NumericalDomain
 
 MAX_DIMENSION = 16
 STATE_ATOL = 1e-9    # norm, trace and hermiticity tolerance on stored states
-DECOMP_ATOL = 1e-8   # eigendecomposition round-trip tolerance
+DECOMP_ATOL = 1e-8   # hermiticity tolerance on eigendecompose_hermitian's input
 
 
 def _as_dims(dims) -> tuple[int, ...]:
@@ -59,8 +59,8 @@ class PureState:
                 f"{amps.size} amplitudes do not fill subsystems of dimensions {dims}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > STATE_ATOL:
-            raise DegenerateInput(f"state norm {norm:.12g} is not 1 within {STATE_ATOL}")
+        if not (abs(norm - 1.0) <= STATE_ATOL):
+            raise DegenerateInput(f"state norm {norm:.12g} is not 1 within {STATE_ATOL:g}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -80,10 +80,10 @@ class PureState:
 class DensityOperator:
     """Trace-one positive-semidefinite Hermitian matrix over subsystems ``dims``.
 
-    The three defining properties are checked on construction: hermiticity
-    within 1e-9 max-entry error, unit trace within 1e-9, and smallest
-    eigenvalue of (A + A†)/2, the matrix every later eigensolve decomposes,
-    >= -1e-9. The matrix is stored as given.
+    Entries must be finite, and the three defining properties are checked:
+    hermiticity within STATE_ATOL max-entry error, unit trace within
+    STATE_ATOL, and smallest eigenvalue of (A + A†)/2, the matrix every later
+    eigensolve decomposes, >= -STATE_ATOL. The matrix is stored as given.
     """
 
     matrix: np.ndarray
@@ -97,18 +97,19 @@ class DensityOperator:
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} does not match subsystem dimensions {dims}"
             )
+        if not np.isfinite(mat).all():
+            raise NumericalDomain("matrix has a non-finite entry")
         adjoint = mat.conj().T
-        if float(np.abs(mat - adjoint).max()) > STATE_ATOL:
-            raise NumericalDomain("matrix is not Hermitian within 1e-9")
+        if not (float(np.abs(mat - adjoint).max()) <= STATE_ATOL):
+            raise NumericalDomain(f"matrix is not Hermitian within {STATE_ATOL:g}")
         trace = complex(mat.trace())
-        if abs(trace - 1.0) > STATE_ATOL:
+        if not (abs(trace - 1.0) <= STATE_ATOL):
             raise NumericalDomain(f"trace deviates from 1 by {abs(trace - 1.0):.3g}")
         # eigvalsh(mat) would read only the lower triangle
         smallest = float(np.linalg.eigvalsh(mat + adjoint)[0]) / 2.0
-        if smallest < -STATE_ATOL:
-            raise NumericalDomain(
-                f"smallest eigenvalue {smallest:.3g} is below -1e-9, not positive semidefinite"
-            )
+        if not (smallest >= -STATE_ATOL):
+            raise NumericalDomain(f"smallest eigenvalue {smallest:.3g} is below -{STATE_ATOL:g}, "
+                                  "not positive semidefinite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
@@ -138,19 +139,15 @@ class Spectrum:
 def pure_state(amplitudes, dims) -> PureState:
     """Build a PureState, normalizing the given amplitudes.
 
-    Raises DegenerateInput for the zero vector and DimensionMismatch when the
-    vector length does not equal the product of ``dims``.
+    Raises DegenerateInput for the zero vector or a non-finite norm, and
+    PureState's DimensionMismatch when the vector length does not equal the
+    product of ``dims``.
     """
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    dims_t = _as_dims(dims)
-    if amps.size != math.prod(dims_t):
-        raise DimensionMismatch(
-            f"{amps.size} amplitudes do not fill subsystems of dimensions {dims_t}"
-        )
     norm = float(np.linalg.norm(amps))
-    if norm == 0.0:
-        raise DegenerateInput("cannot normalize the zero vector")
-    return PureState(amps / norm, dims_t)
+    if not (0.0 < norm < math.inf):
+        raise DegenerateInput(f"cannot normalize amplitudes of norm {norm!r}")
+    return PureState(amps / norm, dims)
 
 
 def bell_phi_plus() -> PureState:
@@ -197,14 +194,14 @@ def eigendecompose_hermitian(m) -> Spectrum:
     """Eigendecompose a Hermitian matrix or stack ``(..., d, d)``, descending.
 
     Accepts a DensityOperator or a raw array. A matrix or stack member that
-    deviates from hermiticity by more than 1e-8 raises NumericalDomain.
+    deviates from hermiticity by more than DECOMP_ATOL = 1e-8 raises NumericalDomain.
     """
     mat = m.matrix if isinstance(m, DensityOperator) else np.asarray(m, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
     adjoint = mat.conj().swapaxes(-1, -2)
-    if float(np.abs(mat - adjoint).max(initial=0.0)) > DECOMP_ATOL:
-        raise NumericalDomain("matrix is not Hermitian within 1e-8")
+    if not (float(np.abs(mat - adjoint).max(initial=0.0)) <= DECOMP_ATOL):
+        raise NumericalDomain(f"matrix is not Hermitian within {DECOMP_ATOL:g}")
     w, v = np.linalg.eigh((mat + adjoint) / 2.0)
     return Spectrum(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 
@@ -222,10 +219,9 @@ def sqrt_psd(m) -> np.ndarray:
         raise DimensionMismatch(f"expected one matrix, got shape {spectrum.eigenvectors.shape}")
     w = spectrum.eigenvalues.copy()
     smallest = float(w[-1])
-    if smallest < -STATE_ATOL:
-        raise NumericalDomain(
-            f"eigenvalue {smallest:.3g} is below -1e-9, matrix is not positive semidefinite"
-        )
+    if not (smallest >= -STATE_ATOL):
+        raise NumericalDomain(f"eigenvalue {smallest:.3g} is below -{STATE_ATOL:g}, "
+                              "matrix is not positive semidefinite")
     w[w < 0.0] = 0.0
     root = Spectrum(np.sqrt(w), spectrum.eigenvectors).reconstruct()
     return (root + root.conj().T) / 2.0

@@ -37,9 +37,11 @@ import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .detector import MAX_SEED, MAX_TRIALS
+from .channel import _excitation, _reflectivity
+from .detector import MAX_TRIALS, _check_integer, _check_seed
 from .errors import DegenerateInput, NumericalDomain, ParseError, ValidationError
-from .linkbudget import LinkBudgetInputs, occupancy_to_excitation, thermal_occupancy
+from .linkbudget import (LinkBudgetInputs, _require_positive, occupancy_to_excitation,
+                         thermal_occupancy)
 from .metrics import check_priors
 
 _LINK_PREFIX = "link_budget."
@@ -55,6 +57,14 @@ def _require(ok: bool, field: str, message: str, *args) -> None:
         raise ValidationError(message.format(*args), field=field)
 
 
+def _checked(field: str, check, *args):
+    """check(*args), its DegenerateInput raised as ValidationError naming ``field``."""
+    try:
+        return check(*args)
+    except DegenerateInput as exc:
+        raise ValidationError(str(exc), field=field) from None
+
+
 def _real(name: str, value) -> float:
     if type(value) is not float:
         _require(isinstance(value, numbers.Real) and not isinstance(value, bool), name,
@@ -65,13 +75,6 @@ def _real(name: str, value) -> float:
             value = math.inf
     _require(math.isfinite(value), name, "{} must be finite, got {!r}", name, value)
     return value
-
-
-def _integer(name: str, value, high: int) -> int:
-    _require(isinstance(value, numbers.Integral) and not isinstance(value, bool), name,
-             "{} must be an integer, got {!r}", name, value)
-    _require(0 <= value <= high, name, "{} must lie in [0, {}], got {}", name, high, value)
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -102,16 +105,16 @@ class Scenario:
         for name in ("phase_rad", "reflectivity"):
             _require(getattr(self, name) is not None, name, "{} is required", name)
         _set(self, "phase_rad", _real("phase_rad", self.phase_rad))
-        eta = _real("reflectivity", self.reflectivity)
-        _require(0.0 <= eta <= 1.0, "reflectivity", "reflectivity must lie in [0, 1], got {!r}", eta)
-        _set(self, "reflectivity", eta)
+        _set(self, "reflectivity",
+             _checked("reflectivity", _reflectivity, _real("reflectivity", self.reflectivity)))
         self._check_noise()
         _set(self, "env_phase_rad", _real("env_phase_rad", self.env_phase_rad))
         _require(math.isfinite(self.phase_rad - self.env_phase_rad), "env_phase_rad",
                  "phase_rad - env_phase_rad must be finite")
         self._check_priors()
-        _set(self, "trials", _integer("trials", self.trials, MAX_TRIALS))
-        _set(self, "seed", _integer("seed", self.seed, MAX_SEED))
+        _set(self, "trials",
+             _checked("trials", _check_integer, "trials", self.trials, 0, MAX_TRIALS))
+        _set(self, "seed", _checked("seed", _check_seed, self.seed))
         if self.roc_thresholds is not None:
             self._check_thresholds()
         _require(self.link_budget is None or isinstance(self.link_budget, LinkBudgetInputs),
@@ -130,17 +133,14 @@ class Scenario:
         if self.frequency_hz is None and self.temperature_k is None:
             _require(given is not None, "noise_excitation",
                      "either noise_excitation or both frequency_hz and temperature_k are required")
-            p = _real("noise_excitation", given)
-            _require(0.0 <= p < 1.0, "noise_excitation",
-                     "noise_excitation must lie in [0, 1), got {!r}", p)
-            _set(self, "noise_excitation", p)
+            _set(self, "noise_excitation",
+                 _checked("noise_excitation", _excitation, _real("noise_excitation", given)))
             return
         _require(self.frequency_hz is not None and self.temperature_k is not None,
                  "noise_excitation", "frequency_hz and temperature_k must be given together")
         for name in ("frequency_hz", "temperature_k"):
             value = _real(name, getattr(self, name))
-            _require(value > 0.0, name, "{} must be > 0, got {!r}", name, value)
-            _set(self, name, value)
+            _set(self, name, _checked(name, _require_positive, name, value))
         try:
             derived = occupancy_to_excitation(self.thermal_occupancy)
         except NumericalDomain:  # the occupancy overflows
@@ -160,12 +160,9 @@ class Scenario:
         priors = (0.5, 0.5)
         if self.prior_h0 is not None:
             priors = (_real("prior_h0", self.prior_h0), _real("prior_h1", self.prior_h1))
-        try:
-            check_priors(priors)
-        except DegenerateInput as exc:
-            raise ValidationError(str(exc), field="prior_h0") from None
-        _set(self, "prior_h0", priors[0])
-        _set(self, "prior_h1", priors[1])
+        p0, p1 = _checked("prior_h0", check_priors, priors)
+        _set(self, "prior_h0", p0)
+        _set(self, "prior_h1", p1)
 
     def _check_thresholds(self) -> None:
         name = "roc_thresholds"
@@ -222,15 +219,8 @@ def _typed_value(key: str, text: str, line_no: int):
 def _link_budget(values: dict[str, float]) -> LinkBudgetInputs:
     """LinkBudgetInputs from the link_budget.* entries; a rejected value is
     reported under its dotted key."""
-    try:
-        return LinkBudgetInputs(**values)
-    except DegenerateInput:
-        for name, value in values.items():  # find the value it rejected
-            try:
-                LinkBudgetInputs(**{name: value})
-            except DegenerateInput as exc:
-                raise ValidationError(str(exc), field=_LINK_PREFIX + name) from None
-        raise
+    return LinkBudgetInputs(**{name: _checked(_LINK_PREFIX + name, _require_positive, name, value)
+                               for name, value in values.items()})
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -201,7 +201,7 @@ def test_helstrom_measurement_optimality():
             rank = int(rng.integers(0, 5))
             cols = u[:, :rank]
             p1 = cols @ cols.conj().T
-            rival = BinaryMeasurement(project_h1=p1, project_h0=np.eye(4) - p1)
+            rival = BinaryMeasurement(project_h1=p1)
             rival_error = measurement_error(rival, a, b, HALF)
             if best > rival_error + 1e-12:
                 failures.append(

@@ -39,11 +39,11 @@ def pure_pair(phi):
 
 
 def identity_measurement(dim):
-    return BinaryMeasurement(project_h1=np.eye(dim), project_h0=np.zeros((dim, dim)))
+    return BinaryMeasurement(project_h1=np.eye(dim))
 
 
 def never_measurement(dim):
-    return BinaryMeasurement(project_h1=np.zeros((dim, dim)), project_h0=np.eye(dim))
+    return BinaryMeasurement(project_h1=np.zeros((dim, dim)))
 
 
 def random_projective_measurement(rng, dim):
@@ -51,30 +51,40 @@ def random_projective_measurement(rng, dim):
     rank = int(rng.integers(0, dim + 1))
     cols = u[:, :rank]
     p1 = cols @ cols.conj().T
-    return BinaryMeasurement(project_h1=p1, project_h0=np.eye(dim) - p1)
+    return BinaryMeasurement(project_h1=p1)
 
 
 class TestBinaryMeasurement:
     def test_invariants_accept_valid_projectors(self):
         rng = np.random.default_rng(101)
         m = random_projective_measurement(rng, 4)
-        p1, p0 = m.project_h1, m.project_h0
+        p1 = m.project_h1
+        p0 = np.eye(m.dimension) - p1
         assert float(np.max(np.abs(p1 @ p1 - p1))) <= 1e-8
-        assert float(np.max(np.abs(p0 + p1 - np.eye(4)))) <= 1e-9
+        assert float(np.max(np.abs(p0 @ p0 - p0))) <= 1e-8
         assert float(np.max(np.abs(p1 @ p0))) <= 1e-8
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(NumericalDomain):
-            BinaryMeasurement(project_h1=np.eye(2) / 2, project_h0=np.eye(2) / 2)
-
-    def test_incomplete_pair_rejected(self):
-        with pytest.raises(NumericalDomain):
-            BinaryMeasurement(project_h1=np.diag([1.0, 0.0]), project_h0=np.diag([0.0, 0.0]))
+            BinaryMeasurement(project_h1=np.eye(2) / 2)
 
     def test_non_hermitian_rejected(self):
         p1 = np.array([[0.5, 0.5], [0.2, 0.5]])
         with pytest.raises(NumericalDomain):
-            BinaryMeasurement(project_h1=p1, project_h0=np.eye(2) - p1)
+            BinaryMeasurement(project_h1=p1)
+
+    @pytest.mark.parametrize("p1", [
+        np.full((2, 2), np.nan),
+        np.diag([np.inf, 0.0]),
+    ], ids=["nan", "inf"])
+    def test_non_finite_entries_rejected(self, p1):
+        with pytest.raises(NumericalDomain, match="non-finite"):
+            BinaryMeasurement(project_h1=p1)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            BinaryMeasurement(project_h1=np.zeros(shape))
 
 
 class TestHelstromMeasurement:
@@ -124,7 +134,7 @@ class TestBornProbability:
         assert born_probability(identity_measurement(4), rho) == 1.0
 
     def test_diagonal_readout(self):
-        m = BinaryMeasurement(project_h1=np.diag([0.0, 1.0]), project_h0=np.diag([1.0, 0.0]))
+        m = BinaryMeasurement(project_h1=np.diag([0.0, 1.0]))
         rho = DensityOperator(np.diag([0.7, 0.3]), (2,))
         assert abs(born_probability(m, rho) - 0.3) <= 1e-12
 
@@ -220,8 +230,11 @@ class TestSimulateTrials:
     def test_unknown_hypothesis_rejected(self):
         rho0, rho1 = pure_pair(1.0)
         m = helstrom_measurement(rho0, rho1, HALF)
-        with pytest.raises(DegenerateInput):
-            simulate_trials(m, rho1, 10, seed=1, true_hypothesis="H2")
+        for label in ("H2", ["H1"]):  # an unhashable label is no TypeError
+            with pytest.raises(DegenerateInput, match="true_hypothesis"):
+                simulate_trials(m, rho1, 10, seed=1, true_hypothesis=label)
+            with pytest.raises(DegenerateInput, match="true_hypothesis"):
+                TrialOutcome(0, 0, 0, label, 0)
 
     def test_trial_outcome_count_invariant(self):
         with pytest.raises(DegenerateInput):

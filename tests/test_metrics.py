@@ -178,6 +178,9 @@ class TestHelstromError:
             helstrom_error(KET0, KET1, (-0.1, 1.1))
         with pytest.raises(DegenerateInput):
             helstrom_error(KET0, KET1, (1.0,))
+        for priors in ((math.nan, 1.0), (math.inf, -math.inf), (math.inf, math.inf)):
+            with pytest.raises(DegenerateInput):
+                helstrom_error(KET0, KET1, priors)
 
 
 class TestSharedProperties:
@@ -274,7 +277,7 @@ class TestClampWindow:
         assert fidelity(pure, pure) == 1.0
 
     def test_larger_excursions_still_raise(self):
-        for value in (1.0 + 2 * CLAMP_WINDOW, -2 * CLAMP_WINDOW):
+        for value in (1.0 + 2 * CLAMP_WINDOW, -2 * CLAMP_WINDOW, math.nan):
             with pytest.raises(NumericalDomain):
                 clamp_unit(value, "probe")
         assert clamp_unit(1.0 + CLAMP_WINDOW, "probe") == 1.0

@@ -50,9 +50,11 @@ class TestPureState:
         assert abs(norm_sq - 1.0) <= 1e-12
         np.testing.assert_allclose(np.abs(psi.amplitudes), [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
-    def test_zero_vector_rejected(self):
+    # Dividing by an infinite norm would warn on inf / inf.
+    @pytest.mark.parametrize("amps", [[0, 0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_zero_or_non_finite_vector_rejected(self, amps):
         with pytest.raises(DegenerateInput):
-            pure_state([0, 0], [2])
+            pure_state(amps, [2])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -62,10 +64,12 @@ class TestPureState:
         with pytest.raises(DimensionMismatch):
             pure_state([1] + [0] * 31, [2] * 5)
 
-    def test_unnormalized_constructor_rejected(self):
-        # The dataclass itself validates; only pure_state() normalizes.
+    # The dataclass itself validates; only pure_state() normalizes. A NaN
+    # norm must fail the norm tolerance.
+    @pytest.mark.parametrize("amps", [[1.0, 1.0], [np.nan, 1.0]])
+    def test_unnormalized_constructor_rejected(self, amps):
         with pytest.raises(DegenerateInput):
-            PureState(np.array([1.0, 1.0]), (2,))
+            PureState(np.array(amps), (2,))
 
 
 class TestBellPhiPlus:
@@ -305,6 +309,18 @@ class TestDensityOperatorInvariants:
     def test_shape_dims_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             DensityOperator(np.eye(2) / 2, (2, 2))
+
+    # NaN passes a "residual > tolerance" test, a 4x4 NaN matrix ends in
+    # LinAlgError, and inf - inf warns (pyproject.toml makes that an error).
+    @pytest.mark.parametrize("matrix", [
+        np.full((2, 2), np.nan),
+        np.full((4, 4), np.nan),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+        np.diag([np.inf, -np.inf]),
+    ], ids=["nan-2x2", "nan-4x4", "inf-off-diagonal", "inf-diagonal"])
+    def test_non_finite_entries_rejected(self, matrix):
+        with pytest.raises(NumericalDomain, match="non-finite"):
+            DensityOperator(matrix, (matrix.shape[0],))
 
     def test_random_constructions_pass(self):
         rng = np.random.default_rng(2024)

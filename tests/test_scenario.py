@@ -3,7 +3,9 @@ from dataclasses import fields, replace
 
 import pytest
 
-from qiradar.errors import ParseError, ValidationError
+from qiradar.channel import TargetParams
+from qiradar.detector import _check_integer, _check_seed
+from qiradar.errors import DegenerateInput, ParseError, ValidationError
 from qiradar.linkbudget import LinkBudgetInputs
 from qiradar.scenario import KNOWN_KEYS, MAX_TRIALS, Scenario, parse_scenario
 
@@ -341,3 +343,44 @@ class TestDirectConstruction:
     def test_link_budget_inputs_accepted(self):
         inputs = LinkBudgetInputs(power_w=1e-16)
         assert Scenario(**DIRECT, link_budget=inputs).link_budget is inputs
+
+
+# Each range rule lives in its domain module; Scenario reports the domain
+# check's own text under the field's name.
+DOMAIN_CHECKS = {
+    "reflectivity": lambda v: TargetParams(0.0, v, 0.0),
+    "noise_excitation": lambda v: TargetParams(0.0, 0.5, v),
+    "frequency_hz": lambda v: LinkBudgetInputs(frequency_hz=v),
+    "temperature_k": lambda v: LinkBudgetInputs(temperature_k=v),
+    "trials": lambda v: _check_integer("trials", v, 0, MAX_TRIALS),
+    "seed": _check_seed,
+    "link_budget.noise_power_w": lambda v: LinkBudgetInputs(noise_power_w=v),
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reflectivity", 1 + 2**-52), ("noise_excitation", 1.0),
+    ("frequency_hz", 0.0), ("temperature_k", -1.0),
+    ("trials", MAX_TRIALS + 1), ("trials", 1.5), ("seed", 2**64),
+    ("link_budget.noise_power_w", 0.0),
+])
+def test_scenario_reports_the_domain_check(field, value):
+    with pytest.raises(DegenerateInput) as domain:
+        DOMAIN_CHECKS[field](value)
+    with pytest.raises(ValidationError) as err:
+        if field.startswith("link_budget."):
+            parse_with(f"{field} = {value}\n")
+        elif field in THERMAL:
+            Scenario(**{**DIRECT, "noise_excitation": None, **THERMAL, field: value})
+        else:
+            Scenario(**{**DIRECT, field: value})
+    assert err.value.field == field
+    assert str(err.value) == str(domain.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reflectivity", 0), ("reflectivity", 1), ("noise_excitation", 0),
+    ("trials", 0), ("trials", MAX_TRIALS), ("seed", 2**64 - 1),
+])
+def test_range_boundaries_build(field, value):
+    assert getattr(Scenario(**{**DIRECT, field: value}), field) == value
