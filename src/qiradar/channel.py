@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch
+from .errors import DegenerateInput, DimensionMismatch, _real
 from .qstate import DensityOperator, PureState
 
 TWO_PI = 2.0 * math.pi
@@ -39,14 +39,14 @@ def _reduce_phase(phi: float) -> float:
 
 
 def _reflectivity(eta: float) -> float:
-    eta = float(eta)
+    eta = _real("reflectivity", eta)
     if not (0.0 <= eta <= 1.0):
         raise DegenerateInput(f"reflectivity must lie in [0, 1], got {eta!r}")
     return eta
 
 
 def _excitation(p: float) -> float:
-    p = float(p)
+    p = _real("noise excitation", p)
     if not (0.0 <= p < 1.0):
         raise DegenerateInput(f"noise excitation must lie in [0, 1), got {p!r}")
     return p
@@ -65,10 +65,7 @@ class TargetParams:
     noise_excitation_p: float
 
     def __post_init__(self):
-        phi = float(self.phase_phi)
-        if not math.isfinite(phi):
-            raise DegenerateInput(f"phase must be finite, got {self.phase_phi!r}")
-        object.__setattr__(self, "phase_phi", _reduce_phase(phi))
+        object.__setattr__(self, "phase_phi", _reduce_phase(_real("phase", self.phase_phi)))
         object.__setattr__(self, "reflectivity_eta", _reflectivity(self.reflectivity_eta))
         object.__setattr__(self, "noise_excitation_p", _excitation(self.noise_excitation_p))
 
@@ -80,10 +77,8 @@ def apply_signal_phase(psi: PureState, phi: float) -> PureState:
     """
     if psi.dims != (2, 2):
         raise DimensionMismatch(f"expected a state on dims (2, 2), got {psi.dims}")
-    if not math.isfinite(float(phi)):
-        raise DegenerateInput(f"phase must be finite, got {phi!r}")
     amps = psi.amplitudes.copy()
-    amps[2:] *= cmath.exp(1j * float(phi))  # basis index 2s + i, signal-first
+    amps[2:] *= cmath.exp(1j * _real("phase", phi))  # basis index 2s + i, signal-first
     return PureState(amps, psi.dims)
 
 

@@ -17,14 +17,13 @@ so counts depend only on (seed, trials) and cost the same at any trial count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NumericalDomain
+from .errors import DegenerateInput, DimensionMismatch, NumericalDomain, _check_integer, _real
 from .metrics import _require_same_dims, check_priors, clamp_unit
-from .qstate import STATE_ATOL, DensityOperator, eigendecompose_hermitian
+from .qstate import STATE_ATOL, DensityOperator, _check_hermitian, eigendecompose_hermitian
 
 TIE_ATOL = 1e-10       # eigenvalues in [-TIE_ATOL, TIE_ATOL] are assigned to H0
 MAX_SEED = 2**64 - 1
@@ -52,12 +51,9 @@ class BinaryMeasurement:
 
     def __post_init__(self):
         p1 = np.array(self.project_h1, dtype=complex)
-        if p1.ndim != 2 or p1.shape[0] != p1.shape[1] or not p1.size:
+        if p1.ndim != 2 or not p1.size:
             raise DimensionMismatch(f"project_h1 must be a non-empty square matrix, got {p1.shape}")
-        if not np.isfinite(p1).all():
-            raise NumericalDomain("project_h1 has a non-finite entry")
-        if not (float(np.abs(p1 - p1.conj().T).max()) <= STATE_ATOL):
-            raise NumericalDomain(f"project_h1 is not Hermitian within {STATE_ATOL:g}")
+        _check_hermitian(p1, STATE_ATOL, "project_h1")
         if not (float(np.abs(p1 @ p1 - p1).max()) <= PROJECTOR_ATOL):
             raise NumericalDomain(f"project_h1 is not idempotent within {PROJECTOR_ATOL:g}")
         p1.setflags(write=False)
@@ -144,13 +140,6 @@ def measurement_error(m: BinaryMeasurement, rho0: DensityOperator, rho1: Density
     return p0 * false_alarm + p1 * (1.0 - detection)
 
 
-def _check_integer(name: str, value, low: int, high: int) -> int:
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and low <= value <= high):
-        raise DegenerateInput(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
-
-
 def _check_seed(seed) -> int:
     return _check_integer("seed", seed, 0, MAX_SEED)
 
@@ -214,11 +203,17 @@ def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
     return wrong / (outcome_h0.trials + outcome_h1.trials)
 
 
-def _float_or_nan(value) -> float:
+def _check_thresholds(thresholds) -> list[float]:
+    """The thresholds as a list of finite reals >= 0; a str is not a list of them."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
+        if isinstance(thresholds, (str, bytes, bytearray)):  # would iterate per character
+            raise TypeError
+        values = [_real("threshold", t) for t in thresholds]
+    except TypeError:  # not iterable, a 0-d array among them
+        raise DegenerateInput(f"thresholds must be a list of numbers, got {thresholds!r}") from None
+    if values and min(values) < 0.0:
+        raise DegenerateInput(f"thresholds must be >= 0, got {min(values)!r}")
+    return values
 
 
 def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[RocPoint]:
@@ -230,17 +225,8 @@ def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[
     stacked eigensolve serves up to ROC_STACK_ENTRIES / d² thresholds.
     """
     _require_same_dims(rho0, rho1)
-    try:
-        if isinstance(thresholds, (str, bytes, bytearray)):  # would iterate per character
-            raise TypeError
-        raw = list(thresholds)
-    except TypeError:
-        raise DegenerateInput(f"thresholds must be a list of numbers, got {thresholds!r}") from None
-    values = [_float_or_nan(v) for v in raw]  # NaN: float() rejects it
+    values = _check_thresholds(thresholds)
     t = np.array(values, dtype=float)
-    bad = np.flatnonzero(~((t >= 0.0) & (t < math.inf)))  # NaN fails both
-    if bad.size:
-        raise DegenerateInput(f"thresholds must be finite and >= 0, got {raw[bad[0]]!r}")
     step = max(1, ROC_STACK_ENTRIES // rho0.matrix.size)
     points = []
     for lo in range(0, t.size, step):

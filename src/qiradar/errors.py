@@ -1,4 +1,9 @@
-"""Exception taxonomy shared by every module in the package."""
+"""Exception taxonomy shared by every module in the package, and its number gates:
+``_real`` (a finite int, float, Fraction or numpy scalar) and ``_check_integer`` (an
+int or numpy integer in a range); str, bytes, bool and Decimal pass neither."""
+
+import math
+import numbers
 
 
 class QIRadarError(Exception):
@@ -36,3 +41,25 @@ class ValidationError(QIRadarError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a finite float; anything else raises DegenerateInput."""
+    if type(value) is float and math.isfinite(value):  # the common case, without isinstance
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DegenerateInput(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DegenerateInput(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _check_integer(name: str, value, low: int, high: int) -> int:
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value <= high):
+        raise DegenerateInput(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)

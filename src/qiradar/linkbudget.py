@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DegenerateInput, NumericalDomain
+from .errors import DegenerateInput, NumericalDomain, _real
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ SATURATION_NBAR = 10.0      # above this the qubit noise map p = n̄/(1+n̄) sat
 
 
 def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise DegenerateInput(f"{name} must be a positive finite number, got {value!r}")
+    value = _real(name, value)
+    if value <= 0.0:
+        raise DegenerateInput(f"{name} must be positive, got {value!r}")
     return value
 
 
@@ -77,9 +77,7 @@ def watts_to_dbm(p: float) -> float:
 
 def dbm_to_watts(x: float) -> float:
     """Inverse dBm conversion, 1 mW · 10^(x/10)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DegenerateInput(f"dBm value must be finite, got {x!r}")
+    x = _real("dBm value", x)
     try:
         return MILLIWATT * 10.0 ** (x / 10.0)
     except OverflowError:
@@ -145,9 +143,9 @@ def occupancy_to_excitation(nbar: float) -> float:
     model; it saturates toward 1 for n̄ ≫ 1, where a qubit truncation can no
     longer represent the bath.
     """
-    nbar = float(nbar)
-    if not math.isfinite(nbar) or nbar < 0.0:
-        raise DegenerateInput(f"occupancy must be finite and >= 0, got {nbar!r}")
+    nbar = _real("occupancy", nbar)
+    if nbar < 0.0:
+        raise DegenerateInput(f"occupancy must be >= 0, got {nbar!r}")
     return nbar / (1.0 + nbar)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NumericalDomain
+from .errors import DegenerateInput, DimensionMismatch, NumericalDomain, _real
 from .qstate import MAX_DIMENSION, STATE_ATOL, DensityOperator, eigendecompose_hermitian, sqrt_psd
 
 # Accepted states (δ = STATE_ATOL, n <= MAX_DIMENSION): trace <= 1 + δ, at most n - 1 eigenvalues
@@ -46,12 +46,12 @@ def clamp_unit(value: float, what: str) -> float:
 def check_priors(priors) -> tuple[float, float]:
     """Validate a prior pair: two nonnegative reals summing to 1."""
     try:
-        p0, p1 = float(priors[0]), float(priors[1])
-    except (TypeError, ValueError, IndexError):
-        raise DegenerateInput(f"priors must be a pair of reals, got {priors!r}")
+        p0, p1 = _real("prior_h0", priors[0]), _real("prior_h1", priors[1])
+    except (TypeError, IndexError, KeyError):
+        raise DegenerateInput(f"priors must be a pair of reals, got {priors!r}") from None
     if len(priors) != 2:
         raise DegenerateInput(f"priors must be a pair, got {len(priors)} values")
-    if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= PRIOR_ATOL):  # NaN and inf fail
+    if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= PRIOR_ATOL):
         raise DegenerateInput(f"priors must be nonnegative and sum to 1, got {priors!r}")
     return p0, p1
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NumericalDomain
+from .errors import DegenerateInput, DimensionMismatch, NumericalDomain, _check_integer
 
 MAX_DIMENSION = 16
 STATE_ATOL = 1e-9    # norm, trace and hermiticity tolerance on stored states
@@ -32,16 +32,34 @@ DECOMP_ATOL = 1e-8   # hermiticity tolerance on eigendecompose_hermitian's input
 
 def _as_dims(dims) -> tuple[int, ...]:
     try:
-        out = tuple(int(d) for d in dims)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"subsystem dimensions must be integers, got {dims!r}")
-    if not out or any(d < 1 for d in out):
-        raise DimensionMismatch(f"subsystem dimensions must be positive, got {dims!r}")
-    if math.prod(out) > MAX_DIMENSION:
+        out = tuple(_check_integer("dimension", d, 1, MAX_DIMENSION) for d in dims)
+    except (TypeError, DegenerateInput):
+        out = ()
+    if not out or math.prod(out) > MAX_DIMENSION:
         raise DimensionMismatch(
-            f"total dimension {math.prod(out)} exceeds the supported maximum {MAX_DIMENSION}"
-        )
+            f"subsystem dimensions {dims!r} must be integers >= 1 with product <= {MAX_DIMENSION}")
     return out
+
+
+def _norm(amps: np.ndarray) -> float:
+    """Euclidean norm, scaled by the largest |amplitude| so squares cannot overflow or vanish."""
+    magnitudes = np.abs(amps)
+    scale = float(magnitudes.max(initial=0.0))
+    if not (0.0 < scale < math.inf):
+        return scale
+    return scale * float(np.linalg.norm(magnitudes / scale))
+
+
+def _check_hermitian(mat: np.ndarray, atol: float, what: str = "matrix") -> np.ndarray:
+    """The adjoint of a square matrix or stack, checked finite and Hermitian within atol."""
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise NumericalDomain(f"{what} has a non-finite entry")
+    adjoint = mat.conj().swapaxes(-1, -2)
+    if not (float(np.abs(mat - adjoint).max(initial=0.0)) <= atol):
+        raise NumericalDomain(f"{what} is not Hermitian within {atol:g}")
+    return adjoint
 
 
 @dataclass(frozen=True)
@@ -58,7 +76,7 @@ class PureState:
             raise DimensionMismatch(
                 f"{amps.size} amplitudes do not fill subsystems of dimensions {dims}"
             )
-        norm = float(np.linalg.norm(amps))
+        norm = _norm(amps)
         if not (abs(norm - 1.0) <= STATE_ATOL):
             raise DegenerateInput(f"state norm {norm:.12g} is not 1 within {STATE_ATOL:g}")
         amps.setflags(write=False)
@@ -97,11 +115,7 @@ class DensityOperator:
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} does not match subsystem dimensions {dims}"
             )
-        if not np.isfinite(mat).all():
-            raise NumericalDomain("matrix has a non-finite entry")
-        adjoint = mat.conj().T
-        if not (float(np.abs(mat - adjoint).max()) <= STATE_ATOL):
-            raise NumericalDomain(f"matrix is not Hermitian within {STATE_ATOL:g}")
+        adjoint = _check_hermitian(mat, STATE_ATOL)
         trace = complex(mat.trace())
         if not (abs(trace - 1.0) <= STATE_ATOL):
             raise NumericalDomain(f"trace deviates from 1 by {abs(trace - 1.0):.3g}")
@@ -139,13 +153,13 @@ class Spectrum:
 def pure_state(amplitudes, dims) -> PureState:
     """Build a PureState, normalizing the given amplitudes.
 
-    Raises DegenerateInput for the zero vector or a non-finite norm, and
+    Raises DegenerateInput for a norm that is 0, subnormal or not finite, and
     PureState's DimensionMismatch when the vector length does not equal the
     product of ``dims``.
     """
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(amps))
-    if not (0.0 < norm < math.inf):
+    norm = _norm(amps)
+    if not (np.finfo(float).tiny <= norm < math.inf):  # dividing by a subnormal norm overflows
         raise DegenerateInput(f"cannot normalize amplitudes of norm {norm!r}")
     return PureState(amps / norm, dims)
 
@@ -174,9 +188,11 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """
     dims = rho.dims
     n = len(dims)
-    keep_set = {int(k) for k in keep}
-    if not keep_set or min(keep_set) < 0 or max(keep_set) >= n:
-        raise DimensionMismatch(f"keep indices {sorted(keep_set)!r} invalid for {n} subsystems")
+    try:
+        keep_set = {_check_integer("keep index", k, 0, n - 1) for k in keep}
+        _check_integer("number of kept subsystems", len(keep_set), 1, n)
+    except (TypeError, DegenerateInput):
+        raise DimensionMismatch(f"keep indices {keep!r} invalid for {n} subsystems") from None
     tensor_form = rho.matrix.reshape(dims + dims)
     remaining = n
     # Trace highest-index subsystems first so lower axes keep their positions.
@@ -193,15 +209,11 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 def eigendecompose_hermitian(m) -> Spectrum:
     """Eigendecompose a Hermitian matrix or stack ``(..., d, d)``, descending.
 
-    Accepts a DensityOperator or a raw array. A matrix or stack member that
-    deviates from hermiticity by more than DECOMP_ATOL = 1e-8 raises NumericalDomain.
+    Accepts a DensityOperator or a raw array. A non-finite entry, or a deviation
+    from hermiticity beyond DECOMP_ATOL = 1e-8 in any member, raises NumericalDomain.
     """
     mat = m.matrix if isinstance(m, DensityOperator) else np.asarray(m, dtype=complex)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    adjoint = mat.conj().swapaxes(-1, -2)
-    if not (float(np.abs(mat - adjoint).max(initial=0.0)) <= DECOMP_ATOL):
-        raise NumericalDomain(f"matrix is not Hermitian within {DECOMP_ATOL:g}")
+    adjoint = _check_hermitian(mat, DECOMP_ATOL)
     w, v = np.linalg.eigh((mat + adjoint) / 2.0)
     return Spectrum(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 

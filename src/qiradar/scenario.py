@@ -24,8 +24,9 @@ Keys:
                        LinkBudgetInputs fields, each > 0
 
 parse_scenario only turns text into typed values: unknown or duplicate keys
-and values that are not numbers raise ParseError with the line number. Every
-range and consistency rule lives in Scenario itself, so a parsed and a
+and values that are not numbers raise ParseError with the line number.
+Scenario applies every range and consistency rule, reusing the library check
+(built on the number gates in errors) that owns each field, so a parsed and a
 directly built Scenario pass the same checks; a violation raises
 ValidationError naming the field.
 """
@@ -33,13 +34,13 @@ ValidationError naming the field.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .channel import _excitation, _reflectivity
-from .detector import MAX_TRIALS, _check_integer, _check_seed
-from .errors import DegenerateInput, NumericalDomain, ParseError, ValidationError
+from .detector import MAX_TRIALS, _check_seed, _check_thresholds
+from .errors import (DegenerateInput, NumericalDomain, ParseError, ValidationError,
+                     _check_integer, _real)
 from .linkbudget import (LinkBudgetInputs, _require_positive, occupancy_to_excitation,
                          thermal_occupancy)
 from .metrics import check_priors
@@ -63,18 +64,6 @@ def _checked(field: str, check, *args):
         return check(*args)
     except DegenerateInput as exc:
         raise ValidationError(str(exc), field=field) from None
-
-
-def _real(name: str, value) -> float:
-    if type(value) is not float:
-        _require(isinstance(value, numbers.Real) and not isinstance(value, bool), name,
-                 "{} must be a real number, got {!r}", name, value)
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond the float range
-            value = math.inf
-    _require(math.isfinite(value), name, "{} must be finite, got {!r}", name, value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -104,11 +93,10 @@ class Scenario:
     def __post_init__(self):
         for name in ("phase_rad", "reflectivity"):
             _require(getattr(self, name) is not None, name, "{} is required", name)
-        _set(self, "phase_rad", _real("phase_rad", self.phase_rad))
-        _set(self, "reflectivity",
-             _checked("reflectivity", _reflectivity, _real("reflectivity", self.reflectivity)))
+        _set(self, "phase_rad", _checked("phase_rad", _real, "phase", self.phase_rad))
+        _set(self, "reflectivity", _checked("reflectivity", _reflectivity, self.reflectivity))
         self._check_noise()
-        _set(self, "env_phase_rad", _real("env_phase_rad", self.env_phase_rad))
+        _set(self, "env_phase_rad", _checked("env_phase_rad", _real, "phase", self.env_phase_rad))
         _require(math.isfinite(self.phase_rad - self.env_phase_rad), "env_phase_rad",
                  "phase_rad - env_phase_rad must be finite")
         self._check_priors()
@@ -133,14 +121,12 @@ class Scenario:
         if self.frequency_hz is None and self.temperature_k is None:
             _require(given is not None, "noise_excitation",
                      "either noise_excitation or both frequency_hz and temperature_k are required")
-            _set(self, "noise_excitation",
-                 _checked("noise_excitation", _excitation, _real("noise_excitation", given)))
+            _set(self, "noise_excitation", _checked("noise_excitation", _excitation, given))
             return
         _require(self.frequency_hz is not None and self.temperature_k is not None,
                  "noise_excitation", "frequency_hz and temperature_k must be given together")
         for name in ("frequency_hz", "temperature_k"):
-            value = _real(name, getattr(self, name))
-            _set(self, name, _checked(name, _require_positive, name, value))
+            _set(self, name, _checked(name, _require_positive, name, getattr(self, name)))
         try:
             derived = occupancy_to_excitation(self.thermal_occupancy)
         except NumericalDomain:  # the occupancy overflows
@@ -148,30 +134,25 @@ class Scenario:
         _require(derived < 1.0, "temperature_k",
                  "thermal occupancy at frequency_hz/temperature_k is too large for the "
                  "two-level noise model (derived excitation rounds to 1)")
-        _require(given is None or _real("noise_excitation", given) == derived, "noise_excitation",
-                 "noise_excitation {!r} contradicts the value {!r} derived from "
-                 "frequency_hz/temperature_k; give one or the other", given, derived)
+        _require(given is None or _checked("noise_excitation", _excitation, given) == derived,
+                 "noise_excitation", "noise_excitation {!r} contradicts the value {!r} "
+                 "derived from frequency_hz/temperature_k; give one or the other", given, derived)
         _set(self, "noise_excitation", derived)
 
     def _check_priors(self) -> None:
         # Silently completing a lone prior would hide a typo.
         _require((self.prior_h0 is None) == (self.prior_h1 is None), "prior_h0",
                  "prior_h0 and prior_h1 must be given together")
-        priors = (0.5, 0.5)
-        if self.prior_h0 is not None:
-            priors = (_real("prior_h0", self.prior_h0), _real("prior_h1", self.prior_h1))
+        priors = (0.5, 0.5) if self.prior_h0 is None else tuple(
+            _checked(name, _real, name, getattr(self, name)) for name in ("prior_h0", "prior_h1"))
         p0, p1 = _checked("prior_h0", check_priors, priors)
         _set(self, "prior_h0", p0)
         _set(self, "prior_h1", p1)
 
     def _check_thresholds(self) -> None:
         name = "roc_thresholds"
-        try:
-            thresholds = tuple(_real(name, t) for t in self.roc_thresholds)
-        except TypeError:
-            raise ValidationError(f"{name} must be a sequence of reals", field=name) from None
+        thresholds = tuple(_checked(name, _check_thresholds, self.roc_thresholds))
         _require(len(thresholds) > 0, name, "roc_thresholds must not be empty")
-        _require(all(t >= 0.0 for t in thresholds), name, "roc_thresholds must all be >= 0")
         _require(all(a <= b for a, b in zip(thresholds, thresholds[1:])), name,
                  "roc_thresholds must be in ascending order")
         _set(self, name, thresholds)

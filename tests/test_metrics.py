@@ -182,6 +182,13 @@ class TestHelstromError:
             with pytest.raises(DegenerateInput):
                 helstrom_error(KET0, KET1, priors)
 
+    # A set has no order to read (π₀, π₁) from; a dict is indexed by its keys.
+    @pytest.mark.parametrize("priors", [(0.2, 0.3, 0.5), {0.3, 0.7}, 0.5, {"h0": 0.5, "h1": 0.5}],
+                             ids=["three", "set", "scalar", "dict"])
+    def test_priors_that_are_not_a_pair_rejected(self, priors):
+        with pytest.raises(DegenerateInput):
+            helstrom_error(KET0, KET1, priors)
+
 
 class TestSharedProperties:
     def test_symmetry(self):

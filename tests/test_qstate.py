@@ -64,6 +64,36 @@ class TestPureState:
         with pytest.raises(DimensionMismatch):
             pure_state([1] + [0] * 31, [2] * 5)
 
+    # The norm is taken after scaling by the largest |amplitude|, so squaring
+    # neither overflows (1e200) nor underflows to 0 (1e-200).
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_normalize(self, scale):
+        psi = pure_state([scale, scale], [2])
+        np.testing.assert_allclose(psi.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+        with pytest.raises(DegenerateInput):
+            PureState(np.array([scale, scale]), (2,))
+
+    def test_subnormal_norm_rejected(self):
+        # Dividing by a subnormal norm would overflow.
+        with pytest.raises(DegenerateInput):
+            pure_state([1e-320, 1e-320], [2])
+
+    # Dimensions go through the shared integer gate: int() would truncate
+    # 2.7 to 2 and read "2" as 2.
+    @pytest.mark.parametrize("dims", [[2.7], [2.0], ["2"], [True, 2], [np.float64(2)], 2])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(DimensionMismatch):
+            PureState([1, 0], dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        psi = PureState([1, 0], [np.int64(2)])
+        assert psi.dims == (2,) and type(psi.dims[0]) is int
+        assert psi.dimension == 2
+
+    def test_overlap_across_spaces_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            pure_state([1, 0], [2]).overlap(pure_state([1, 0, 0], [3]))
+
     # The dataclass itself validates; only pure_state() normalizes. A NaN
     # norm must fail the norm tolerance.
     @pytest.mark.parametrize("amps", [[1.0, 1.0], [np.nan, 1.0]])
@@ -174,6 +204,12 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(rho, set())
 
+    # int() would keep subsystem 0 for 0.9 and for "0".
+    @pytest.mark.parametrize("keep", [[0.9], ["0"], [True], [-1], 0])
+    def test_non_integer_index_rejected(self, keep):
+        with pytest.raises(DimensionMismatch):
+            partial_trace(density_from_pure(bell_phi_plus()), keep)
+
 
 class TestEigendecomposeHermitian:
     def test_diagonal(self):
@@ -239,6 +275,14 @@ class TestEigendecomposeHermitian:
         spectrum = eigendecompose_hermitian(np.zeros((0, 4, 4)))
         assert spectrum.eigenvalues.shape == (0, 4)
         assert spectrum.reconstruct().shape == (0, 4, 4)
+
+    # One finiteness check runs before the hermiticity residual, so NaN is not
+    # reported as "not Hermitian" and inf - inf never warns.
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    @pytest.mark.parametrize("decompose", [eigendecompose_hermitian, sqrt_psd])
+    def test_non_finite_entries_rejected(self, decompose, fill):
+        with pytest.raises(NumericalDomain, match="non-finite entry"):
+            decompose(np.full((2, 2), fill))
 
     def test_non_square_rejected(self):
         for shape in ((4,), (2, 3), (5, 2, 3)):

@@ -1,12 +1,18 @@
 import math
 from dataclasses import fields, replace
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qiradar.channel import TargetParams
-from qiradar.detector import _check_integer, _check_seed
-from qiradar.errors import DegenerateInput, ParseError, ValidationError
-from qiradar.linkbudget import LinkBudgetInputs
+from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
+from qiradar.detector import _check_seed, helstrom_measurement, roc_sweep, simulate_trials
+from qiradar.errors import DegenerateInput, ParseError, ValidationError, _check_integer
+from qiradar.linkbudget import (LinkBudgetInputs, dbm_to_watts, occupancy_to_excitation,
+                                thermal_occupancy, watts_to_dbm)
+from qiradar.metrics import check_priors
+from qiradar.qstate import bell_phi_plus
 from qiradar.scenario import KNOWN_KEYS, MAX_TRIALS, Scenario, parse_scenario
 
 BASE = (
@@ -305,6 +311,12 @@ class TestDirectConstruction:
             Scenario(**{**DIRECT, **fields})
         assert err.value.field == field
 
+    @pytest.mark.parametrize("thresholds", [5, "0.5", np.array(0.5)], ids=["int", "str", "0-d"])
+    def test_thresholds_that_are_not_a_list_rejected(self, thresholds):
+        with pytest.raises(ValidationError, match="list of numbers") as err:
+            Scenario(**DIRECT, roc_thresholds=thresholds)
+        assert err.value.field == "roc_thresholds"
+
     def test_values_are_normalized(self):
         scenario = Scenario(phase_rad=1, reflectivity=1, noise_excitation=0,
                             roc_thresholds=[0, 1], prior_h0=1, prior_h1=0)
@@ -384,3 +396,85 @@ def test_scenario_reports_the_domain_check(field, value):
 ])
 def test_range_boundaries_build(field, value):
     assert getattr(Scenario(**{**DIRECT, field: value}), field) == value
+
+
+# Every library entry point takes its numbers through the two gates in
+# errors, and the Scenario field that feeds it reports the library's text
+# under the field's name.
+R0 = hypothesis_h0(0.1)
+R1 = hypothesis_h1(TargetParams(1.0, 0.5, 0.1))
+NUMBER_ENTRY_POINTS = {  # name -> (call with one number, matching Scenario field or None)
+    "TargetParams.phase_phi": (lambda v: TargetParams(v, 0.5, 0.1), "phase_rad"),
+    "apply_signal_phase": (lambda v: apply_signal_phase(bell_phi_plus(), v), "env_phase_rad"),
+    "TargetParams.reflectivity_eta": (lambda v: TargetParams(0.0, v, 0.1), "reflectivity"),
+    "TargetParams.noise_excitation_p": (lambda v: TargetParams(0.0, 0.5, v), "noise_excitation"),
+    "LinkBudgetInputs.frequency_hz": (lambda v: LinkBudgetInputs(frequency_hz=v), "frequency_hz"),
+    "LinkBudgetInputs.temperature_k": (lambda v: LinkBudgetInputs(temperature_k=v),
+                                       "temperature_k"),
+    "LinkBudgetInputs.power_w": (lambda v: LinkBudgetInputs(power_w=v), None),
+    "thermal_occupancy": (lambda v: thermal_occupancy(1e10, v), None),
+    "watts_to_dbm": (watts_to_dbm, None),
+    "dbm_to_watts": (dbm_to_watts, None),
+    "occupancy_to_excitation": (occupancy_to_excitation, None),
+    "check_priors[0]": (lambda v: check_priors((v, 0.0)), "prior_h0"),
+    "check_priors[1]": (lambda v: check_priors((0.0, v)), "prior_h1"),
+    "roc_sweep": (lambda v: roc_sweep(R0, R1, [v]), "roc_thresholds"),
+    "simulate_trials.seed": (lambda v: simulate_trials(helstrom_measurement(R0, R1), R1, 1, v),
+                             "seed"),
+}
+REAL_ENTRY_POINTS = [name for name in NUMBER_ENTRY_POINTS if name != "simulate_trials.seed"]
+NOT_NUMBERS = {"str": "0.5", "bytes": b"1", "bool": True, "Decimal": Decimal("0.5"),
+               "None": None, "nan": math.nan, "inf": math.inf, "10**400": 10**400}
+# For these fields None means "not given", which has rules of its own.
+OPTIONAL_OR_REQUIRED = {"phase_rad", "reflectivity", "noise_excitation", "frequency_hz",
+                        "temperature_k", "prior_h0", "prior_h1"}
+
+
+def scenario_with(field, value):
+    base = dict(DIRECT)
+    if field in THERMAL:
+        base.update(noise_excitation=None, **THERMAL)
+    elif field.startswith("prior_"):
+        base.update(prior_h0=0.0, prior_h1=0.0)
+    base[field] = (value,) if field == "roc_thresholds" else value
+    return Scenario(**base)
+
+
+@pytest.mark.parametrize("kind", NOT_NUMBERS)
+@pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+def test_every_entry_point_rejects_what_scenario_rejects(entry, kind):
+    call, field = NUMBER_ENTRY_POINTS[entry]
+    value = NOT_NUMBERS[kind]
+    if value is None and entry.startswith("LinkBudgetInputs."):
+        assert call(value) == LinkBudgetInputs()  # None leaves an input unset
+        return
+    with pytest.raises(DegenerateInput) as library:
+        call(value)
+    if field is None or (value is None and field in OPTIONAL_OR_REQUIRED):
+        return
+    with pytest.raises(ValidationError) as err:
+        scenario_with(field, value)
+    assert err.value.field == field
+    assert str(err.value) == str(library.value)
+
+
+@pytest.mark.parametrize("real", [int, Fraction, np.float32, np.int64],
+                         ids=["int", "Fraction", "float32", "int64"])
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
+def test_every_entry_point_accepts_reals(entry, real):
+    call, field = NUMBER_ENTRY_POINTS[entry]
+    number = 0 if field == "noise_excitation" else 1  # each entry point's domain holds it
+    call(real(number))
+    if field is not None:
+        stored = getattr(scenario_with(field, real(number)), field)
+        if field == "roc_thresholds":
+            stored, = stored
+        assert stored == number and type(stored) is float
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1)], ids=["int", "int64"])
+def test_integer_gate_accepts_integers(value):
+    NUMBER_ENTRY_POINTS["simulate_trials.seed"][0](value)
+    assert type(scenario_with("seed", value).seed) is int
+    with pytest.raises(DegenerateInput):
+        _check_seed(Fraction(value))
