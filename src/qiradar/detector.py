@@ -75,12 +75,15 @@ class TrialOutcome:
     seed: int
 
     def __post_init__(self):
-        if self.decide_h1_count + self.decide_h0_count != self.trials:
-            raise DegenerateInput(
-                f"counts {self.decide_h1_count} + {self.decide_h0_count} "
-                f"do not sum to {self.trials} trials"
-            )
+        trials = _check_integer("trials", self.trials, 0, MAX_TRIALS)
+        h1 = _check_integer("decide_h1_count", self.decide_h1_count, 0, trials)
+        h0 = _check_integer("decide_h0_count", self.decide_h0_count, 0, trials)
+        if h1 + h0 != trials:
+            raise DegenerateInput(f"counts {h1} + {h0} do not sum to {trials} trials")
         _stream_tag(self.true_hypothesis)
+        for name, value in (("decide_h1_count", h1), ("decide_h0_count", h0),
+                            ("trials", trials), ("seed", _check_seed(self.seed))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,8 @@ class LinkBudgetResult:
 
 def evaluate_link_budget(inputs: LinkBudgetInputs) -> LinkBudgetResult:
     """Run every calculator whose inputs are present."""
+    if not isinstance(inputs, LinkBudgetInputs):
+        raise DegenerateInput(f"inputs must be LinkBudgetInputs, got {type(inputs).__name__}")
     i = inputs
     warnings: list[str] = []
     values: dict[str, float] = {}

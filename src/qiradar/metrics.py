@@ -102,9 +102,9 @@ class DistinguishabilityReport:
     priors: tuple[float, float]
 
     def __post_init__(self):
-        d = self.trace_distance
-        f = self.fidelity
-        pe = self.helstrom_error
+        d = _real("trace_distance", self.trace_distance)
+        f = _real("fidelity", self.fidelity)
+        pe = _real("helstrom_error", self.helstrom_error)
         if not (0.0 <= d <= 1.0 and 0.0 <= f <= 1.0):
             raise NumericalDomain(f"metrics out of range: D={d!r}, F={f!r}")
         if not (0.0 <= pe <= 0.5 + 1e-12):
@@ -113,7 +113,9 @@ class DistinguishabilityReport:
             raise NumericalDomain(
                 f"Fuchs-van de Graaff sandwich violated: D={d!r}, F={f!r}"
             )
-        object.__setattr__(self, "priors", check_priors(self.priors))
+        for name, value in (("trace_distance", d), ("fidelity", f), ("helstrom_error", pe),
+                            ("priors", check_priors(self.priors))):
+            object.__setattr__(self, name, value)
 
 
 def distinguishability(a: DensityOperator, b: DensityOperator,

@@ -1,10 +1,11 @@
 """Detection reports and their serialized forms.
 
-The structured format is a JSON document with stable, sorted field names and
-full shortest-round-trip float precision, so two runs of the same scenario
-and seed are byte-identical and every numeric survives a parse round trip
-exactly. The table format renders the same document for reading: its fields
-in document order, 6 significant digits.
+The structured format is one line, ``json.dumps(report_to_dict(r),
+sort_keys=True)`` and a newline: sorted field names and full
+shortest-round-trip float precision, so two runs of the same scenario and seed
+are byte-identical, every numeric survives a parse round trip exactly, and
+reports concatenate into JSON Lines. The table format renders the same
+document for reading: its fields in document order, 6 significant digits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import repeat
 
 from .detector import RocPoint, TrialOutcome
 from .errors import DegenerateInput
@@ -20,7 +20,6 @@ from .linkbudget import LinkBudgetResult
 from .scenario import Scenario
 
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
-_CONTAINERS = (dict, list, tuple)  # what json.dumps indents
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,8 @@ def report_to_dict(report: DetectionReport) -> dict:
         ],
         "link_budget": _fields(report.link_budget, "warnings"),  # warnings are top-level
         "warnings": list(report.warnings),
-        "versions": {"mc_stream": 2},  # stream 2: one binomial draw per hypothesis
+        # mc_stream 2: one binomial draw per hypothesis; structured 2: one line
+        "versions": {"mc_stream": 2, "structured": 2},
     }
 
 
@@ -106,17 +106,17 @@ def _rows(values: dict, width: int = 24) -> list[str]:
             if value is not None and not isinstance(value, dict)]
 
 
-def _table_lines(report: DetectionReport) -> list[str]:
+def _table_lines(doc: dict) -> list[str]:
     """The document's fields in document order: a titled section per dict and a
     row per top-level number; the ROC keeps its columns."""
     lines = []
-    for key, value in report_to_dict(report).items():
+    for key, value in doc.items():
         if value is None or value == []:
             continue
         if key == "roc":
             lines += ["roc", f"  {'threshold':>12} {'p_false_alarm':>14} {'p_detection':>12}"]
-            lines += [f"  {_fmt(p.threshold):>12} {_fmt(p.p_false_alarm):>14}"
-                      f" {_fmt(p.p_detection):>12}" for p in report.roc]
+            lines += [f"  {_fmt(p['threshold']):>12} {_fmt(p['p_false_alarm']):>14}"
+                      f" {_fmt(p['p_detection']):>12}" for p in value]
         elif key == "warnings":
             lines += ["warnings"] + [f"  - {warning}" for warning in value]
         elif isinstance(value, dict):
@@ -130,43 +130,12 @@ def _table_lines(report: DetectionReport) -> list[str]:
     return lines
 
 
-@lru_cache(maxsize=None)
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    """One item per line at ``depth``; with indent=None json runs its C encoder."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
-
-
-def _is_flat(values) -> bool:
-    return not any(map(isinstance, values, repeat(_CONTAINERS)))
-
-
-def _to_json(o, depth: int = 0) -> str:
-    """json.dumps(o, indent=2, sort_keys=True) for str-keyed o, walking in Python
-    only the containers that hold containers. An encoded string holds no raw
-    newline, so a list of flat dicts (the ROC) is re-indented at "},<pad2>{"."""
-    if not isinstance(o, _CONTAINERS) or not o:
-        return _flat_encoder(depth).encode(o)  # scalars, {} and []
-    pad, pad2 = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    if _is_flat(o.values() if isinstance(o, dict) else o):
-        body = _flat_encoder(depth + 1).encode(o)[1:-1]
-    elif isinstance(o, dict):
-        body = ("," + pad).join(f"{_flat_encoder(0).encode(k)}: {_to_json(v, depth + 1)}"
-                                for k, v in sorted(o.items()))
-    elif all(isinstance(v, dict) and v and _is_flat(v.values()) for v in o):
-        body = "{" + pad2 + _flat_encoder(depth + 2).encode(o)[2:-2].replace(
-            "}," + pad2 + "{", pad + "}," + pad + "{" + pad2) + pad + "}"
-    else:
-        body = ("," + pad).join(_to_json(v, depth + 1) for v in o)
-    opener, closer = "{}" if isinstance(o, dict) else "[]"
-    return opener + pad + body + pad[:-2] + closer
-
-
 def emit_report(report: DetectionReport, format: str = "table") -> str:
     """Render a report as 'structured' (JSON) or 'table' text."""
     if format == "structured":
-        return _to_json(report_to_dict(report)) + "\n"
+        return json.dumps(report_to_dict(report), sort_keys=True) + "\n"
     if format == "table":
-        return "\n".join(_table_lines(report)) + "\n"
+        return "\n".join(_table_lines(report_to_dict(report))) + "\n"
     raise DegenerateInput(f"unknown report format {format!r}")
 
 

@@ -241,6 +241,25 @@ class TestSimulateTrials:
             TrialOutcome(decide_h1_count=3, decide_h0_count=3, trials=5,
                          true_hypothesis="H1", seed=0)
 
+    @pytest.mark.parametrize("counts", [
+        (0.5, 0.5, 1, "H0", 0),        # fractional counts that sum to the trials
+        (1, 0, 1, "H0", "x"),          # a str seed
+        (True, False, 1, "H0", -1),    # bool counts and a negative seed
+        (2, -1, 1, "H1", 0),           # a negative count
+        (1, 0, 1.0, "H1", 0),          # float trials
+        (0, MAX_TRIALS + 1, MAX_TRIALS + 1, "H0", 0),
+        (0, 0, 0, "H0", 2**64),
+    ])
+    def test_trial_outcome_fields_pass_the_integer_gate(self, counts):
+        with pytest.raises(DegenerateInput):
+            TrialOutcome(*counts)
+
+    def test_trial_outcome_stores_plain_ints(self):
+        outcome = TrialOutcome(np.int64(3), np.uint8(2), np.int32(5), "H1", np.uint64(2**64 - 1))
+        values = (outcome.decide_h1_count, outcome.decide_h0_count, outcome.trials, outcome.seed)
+        assert values == (3, 2, 5, 2**64 - 1)
+        assert all(type(v) is int for v in values)
+
 
 class TestEmpiricalError:
     def test_orthogonal_states_never_err(self):

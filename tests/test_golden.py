@@ -8,9 +8,8 @@ golden also pins the exact decision counts of Monte Carlo stream version 2
 ``versions`` block.
 dense.roc.csv pins a 1000-threshold ROC whose grid hits the triply
 degenerate eigenvalue crossing of ρ₁ − tρ₀ at t = 0.4 exactly, and
-dense.structured.json the structured report of the same scenario, whose
-long ROC list and threshold echo take the encoder's one-call paths. The
-edge goldens pin every link-budget row with all four warnings, a thermal
+dense.structured.json the one-line structured report of the same scenario,
+with its 1000-point ROC list and threshold echo. The edge goldens pin every link-budget row with all four warnings, a thermal
 noise source and a Monte Carlo run whose H0 outcome has zero trials.
 A change that moves any byte fails here; a deliberate contract change must
 bump its entry in ``versions``, regenerate the goldens and say so.

@@ -272,6 +272,11 @@ class TestEvaluateLinkBudget:
         assert result.power_dbm is None
         assert result.warnings == ()
 
+    @pytest.mark.parametrize("inputs", [None, {"power_w": 1.0}])
+    def test_other_argument_types_rejected(self, inputs):
+        with pytest.raises(DegenerateInput, match=f"LinkBudgetInputs, got {type(inputs).__name__}"):
+            evaluate_link_budget(inputs)
+
 
 def test_results_beyond_the_float_range_raise_numerical_domain():
     with pytest.raises(NumericalDomain):

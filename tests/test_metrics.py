@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,6 +257,18 @@ class TestDistinguishabilityReport:
             DistinguishabilityReport(1.5, 0.2, 0.1, (0.5, 0.5))
         with pytest.raises(NumericalDomain):
             DistinguishabilityReport(0.5, 0.2, 0.7, (0.5, 0.5))
+
+    @pytest.mark.parametrize("metrics", [
+        ("0.5", 0.5, 0.25), (0.5, None, 0.25), (0.5, 0.5, True), (math.nan, 0.5, 0.25),
+    ])
+    def test_metrics_pass_the_real_number_gate(self, metrics):
+        with pytest.raises(DegenerateInput, match="must be (a real number|finite)"):
+            DistinguishabilityReport(*metrics, (0.5, 0.5))
+
+    def test_metrics_are_stored_as_floats(self):
+        report = DistinguishabilityReport(Fraction(1, 2), np.float32(0.5), 0, (0.5, 0.5))
+        assert [type(v) for v in (report.trace_distance, report.fidelity,
+                                  report.helstrom_error)] == [float] * 3
 
 
 class TestClampWindow:

@@ -6,8 +6,9 @@
   ValidationError.
 * Every accepted Scenario yields a report from run_scenario, or a
   NumericalDomain when a result leaves the float range.
-* The structured report's encoder returns exactly
-  json.dumps(doc, indent=2, sort_keys=True) for any str-keyed document.
+  Its structured report is the one line
+  json.dumps(report_to_dict(report), sort_keys=True) + "\n", and it parses
+  back to that document.
 
 Examples are derandomized and bounded so the suite stays fast and
 reproducible. Trial counts are kept small only for run time; every other
@@ -18,13 +19,13 @@ import json
 import math
 from dataclasses import fields
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qiradar.cli import run_scenario
 from qiradar.errors import NumericalDomain, ParseError, ValidationError
 from qiradar.linkbudget import LinkBudgetInputs
-from qiradar.report import _to_json, emit_report, roc_csv
+from qiradar.report import emit_report, report_to_dict, roc_csv
 from qiradar.scenario import KNOWN_KEYS, Scenario, parse_scenario
 
 BOUNDED = settings(max_examples=40, deadline=None, derandomize=True,
@@ -121,36 +122,13 @@ def test_accepted_scenarios_run_or_raise_numerical_domain(values):
         report = run_scenario(scenario)
     except NumericalDomain:
         return
-    for fmt in ("structured", "table"):
-        assert emit_report(report, fmt).endswith("\n")
+    assert emit_report(report, "table").endswith("\n")
+    doc = report_to_dict(report)
+    text = emit_report(report, "structured")
+    assert text == json.dumps(doc, sort_keys=True) + "\n"
+    assert text.count("\n") == 1
+    assert json.loads(text) == doc
     if report.roc is not None:
         assert len(roc_csv(report.roc).splitlines()) == len(report.roc) + 1
     assert 0.0 <= report.helstrom_error <= 0.5 + 1e-12
     assert not math.isnan(report.trace_distance)
-
-
-# Characters that matter to the encoder's re-indenting: newlines, braces,
-# quotes, backslashes, separators, and non-ASCII text it escapes.
-JSON_ALPHABET = '\n }{[],:"\\ab\u00e9\u2028\U0001f600'
-json_text = st.text(alphabet=JSON_ALPHABET, max_size=10)
-json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63, max_value=2**200),
-    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, math.inf, -math.inf]),
-    json_text,
-)
-flat_dicts = st.dictionaries(json_text, json_scalars, min_size=1, max_size=4)
-json_documents = st.recursive(
-    json_scalars | st.lists(flat_dicts, max_size=4),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_text, children,
-                                                                       max_size=4),
-    max_leaves=24,
-)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(json_documents)
-@example({"roc": [{"p": math.nan, "t": -0.0}, {"p": math.inf, "t": '"},\n      {"'}],
-          "n": [10**30, -math.inf, None, True], "e": {}, "l": [[], {}], "\u00e9": "\u00e9"})
-def test_structured_encoder_equals_json_dumps(doc):
-    assert _to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
