@@ -7,7 +7,7 @@ reproducible Monte Carlo trials and ROC sweeps, and evaluates the
 closed-form link-budget, thermal-noise and EMI calculators.
 """
 
-from .channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1, noise_state
+from .channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
 from .detector import (
     BinaryMeasurement,
     RocPoint,
@@ -18,7 +18,6 @@ from .detector import (
     helstrom_measurement,
     measurement_error,
     roc_sweep,
-    simulate_trials,
 )
 from .errors import (
     DegenerateInput,
@@ -29,10 +28,8 @@ from .errors import (
     ValidationError,
 )
 from .linkbudget import (
-    CONSTANTS,
     LinkBudgetInputs,
     LinkBudgetResult,
-    PhysicalConstants,
     dbm_to_watts,
     evaluate_link_budget,
     isolation_factor,
@@ -61,11 +58,9 @@ from .qstate import (
     density_from_pure,
     eigendecompose_hermitian,
     partial_trace,
-    pure_state,
     sqrt_psd,
-    tensor,
 )
-from .report import DetectionReport, MonteCarloResult, emit_report, report_to_dict, roc_csv
+from .report import DetectionReport, emit_report, report_to_dict, roc_csv
 from .scenario import Scenario, parse_scenario
 from .cli import run_scenario
 

@@ -3,7 +3,7 @@
 Both hypotheses live on a common 4-dimensional return-mode ⊗ idler space,
 return mode first:
 
-    H0 (no target):  ρ₀ = noise_state(p) ⊗ I/2
+    H0 (no target):  ρ₀ = diag(1 − p, p) ⊗ I/2
     H1 (target):     ρ₁ = η |ψ′⟩⟨ψ′| + (1 − η) ρ₀
 
 where |ψ′⟩ = (|00⟩ + e^{iφ}|11⟩)/√2 is the entangled pair after the target
@@ -82,12 +82,6 @@ def apply_signal_phase(psi: PureState, phi: float) -> PureState:
     return PureState(amps, psi.dims)
 
 
-def noise_state(p: float) -> DensityOperator:
-    """Single-mode noise qubit diag(1 − p, p) for excitation probability p."""
-    p = _excitation(p)
-    return DensityOperator(np.diag([1.0 - p, p]).astype(complex), (2,))
-
-
 def _h0_matrix(p: float) -> np.ndarray:  # diag(1 − p, p) ⊗ I/2; halving is exact
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0.flat[::5] = ((1.0 - p) / 2.0, (1.0 - p) / 2.0, p / 2.0, p / 2.0)
@@ -95,7 +89,7 @@ def _h0_matrix(p: float) -> np.ndarray:  # diag(1 − p, p) ⊗ I/2; halving is 
 
 
 def hypothesis_h0(p: float) -> DensityOperator:
-    """No-target hypothesis ρ₀ = noise_state(p) ⊗ I/2 on return ⊗ idler."""
+    """No-target hypothesis ρ₀ = diag(1 − p, p) ⊗ I/2 on return ⊗ idler."""
     return DensityOperator(_h0_matrix(_excitation(p)), (2, 2))
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import channel, detector, linkbudget, metrics
 from .errors import ParseError, QIRadarError, ValidationError
-from .report import DetectionReport, MonteCarloResult, emit_report, roc_csv
+from .report import DetectionReport, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
 
 
@@ -45,13 +45,7 @@ def _run(scenario: Scenario) -> DetectionReport:
 
     monte_carlo = None
     if scenario.trials > 0:
-        outcome_h0, outcome_h1 = detector.detection_counts(
-            rho0, rho1, priors, scenario.trials, scenario.seed
-        )
-        monte_carlo = MonteCarloResult(
-            empirical_error=detector.outcome_error(outcome_h0, outcome_h1),
-            h0=outcome_h0, h1=outcome_h1, seed=scenario.seed,
-        )
+        monte_carlo = detector.detection_counts(rho0, rho1, priors, scenario.trials, scenario.seed)
 
     roc = None
     if scenario.roc_thresholds is not None:

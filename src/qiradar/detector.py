@@ -147,10 +147,6 @@ def _check_seed(seed) -> int:
     return _check_integer("seed", seed, 0, MAX_SEED)
 
 
-def _check_trials(trials) -> int:
-    return _check_integer("trials", trials, 1, MAX_TRIALS)
-
-
 def _outcome(m: BinaryMeasurement, rho: DensityOperator, trials: int, seed: int,
              hypothesis: str) -> TrialOutcome:
     """Decision counts of ``trials`` measurements of ``m`` on ``rho``: one
@@ -159,16 +155,6 @@ def _outcome(m: BinaryMeasurement, rho: DensityOperator, trials: int, seed: int,
     decide_h1 = int(np.random.Generator(np.random.PCG64(stream)).binomial(
         trials, born_probability(m, rho)))
     return TrialOutcome(decide_h1, trials - decide_h1, trials, hypothesis, seed)
-
-
-def simulate_trials(m: BinaryMeasurement, rho_true: DensityOperator, trials: int, seed: int,
-                    true_hypothesis: str = HYPOTHESIS_H1) -> TrialOutcome:
-    """Draw ``trials`` independent measurement outcomes on ``rho_true``.
-
-    Deterministic for a fixed seed: the counts depend only on (seed, trials).
-    """
-    trials = _check_trials(trials)
-    return _outcome(m, rho_true, trials, _check_seed(seed), true_hypothesis)
 
 
 def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trials: int,
@@ -181,7 +167,7 @@ def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trial
     """
     _require_same_dims(rho0, rho1)
     p0, _ = check_priors(priors)
-    trials = _check_trials(trials)
+    trials = _check_integer("trials", trials, 1, MAX_TRIALS)
     seed = _check_seed(seed)
     n_h0 = math.floor(p0 * trials)
     m = helstrom_measurement(rho0, rho1, priors)
@@ -201,9 +187,11 @@ def empirical_error(rho0: DensityOperator, rho1: DensityOperator, priors, trials
 
 def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
     """Fraction of wrong calls in an (H0, H1) outcome pair: false alarms under
-    H0 plus misses under H1, over all trials."""
-    wrong = outcome_h0.decide_h1_count + outcome_h1.decide_h0_count
-    return wrong / (outcome_h0.trials + outcome_h1.trials)
+    H0 plus misses under H1, over all trials, of which there must be some."""
+    trials = outcome_h0.trials + outcome_h1.trials
+    if not trials:
+        raise DegenerateInput("an outcome pair with no trials has no error rate")
+    return (outcome_h0.decide_h1_count + outcome_h1.decide_h0_count) / trials
 
 
 def _check_thresholds(thresholds) -> list[float]:

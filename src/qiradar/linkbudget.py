@@ -28,16 +28,8 @@ from dataclasses import dataclass, fields
 from .errors import DegenerateInput, NumericalDomain, _real
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Exact SI values of the two constants used here."""
-
-    planck_h: float = 6.62607015e-34    # J·s
-    boltzmann_kb: float = 1.380649e-23  # J/K
-
-
-CONSTANTS = PhysicalConstants()
-
+PLANCK_H = 6.62607015e-34    # J·s
+BOLTZMANN_KB = 1.380649e-23  # J/K
 MILLIWATT = 1e-3
 SERIES_CROSSOVER_X = 1e-6   # below this, e^x − 1 cancels; use the Laurent series
 OCCUPANCY_FLOOR = 1e-100    # occupancies below this are reported as exactly 0
@@ -87,7 +79,7 @@ def dbm_to_watts(x: float) -> float:
 def photon_energy(f: float) -> float:
     """Energy h·f of one photon at frequency f (hertz in, joules out)."""
     f = _require_positive("frequency", f)
-    return CONSTANTS.planck_h * f
+    return PLANCK_H * f
 
 
 def photon_rate(p: float, f: float) -> float:
@@ -119,11 +111,11 @@ def thermal_occupancy(f: float, t: float) -> float:
     """
     f = _require_positive("frequency", f)
     t = _require_positive("temperature", t)
-    kt = CONSTANTS.boltzmann_kb * t
+    kt = BOLTZMANN_KB * t
     if kt > 0.0:
-        x = CONSTANTS.planck_h * f / kt
+        x = PLANCK_H * f / kt
     else:  # k_B·T underflows; scale the ratio the other way round
-        x = CONSTANTS.planck_h / CONSTANTS.boltzmann_kb * (f / t)
+        x = PLANCK_H / BOLTZMANN_KB * (f / t)
     if x < SERIES_CROSSOVER_X:
         nbar = _occupancy_series(x) if x > 0.0 else math.inf
         if math.isinf(nbar):

@@ -87,12 +87,6 @@ class PureState:
     def dimension(self) -> int:
         return self.amplitudes.size
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product ⟨self|other⟩."""
-        if self.dims != other.dims:
-            raise DimensionMismatch(f"states on different spaces: {self.dims} vs {other.dims}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -150,20 +144,6 @@ class Spectrum:
         return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def pure_state(amplitudes, dims) -> PureState:
-    """Build a PureState, normalizing the given amplitudes.
-
-    Raises DegenerateInput for a norm that is 0, subnormal or not finite, and
-    PureState's DimensionMismatch when the vector length does not equal the
-    product of ``dims``.
-    """
-    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    norm = _norm(amps)
-    if not (np.finfo(float).tiny <= norm < math.inf):  # dividing by a subnormal norm overflows
-        raise DegenerateInput(f"cannot normalize amplitudes of norm {norm!r}")
-    return PureState(amps / norm, dims)
-
-
 def bell_phi_plus() -> PureState:
     """The maximally entangled pair (|00⟩ + |11⟩)/√2 on signal ⊗ idler."""
     amps = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -173,11 +153,6 @@ def bell_phi_plus() -> PureState:
 def density_from_pure(psi: PureState) -> DensityOperator:
     """Rank-1 projector |ψ⟩⟨ψ| as a DensityOperator."""
     return DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims)
-
-
-def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product a ⊗ b with concatenated subsystem dimensions."""
-    return DensityOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:

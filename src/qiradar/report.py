@@ -3,8 +3,9 @@
 The structured format is one line, ``json.dumps(report_to_dict(r),
 sort_keys=True)`` and a newline: sorted field names and full
 shortest-round-trip float precision, so two runs of the same scenario and seed
-are byte-identical, every numeric survives a parse round trip exactly, and
-reports concatenate into JSON Lines. The table format renders the same
+are byte-identical, every numeric survives a parse round trip exactly (NaN
+and ±inf, which JSON cannot carry, raise DegenerateInput), and reports
+concatenate into JSON Lines. The table format renders the same
 document for reading: its fields in document order, 6 significant digits.
 """
 
@@ -14,8 +15,8 @@ import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .detector import RocPoint, TrialOutcome
-from .errors import DegenerateInput
+from .detector import RocPoint, TrialOutcome, outcome_error
+from .errors import DegenerateInput, _real
 from .linkbudget import LinkBudgetResult
 from .scenario import Scenario
 
@@ -23,28 +24,27 @@ ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
 
 
 @dataclass(frozen=True)
-class MonteCarloResult:
-    """Empirical side of one scenario run."""
-
-    empirical_error: float
-    h0: TrialOutcome
-    h1: TrialOutcome
-    seed: int
-
-
-@dataclass(frozen=True)
 class DetectionReport:
-    """Everything computed for one scenario."""
+    """Everything computed for one scenario.
+
+    The effective phase and the three metrics pass the real-number gate and
+    are stored as floats. monte_carlo is the (H0, H1) outcome pair of
+    detection_counts; the report derives its error rate and seed from it.
+    """
 
     scenario: Scenario
     phase_effective_rad: float
     trace_distance: float
     fidelity: float
     helstrom_error: float
-    monte_carlo: MonteCarloResult | None = None
+    monte_carlo: tuple[TrialOutcome, TrialOutcome] | None = None
     roc: tuple[RocPoint, ...] | None = None
     link_budget: LinkBudgetResult | None = None
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in ("phase_effective_rad", "trace_distance", "fidelity", "helstrom_error"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
 
 @lru_cache(maxsize=None)
@@ -62,9 +62,13 @@ def _fields(record, *omit: str) -> dict | None:
 def report_to_dict(report: DetectionReport) -> dict:
     """Plain-types view of a report: the payload of the structured format, and
     in this key order the rows of the table format."""
+    if not isinstance(report, DetectionReport):
+        raise DegenerateInput(f"report must be a DetectionReport, got {type(report).__name__}")
     scenario, mc = report.scenario, report.monte_carlo
     if mc is not None:
-        mc = {**_fields(mc), "h0": _fields(mc.h0, "seed"), "h1": _fields(mc.h1, "seed")}
+        h0, h1 = mc
+        mc = {"empirical_error": outcome_error(h0, h1), "h0": _fields(h0, "seed"),
+              "h1": _fields(h1, "seed"), "seed": h0.seed}
     return {
         "scenario": {**_fields(scenario),
                      "roc_thresholds": scenario.roc_thresholds and list(scenario.roc_thresholds),
@@ -133,7 +137,11 @@ def _table_lines(doc: dict) -> list[str]:
 def emit_report(report: DetectionReport, format: str = "table") -> str:
     """Render a report as 'structured' (JSON) or 'table' text."""
     if format == "structured":
-        return json.dumps(report_to_dict(report), sort_keys=True) + "\n"
+        doc = report_to_dict(report)
+        try:
+            return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:  # NaN or ±inf, which only a hand-built record can hold
+            raise DegenerateInput(f"report is not valid JSON: {exc}") from None
     if format == "table":
         return "\n".join(_table_lines(report_to_dict(report))) + "\n"
     raise DegenerateInput(f"unknown report format {format!r}")
@@ -142,6 +150,10 @@ def emit_report(report: DetectionReport, format: str = "table") -> str:
 def roc_csv(points) -> str:
     """Comma-separated ROC rows under the standard header, full precision."""
     lines = [ROC_CSV_HEADER]
-    for point in points:
-        lines.append(f"{point.threshold!r},{point.p_false_alarm!r},{point.p_detection!r}")
+    point = points  # names the culprit if points itself is not iterable
+    try:
+        for point in points:
+            lines.append(f"{point.threshold!r},{point.p_false_alarm!r},{point.p_detection!r}")
+    except (AttributeError, TypeError):
+        raise DegenerateInput(f"points must be RocPoints, got {type(point).__name__}") from None
     return "\n".join(lines) + "\n"

@@ -10,11 +10,10 @@ from qiradar.channel import (
     apply_signal_phase,
     hypothesis_h0,
     hypothesis_h1,
-    noise_state,
 )
 from qiradar.errors import DegenerateInput, DimensionMismatch
 from qiradar.metrics import trace_distance
-from qiradar.qstate import bell_phi_plus, density_from_pure, partial_trace, pure_state
+from qiradar.qstate import PureState, bell_phi_plus, density_from_pure, partial_trace
 
 PHI_GRID = [k * math.pi / 4 for k in range(9)]           # 0 .. 2pi
 ETA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -72,7 +71,7 @@ class TestApplySignalPhase:
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
 
     def test_only_signal_one_block_changes(self):
-        psi = pure_state([1, 1, 1, 1], [2, 2])
+        psi = PureState([0.5, 0.5, 0.5, 0.5], [2, 2])
         out = apply_signal_phase(psi, math.pi / 3)
         np.testing.assert_allclose(out.amplitudes[:2], psi.amplitudes[:2], atol=1e-15)
         factor = out.amplitudes[2:] / psi.amplitudes[2:]
@@ -89,28 +88,9 @@ class TestApplySignalPhase:
 
     def test_wrong_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
-            apply_signal_phase(pure_state([1, 0], [2]), 0.5)
+            apply_signal_phase(PureState([1, 0], [2]), 0.5)
         with pytest.raises(DimensionMismatch):
-            apply_signal_phase(pure_state([1, 0, 0, 0], [4]), 0.5)
-
-
-class TestNoiseState:
-    def test_vacuum_like(self):
-        np.testing.assert_allclose(noise_state(0.0).matrix, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_maximally_mixed(self):
-        np.testing.assert_allclose(noise_state(0.5).matrix, np.eye(2) / 2, atol=1e-15)
-
-    def test_generic(self):
-        rho = noise_state(0.3)
-        np.testing.assert_allclose(rho.matrix, np.diag([0.7, 0.3]), atol=1e-15)
-        assert abs(rho.matrix.trace() - 1.0) <= 1e-12
-
-    def test_range_rejected(self):
-        with pytest.raises(DegenerateInput):
-            noise_state(1.0)
-        with pytest.raises(DegenerateInput):
-            noise_state(-0.1)
+            apply_signal_phase(PureState([1, 0, 0, 0], [4]), 0.5)
 
 
 class TestHypotheses:
@@ -126,6 +106,15 @@ class TestHypotheses:
         for p in edges + list(np.random.default_rng(20240).random(200)):
             kron = np.kron(np.diag([1.0 - p, p]).astype(complex), np.eye(2, dtype=complex) / 2.0)
             assert _h0_matrix(p).tobytes() == kron.tobytes(), p
+
+    def test_h0_return_factor(self):
+        rho = partial_trace(hypothesis_h0(0.3), {0})
+        np.testing.assert_allclose(rho.matrix, np.diag([0.7, 0.3]), atol=1e-15)
+
+    def test_h0_excitation_range_rejected(self):
+        for p in (1.0, -0.1):
+            with pytest.raises(DegenerateInput):
+                hypothesis_h0(p)
 
     def test_h0_idler_factor(self):
         for p in P_GRID:

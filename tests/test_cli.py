@@ -1,9 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qiradar.cli import main, run_scenario
+from qiradar.detector import RocPoint, TrialOutcome, outcome_error
 from qiradar.errors import DegenerateInput, NumericalDomain, ValidationError
 from qiradar.report import ROC_CSV_HEADER, emit_report, report_to_dict, roc_csv
 from qiradar.scenario import MAX_TRIALS, Scenario, parse_scenario
@@ -21,6 +24,9 @@ FULL_DOC = ANCHOR_DOC + (
     "link_budget.power_w = 1e-16\n"
     "link_budget.noise_power_w = 1e-15\n"
 )
+
+
+NO_TRIALS = (TrialOutcome(0, 0, 0, "H0", 0), TrialOutcome(0, 0, 0, "H1", 0))
 
 
 def run_doc(doc: str):
@@ -66,22 +72,23 @@ class TestRunScenario:
 
     def test_monte_carlo_block(self):
         report = run_doc(ANCHOR_DOC + "trials = 1000\nseed = 7\n")
-        mc = report.monte_carlo
-        assert mc is not None
-        assert mc.seed == 7
-        assert (mc.h0.trials, mc.h1.trials) == (500, 500)
-        assert mc.h0.true_hypothesis == "H0"
-        assert mc.h1.true_hypothesis == "H1"
-        expected = (mc.h0.decide_h1_count + mc.h1.decide_h0_count) / 1000
-        assert mc.empirical_error == expected
-        assert 0.0 <= mc.empirical_error <= 1.0
+        h0, h1 = report.monte_carlo
+        assert h0.seed == h1.seed == 7
+        assert (h0.trials, h1.trials) == (500, 500)
+        assert h0.true_hypothesis == "H0"
+        assert h1.true_hypothesis == "H1"
+        mc = report_to_dict(report)["monte_carlo"]
+        assert mc["seed"] == 7
+        assert mc["empirical_error"] == (h0.decide_h1_count + h1.decide_h0_count) / 1000
+        assert 0.0 <= mc["empirical_error"] <= 1.0
 
     def test_monte_carlo_at_max_trials_agrees_with_helstrom_error(self):
         report = run_scenario(Scenario(phase_rad=1.0, reflectivity=0.6, noise_excitation=0.3,
                                        trials=MAX_TRIALS, seed=20240817))
         analytic = report.helstrom_error
         sigma = math.sqrt(analytic * (1.0 - analytic) / MAX_TRIALS)
-        assert abs(report.monte_carlo.empirical_error - analytic) <= 4.0 * sigma
+        empirical = report_to_dict(report)["monte_carlo"]["empirical_error"]
+        assert abs(empirical - analytic) <= 4.0 * sigma
 
     def test_roc_points(self):
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1, 4\n")
@@ -134,7 +141,7 @@ class TestReportSerialization:
         assert parsed == report_to_dict(report)
         assert parsed["metrics"]["trace_distance"] == report.trace_distance
         assert parsed["metrics"]["fidelity"] == report.fidelity
-        assert parsed["monte_carlo"]["empirical_error"] == report.monte_carlo.empirical_error
+        assert parsed["monte_carlo"]["empirical_error"] == outcome_error(*report.monte_carlo)
         assert parsed["scenario"]["seed"] == 99
 
     def test_structured_is_deterministic(self):
@@ -158,6 +165,34 @@ class TestReportSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(DegenerateInput):
             emit_report(run_doc(ANCHOR_DOC), "yaml")
+
+    def test_report_numbers_pass_the_real_number_gate(self):
+        report = run_doc(ANCHOR_DOC)
+        narrow = replace(report, trace_distance=np.float32(0.5))
+        assert type(narrow.trace_distance) is float
+        assert json.loads(emit_report(narrow, "structured"))["metrics"]["trace_distance"] == 0.5
+        for name in ("phase_effective_rad", "trace_distance", "fidelity", "helstrom_error"):
+            for value in (math.nan, math.inf, "0.5", None):
+                with pytest.raises(DegenerateInput, match=name):
+                    replace(report, **{name: value})
+
+    def test_structured_rejects_what_json_cannot_carry(self):
+        report = replace(run_doc(ANCHOR_DOC), roc=(RocPoint(math.nan, 0.5, 2.0),))
+        with pytest.raises(DegenerateInput, match="not valid JSON"):
+            emit_report(report, "structured")
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: emit_report(None), "NoneType"),
+        (lambda: report_to_dict(None), "NoneType"),
+        (lambda: roc_csv(None), "NoneType"),
+        (lambda: roc_csv([1, 2]), "int"),
+        (lambda: outcome_error(*NO_TRIALS), "no trials"),
+        (lambda: report_to_dict(replace(run_doc(ANCHOR_DOC), monte_carlo=NO_TRIALS)), "no trials"),
+    ], ids=["emit_report", "report_to_dict", "roc_csv", "roc_csv-items", "outcome_error",
+            "report_to_dict-outcomes"])
+    def test_report_entry_points_raise_typed_errors(self, call, match):
+        with pytest.raises(DegenerateInput, match=match):
+            call()
 
     def test_roc_csv_layout_and_precision(self):
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1, 4\n")

@@ -17,7 +17,6 @@ from qiradar.detector import (
     helstrom_measurement,
     measurement_error,
     roc_sweep,
-    simulate_trials,
 )
 from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
 from qiradar.metrics import clamp_unit, helstrom_error
@@ -150,20 +149,18 @@ class TestBornProbability:
                              random_density(np.random.default_rng(1), 4, dims=(4,)))
 
 
-class TestSimulateTrials:
+class TestTrialCounts:
     def test_deterministic_for_fixed_seed(self):
         rho0, rho1 = pure_pair(math.pi / 3)
-        m = helstrom_measurement(rho0, rho1, HALF)
-        a = simulate_trials(m, rho1, 50_000, seed=99)
-        b = simulate_trials(m, rho1, 50_000, seed=99)
+        _, a = detection_counts(rho0, rho1, HALF, 100_000, seed=99)
+        _, b = detection_counts(rho0, rho1, HALF, 100_000, seed=99)
         assert (a.decide_h1_count, a.decide_h0_count) == (b.decide_h1_count, b.decide_h0_count)
-        c = simulate_trials(m, rho1, 50_000, seed=100)
+        _, c = detection_counts(rho0, rho1, HALF, 100_000, seed=100)
         assert c.decide_h1_count != a.decide_h1_count
 
     def test_counts_sum_and_metadata(self):
         rho0, rho1 = pure_pair(1.0)
-        m = helstrom_measurement(rho0, rho1, HALF)
-        out = simulate_trials(m, rho0, 12_345, seed=7, true_hypothesis="H0")
+        out, _ = detection_counts(rho0, rho1, HALF, 24_690, seed=7)
         assert out.decide_h0_count + out.decide_h1_count == out.trials == 12_345
         assert out.true_hypothesis == "H0"
         assert out.seed == 7
@@ -171,9 +168,9 @@ class TestSimulateTrials:
     @pytest.mark.parametrize("trials", [1000, MAX_TRIALS])
     def test_certain_outcomes(self, trials):
         rho = random_density(np.random.default_rng(21), 4, dims=(4,))
-        always = simulate_trials(identity_measurement(4), rho, trials, seed=1)
+        always = detector._outcome(identity_measurement(4), rho, trials, 1, "H1")
         assert always.decide_h1_count == trials
-        never = simulate_trials(never_measurement(4), rho, trials, seed=1)
+        never = detector._outcome(never_measurement(4), rho, trials, 1, "H1")
         assert never.decide_h1_count == 0
 
     @pytest.mark.parametrize("trials", [1, 2**20 + 1, MAX_TRIALS])
@@ -193,7 +190,7 @@ class TestSimulateTrials:
         n_h0 = trials // 2
         for seed in (5150, 2**64 - 1):
             for tag, hypothesis, rho in ((0, "H0", rho0), (1, "H1", rho1)):
-                out = simulate_trials(m, rho, trials, seed, true_hypothesis=hypothesis)
+                out = detector._outcome(m, rho, trials, seed, hypothesis)
                 assert out.decide_h1_count == stream_count(p[tag], trials, seed, tag)
             out0, out1 = detection_counts(rho0, rho1, HALF, trials, seed)
             assert (out0.trials, out1.trials) == (n_h0, trials - n_h0)
@@ -205,7 +202,7 @@ class TestSimulateTrials:
         m = helstrom_measurement(rho0, rho1, HALF)
         trials = 1_000_000
         p = born_probability(m, rho1)
-        out = simulate_trials(m, rho1, trials, seed=20240817)
+        out = detector._outcome(m, rho1, trials, 20240817, "H1")
         sigma = math.sqrt(p * (1.0 - p) / trials)
         assert abs(out.decide_h1_count / trials - p) <= 4.0 * sigma
 
@@ -221,9 +218,6 @@ class TestSimulateTrials:
     ])
     def test_degenerate_inputs_rejected(self, trials, seed):
         rho0, rho1 = pure_pair(1.0)
-        m = helstrom_measurement(rho0, rho1, HALF)
-        with pytest.raises(DegenerateInput):
-            simulate_trials(m, rho1, trials, seed=seed)
         with pytest.raises(DegenerateInput):
             detection_counts(rho0, rho1, HALF, trials, seed)
 
@@ -232,7 +226,7 @@ class TestSimulateTrials:
         m = helstrom_measurement(rho0, rho1, HALF)
         for label in ("H2", ["H1"]):  # an unhashable label is no TypeError
             with pytest.raises(DegenerateInput, match="true_hypothesis"):
-                simulate_trials(m, rho1, 10, seed=1, true_hypothesis=label)
+                detector._outcome(m, rho1, 10, 1, label)
             with pytest.raises(DegenerateInput, match="true_hypothesis"):
                 TrialOutcome(0, 0, 0, label, 0)
 

@@ -6,7 +6,8 @@ import pytest
 
 from qiradar.errors import DegenerateInput, NumericalDomain
 from qiradar.linkbudget import (
-    CONSTANTS,
+    BOLTZMANN_KB,
+    PLANCK_H,
     LinkBudgetInputs,
     dbm_to_watts,
     evaluate_link_budget,
@@ -95,7 +96,7 @@ class TestThermalOccupancy:
 
     def test_unit_occupancy_temperature(self):
         # n̄ = 1 exactly when hf/(kB·T) = ln 2.
-        temperature = CONSTANTS.planck_h * 1e10 / (CONSTANTS.boltzmann_kb * math.log(2.0))
+        temperature = PLANCK_H * 1e10 / (BOLTZMANN_KB * math.log(2.0))
         assert abs(thermal_occupancy(1e10, temperature) - 1.0) <= 1e-12
 
     def test_deep_floor_returns_zero(self):

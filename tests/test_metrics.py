@@ -221,7 +221,7 @@ class TestSharedProperties:
             chi = random_pure(rng, (2, 2))
             a, b = density_from_pure(psi), density_from_pure(chi)
             f = fidelity(a, b)
-            assert abs(f - abs(psi.overlap(chi)) ** 2) <= 1e-7
+            assert abs(f - abs(np.vdot(psi.amplitudes, chi.amplitudes)) ** 2) <= 1e-7
             assert abs(trace_distance(a, b) - math.sqrt(1.0 - f)) <= 1e-7
 
     def test_fuchs_van_de_graaff_on_channel_grid(self):

@@ -8,7 +8,8 @@
   NumericalDomain when a result leaves the float range.
   Its structured report is the one line
   json.dumps(report_to_dict(report), sort_keys=True) + "\n", and it parses
-  back to that document.
+  back to that document, whose scenario block rebuilds an equal Scenario
+  that reruns to the same structured and table bytes.
 
 Examples are derandomized and bounded so the suite stays fast and
 reproducible. Trial counts are kept small only for run time; every other
@@ -122,12 +123,25 @@ def test_accepted_scenarios_run_or_raise_numerical_domain(values):
         report = run_scenario(scenario)
     except NumericalDomain:
         return
-    assert emit_report(report, "table").endswith("\n")
+    table = emit_report(report, "table")
+    assert table.endswith("\n")
     doc = report_to_dict(report)
     text = emit_report(report, "structured")
     assert text == json.dumps(doc, sort_keys=True) + "\n"
     assert text.count("\n") == 1
     assert json.loads(text) == doc
+    # The emitted scenario block replays: it rebuilds the scenario, whose rerun
+    # emits the same bytes.
+    echo = json.loads(text)["scenario"]
+    if echo["link_budget"] is not None:
+        echo["link_budget"] = LinkBudgetInputs(**echo["link_budget"])
+    if echo["roc_thresholds"] is not None:
+        echo["roc_thresholds"] = tuple(echo["roc_thresholds"])
+    replayed = Scenario(**echo)
+    assert replayed == scenario
+    rerun = run_scenario(replayed)
+    assert emit_report(rerun, "structured") == text
+    assert emit_report(rerun, "table") == table
     if report.roc is not None:
         assert len(roc_csv(report.roc).splitlines()) == len(report.roc) + 1
     assert 0.0 <= report.helstrom_error <= 0.5 + 1e-12

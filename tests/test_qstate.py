@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,13 +10,8 @@ from qiradar.qstate import (
     density_from_pure,
     eigendecompose_hermitian,
     partial_trace,
-    pure_state,
     sqrt_psd,
-    tensor,
 )
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
 
 def manual_reduced_state(rho, keep_second):
     """Independent partial-trace oracle for a 2x2-subsystem operator: direct
@@ -36,47 +29,25 @@ def manual_reduced_state(rho, keep_second):
 
 class TestPureState:
     def test_basis_state(self):
-        psi = pure_state([1, 0], [2])
+        psi = PureState([1, 0], [2])
         np.testing.assert_allclose(psi.amplitudes, [1.0, 0.0], atol=1e-15)
         assert psi.dims == (2,)
 
-    def test_normalization_forced(self):
-        psi = pure_state([2, 0, 0, 2], [2, 2])
-        np.testing.assert_allclose(psi.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-12)
-
-    def test_complex_amplitudes_normalized(self):
-        psi = pure_state([1, 1j], [2])
-        norm_sq = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
-        assert abs(norm_sq - 1.0) <= 1e-12
-        np.testing.assert_allclose(np.abs(psi.amplitudes), [INV_SQRT2, INV_SQRT2], atol=1e-12)
-
-    # Dividing by an infinite norm would warn on inf / inf.
-    @pytest.mark.parametrize("amps", [[0, 0], [np.nan, 1.0], [np.inf, 1.0]])
-    def test_zero_or_non_finite_vector_rejected(self, amps):
-        with pytest.raises(DegenerateInput):
-            pure_state(amps, [2])
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            pure_state([1, 0, 0], [2, 2])
+            PureState([1, 0, 0], [2, 2])
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionMismatch):
-            pure_state([1] + [0] * 31, [2] * 5)
+            PureState([1] + [0] * 31, [2] * 5)
 
     # The norm is taken after scaling by the largest |amplitude|, so squaring
-    # neither overflows (1e200) nor underflows to 0 (1e-200).
+    # neither overflows (1e200) nor underflows to 0 (1e-200): both are rejected
+    # as unnormalized without a RuntimeWarning.
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_extreme_magnitudes_normalize(self, scale):
-        psi = pure_state([scale, scale], [2])
-        np.testing.assert_allclose(psi.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+    def test_extreme_magnitudes_rejected(self, scale):
         with pytest.raises(DegenerateInput):
             PureState(np.array([scale, scale]), (2,))
-
-    def test_subnormal_norm_rejected(self):
-        # Dividing by a subnormal norm would overflow.
-        with pytest.raises(DegenerateInput):
-            pure_state([1e-320, 1e-320], [2])
 
     # Dimensions go through the shared integer gate: int() would truncate
     # 2.7 to 2 and read "2" as 2.
@@ -90,13 +61,8 @@ class TestPureState:
         assert psi.dims == (2,) and type(psi.dims[0]) is int
         assert psi.dimension == 2
 
-    def test_overlap_across_spaces_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            pure_state([1, 0], [2]).overlap(pure_state([1, 0, 0], [3]))
-
-    # The dataclass itself validates; only pure_state() normalizes. A NaN
-    # norm must fail the norm tolerance.
-    @pytest.mark.parametrize("amps", [[1.0, 1.0], [np.nan, 1.0]])
+    # A zero, NaN or infinite norm must fail the norm tolerance.
+    @pytest.mark.parametrize("amps", [[1.0, 1.0], [0, 0], [np.nan, 1.0], [np.inf, 1.0]])
     def test_unnormalized_constructor_rejected(self, amps):
         with pytest.raises(DegenerateInput):
             PureState(np.array(amps), (2,))
@@ -117,14 +83,14 @@ class TestBellPhiPlus:
         np.testing.assert_allclose(manual_reduced_state(rho, keep_second=True),
                                    np.eye(2) / 2, atol=1e-12)
 
-    def test_self_overlap(self):
+    def test_unit_norm(self):
         psi = bell_phi_plus()
-        assert abs(psi.overlap(psi) - 1.0) <= 1e-12
+        assert abs(np.vdot(psi.amplitudes, psi.amplitudes) - 1.0) <= 1e-12
 
 
 class TestDensityFromPure:
     def test_basis_projector(self):
-        rho = density_from_pure(pure_state([1, 0], [2]))
+        rho = density_from_pure(PureState([1, 0], [2]))
         np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_bell_corners(self):
@@ -143,40 +109,9 @@ class TestDensityFromPure:
                 assert abs(purity - 1.0) <= 1e-9
 
 
-class TestTensor:
-    def test_basis_product(self):
-        a = DensityOperator(np.diag([1.0, 0.0]), (2,))
-        b = DensityOperator(np.diag([0.0, 1.0]), (2,))
-        out = tensor(a, b)
-        np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0, 0.0, 0.0]), atol=1e-15)
-        assert out.dims == (2, 2)
-
-    def test_maximally_mixed_product(self):
-        half = DensityOperator(np.eye(2) / 2, (2,))
-        out = tensor(half, half)
-        np.testing.assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-15)
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(90125)
-        for _ in range(10):
-            a = random_density(rng, 2)
-            b = random_density(rng, 4, dims=(4,))
-            out = tensor(a, b)
-            assert abs(out.matrix.trace() - a.matrix.trace() * b.matrix.trace()) <= 1e-12
-
-    def test_partial_trace_inverts_tensor(self):
-        rng = np.random.default_rng(777)
-        for _ in range(30):
-            a = random_density(rng, 2)
-            b = random_density(rng, 2)
-            joint = tensor(a, b)
-            np.testing.assert_allclose(partial_trace(joint, {0}).matrix, a.matrix, atol=1e-10)
-            np.testing.assert_allclose(partial_trace(joint, {1}).matrix, b.matrix, atol=1e-10)
-
-
 class TestPartialTrace:
     def test_product_basis_keep_second(self):
-        ket01 = pure_state([0, 1, 0, 0], [2, 2])  # |0⟩ first, |1⟩ second
+        ket01 = PureState([0, 1, 0, 0], [2, 2])  # |0⟩ first, |1⟩ second
         rho = density_from_pure(ket01)
         out = partial_trace(rho, {1})
         np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-15)
@@ -186,10 +121,19 @@ class TestPartialTrace:
         a = random_density(rng, 2)
         b = random_density(rng, 2)
         c = random_density(rng, 2)
-        joint = tensor(tensor(a, b), c)
+        joint = DensityOperator(np.kron(np.kron(a.matrix, b.matrix), c.matrix), (2, 2, 2))
         np.testing.assert_allclose(partial_trace(joint, {1}).matrix, b.matrix, atol=1e-10)
         two = partial_trace(joint, {0, 2})
         np.testing.assert_allclose(two.matrix, np.kron(a.matrix, c.matrix), atol=1e-10)
+
+    def test_inverts_the_kronecker_product(self):
+        rng = np.random.default_rng(777)
+        for _ in range(30):
+            a = random_density(rng, 2)
+            b = random_density(rng, 2)
+            joint = DensityOperator(np.kron(a.matrix, b.matrix), (2, 2))
+            np.testing.assert_allclose(partial_trace(joint, {0}).matrix, a.matrix, atol=1e-10)
+            np.testing.assert_allclose(partial_trace(joint, {1}).matrix, b.matrix, atol=1e-10)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(33)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
-from qiradar.detector import _check_seed, helstrom_measurement, roc_sweep, simulate_trials
+from qiradar.detector import _check_seed, detection_counts, roc_sweep
 from qiradar.errors import DegenerateInput, ParseError, ValidationError, _check_integer
 from qiradar.linkbudget import (LinkBudgetInputs, dbm_to_watts, occupancy_to_excitation,
                                 thermal_occupancy, watts_to_dbm)
@@ -419,10 +419,9 @@ NUMBER_ENTRY_POINTS = {  # name -> (call with one number, matching Scenario fiel
     "check_priors[0]": (lambda v: check_priors((v, 0.0)), "prior_h0"),
     "check_priors[1]": (lambda v: check_priors((0.0, v)), "prior_h1"),
     "roc_sweep": (lambda v: roc_sweep(R0, R1, [v]), "roc_thresholds"),
-    "simulate_trials.seed": (lambda v: simulate_trials(helstrom_measurement(R0, R1), R1, 1, v),
-                             "seed"),
+    "detection_counts.seed": (lambda v: detection_counts(R0, R1, (0.5, 0.5), 1, v), "seed"),
 }
-REAL_ENTRY_POINTS = [name for name in NUMBER_ENTRY_POINTS if name != "simulate_trials.seed"]
+REAL_ENTRY_POINTS = [name for name in NUMBER_ENTRY_POINTS if name != "detection_counts.seed"]
 NOT_NUMBERS = {"str": "0.5", "bytes": b"1", "bool": True, "Decimal": Decimal("0.5"),
                "None": None, "nan": math.nan, "inf": math.inf, "10**400": 10**400}
 # For these fields None means "not given", which has rules of its own.
@@ -474,7 +473,7 @@ def test_every_entry_point_accepts_reals(entry, real):
 
 @pytest.mark.parametrize("value", [1, np.int64(1)], ids=["int", "int64"])
 def test_integer_gate_accepts_integers(value):
-    NUMBER_ENTRY_POINTS["simulate_trials.seed"][0](value)
+    NUMBER_ENTRY_POINTS["detection_counts.seed"][0](value)
     assert type(scenario_with("seed", value).seed) is int
     with pytest.raises(DegenerateInput):
         _check_seed(Fraction(value))
