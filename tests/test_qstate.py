@@ -49,6 +49,17 @@ class TestPureState:
         with pytest.raises(DegenerateInput):
             PureState(np.array([scale, scale]), (2,))
 
+    def test_complex_amplitudes_normalized(self):
+        psi = PureState([1 / np.sqrt(2.0), 1j / np.sqrt(2.0)], [2])
+        assert psi.amplitudes.dtype == complex
+        norm_sq = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
+        assert abs(norm_sq - 1.0) <= 1e-12
+
+    def test_subnormal_norm_rejected(self):
+        # Scaling by the largest |amplitude| keeps a subnormal norm from reading as 0.
+        with pytest.raises(DegenerateInput, match="state norm 1.4"):
+            PureState([1e-320, 1e-320], [2])
+
     # Dimensions go through the shared integer gate: int() would truncate
     # 2.7 to 2 and read "2" as 2.
     @pytest.mark.parametrize("dims", [[2.7], [2.0], ["2"], [True, 2], [np.float64(2)], 2])
@@ -134,6 +145,11 @@ class TestPartialTrace:
             joint = DensityOperator(np.kron(a.matrix, b.matrix), (2, 2))
             np.testing.assert_allclose(partial_trace(joint, {0}).matrix, a.matrix, atol=1e-10)
             np.testing.assert_allclose(partial_trace(joint, {1}).matrix, b.matrix, atol=1e-10)
+
+    def test_maximally_mixed_product(self):
+        joint = DensityOperator(np.eye(4) / 4, (2, 2))
+        for keep in ({0}, {1}):
+            np.testing.assert_allclose(partial_trace(joint, keep).matrix, np.eye(2) / 2, atol=1e-15)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(33)
