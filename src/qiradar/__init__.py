@@ -53,7 +53,6 @@ from .metrics import (
 from .qstate import (
     DensityOperator,
     PureState,
-    Spectrum,
     bell_phi_plus,
     density_from_pure,
     eigendecompose_hermitian,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, NumericalDomain, _check_integer, _real
 from .metrics import _require_same_dims, check_priors, clamp_unit
-from .qstate import STATE_ATOL, DensityOperator, _check_hermitian, eigendecompose_hermitian
+from .qstate import DensityOperator, _checked_hermitian, eigendecompose_hermitian
 
 TIE_ATOL = 1e-10       # eigenvalues in [-TIE_ATOL, TIE_ATOL] are assigned to H0
 MAX_SEED = 2**64 - 1
@@ -53,7 +53,7 @@ class BinaryMeasurement:
         p1 = np.array(self.project_h1, dtype=complex)
         if p1.ndim != 2 or not p1.size:
             raise DimensionMismatch(f"project_h1 must be a non-empty square matrix, got {p1.shape}")
-        _check_hermitian(p1, STATE_ATOL, "project_h1")
+        _checked_hermitian(p1, "project_h1")
         if not (float(np.abs(p1 @ p1 - p1).max()) <= PROJECTOR_ATOL):
             raise NumericalDomain(f"project_h1 is not idempotent within {PROJECTOR_ATOL:g}")
         p1.setflags(write=False)
@@ -105,8 +105,8 @@ def _stream_tag(hypothesis) -> int:
 
 def _positive_eigenspace_projector(matrix: np.ndarray) -> np.ndarray:
     """Projector onto the strictly positive (λ > 1e-10) eigenspace, per stack member."""
-    spectrum = eigendecompose_hermitian(matrix)
-    columns = spectrum.eigenvectors * (spectrum.eigenvalues > TIE_ATOL)[..., None, :]
+    eigenvalues, eigenvectors = eigendecompose_hermitian(matrix)
+    columns = eigenvectors * (eigenvalues > TIE_ATOL)[..., None, :]
     projector = columns @ columns.conj().swapaxes(-1, -2)
     return (projector + projector.conj().swapaxes(-1, -2)) / 2.0
 

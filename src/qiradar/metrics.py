@@ -64,7 +64,7 @@ def _require_same_dims(a: DensityOperator, b: DensityOperator) -> None:
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """½ ‖a − b‖₁ via the eigenvalues of the Hermitian difference."""
     _require_same_dims(a, b)
-    eigs = eigendecompose_hermitian(a.matrix - b.matrix).eigenvalues
+    eigs, _ = eigendecompose_hermitian(a.matrix - b.matrix)
     return clamp_unit(0.5 * float(np.abs(eigs).sum()), "trace distance")
 
 
@@ -72,8 +72,7 @@ def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     """Uhlmann fidelity (Tr √(√a · b · √a))², in [0, 1]."""
     _require_same_dims(a, b)
     root_a = sqrt_psd(a.matrix)
-    inner = root_a @ b.matrix @ root_a
-    inner = (inner + inner.conj().T) / 2.0  # re-hermitize the triple product
+    inner = root_a @ b.matrix @ root_a  # sqrt_psd takes its Hermitian part
     value = float(np.trace(sqrt_psd(inner)).real) ** 2
     return clamp_unit(value, "fidelity")
 
@@ -83,7 +82,7 @@ def helstrom_error(a: DensityOperator, b: DensityOperator, priors=(0.5, 0.5)) ->
     H0 = a versus H1 = b at the given priors (π₀, π₁)."""
     _require_same_dims(a, b)
     p0, p1 = check_priors(priors)
-    eigs = eigendecompose_hermitian(p1 * b.matrix - p0 * a.matrix).eigenvalues
+    eigs, _ = eigendecompose_hermitian(p1 * b.matrix - p0 * a.matrix)
     return clamp_unit(0.5 * (1.0 - float(np.abs(eigs).sum())), "Helstrom error")
 
 

@@ -12,8 +12,9 @@ Conventions
 * Subsystem order is fixed globally: signal (or return) mode first, idler
   second. A composite basis index factors as ``i = i_first * d_second +
   i_second``.
-* ``Spectrum`` eigenvalues are sorted descending along the last axis; a
-  stack of matrices ``(..., d, d)`` is decomposed member by member.
+* Every hermiticity check uses STATE_ATOL; a DensityOperator stores its
+  Hermitian part (A + A†)/2. ``eigendecompose_hermitian`` returns (eigenvalues,
+  eigenvectors), descending along the last axis, for a matrix or a stack.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 from .errors import DegenerateInput, DimensionMismatch, NumericalDomain, _check_integer
 
 MAX_DIMENSION = 16
-STATE_ATOL = 1e-9    # norm, trace and hermiticity tolerance on stored states
-DECOMP_ATOL = 1e-8   # hermiticity tolerance on eigendecompose_hermitian's input
+STATE_ATOL = 1e-9    # norm, trace and hermiticity tolerance
 
 
 def _as_dims(dims) -> tuple[int, ...]:
@@ -50,16 +50,17 @@ def _norm(amps: np.ndarray) -> float:
     return scale * float(np.linalg.norm(magnitudes / scale))
 
 
-def _check_hermitian(mat: np.ndarray, atol: float, what: str = "matrix") -> np.ndarray:
-    """The adjoint of a square matrix or stack, checked finite and Hermitian within atol."""
+def _checked_hermitian(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """The Hermitian part (A + A†)/2 of a square matrix or stack, which must be
+    finite and Hermitian within STATE_ATOL."""
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise NumericalDomain(f"{what} has a non-finite entry")
     adjoint = mat.conj().swapaxes(-1, -2)
-    if not (float(np.abs(mat - adjoint).max(initial=0.0)) <= atol):
-        raise NumericalDomain(f"{what} is not Hermitian within {atol:g}")
-    return adjoint
+    if not (float(np.abs(mat - adjoint).max(initial=0.0)) <= STATE_ATOL):
+        raise NumericalDomain(f"{what} is not Hermitian within {STATE_ATOL:g}")
+    return (mat + adjoint) / 2.0
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,8 @@ class DensityOperator:
 
     Entries must be finite, and the three defining properties are checked:
     hermiticity within STATE_ATOL max-entry error, unit trace within
-    STATE_ATOL, and smallest eigenvalue of (A + A†)/2, the matrix every later
-    eigensolve decomposes, >= -STATE_ATOL. The matrix is stored as given.
+    STATE_ATOL, and smallest eigenvalue >= -STATE_ATOL. The Hermitian part
+    (A + A†)/2 is what is stored and what the eigenvalue check sees.
     """
 
     matrix: np.ndarray
@@ -109,39 +110,21 @@ class DensityOperator:
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} does not match subsystem dimensions {dims}"
             )
-        adjoint = _check_hermitian(mat, STATE_ATOL)
+        hermitian = _checked_hermitian(mat)
         trace = complex(mat.trace())
         if not (abs(trace - 1.0) <= STATE_ATOL):
             raise NumericalDomain(f"trace deviates from 1 by {abs(trace - 1.0):.3g}")
-        # eigvalsh(mat) would read only the lower triangle
-        smallest = float(np.linalg.eigvalsh(mat + adjoint)[0]) / 2.0
+        smallest = float(np.linalg.eigvalsh(hermitian)[0])
         if not (smallest >= -STATE_ATOL):
             raise NumericalDomain(f"smallest eigenvalue {smallest:.3g} is below -{STATE_ATOL:g}, "
                                   "not positive semidefinite")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        hermitian.setflags(write=False)
+        object.__setattr__(self, "matrix", hermitian)
         object.__setattr__(self, "dims", dims)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix or of a stack of them.
-
-    ``eigenvalues`` is real and descending along its last axis; column ``k``
-    of ``eigenvectors`` is the unit eigenvector for ``eigenvalues[..., k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """V diag(λ) V† per stack member, which must reproduce the input."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def bell_phi_plus() -> PureState:
@@ -181,16 +164,16 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(tensor_form.reshape(d, d), kept_dims)
 
 
-def eigendecompose_hermitian(m) -> Spectrum:
+def eigendecompose_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix or stack ``(..., d, d)``, descending.
 
-    Accepts a DensityOperator or a raw array. A non-finite entry, or a deviation
-    from hermiticity beyond DECOMP_ATOL = 1e-8 in any member, raises NumericalDomain.
+    Accepts a DensityOperator or a raw array and returns numpy eigh's pair
+    (eigenvalues, eigenvectors), reordered descending. A non-finite entry, or
+    a hermiticity residual past STATE_ATOL in any member, raises NumericalDomain.
     """
     mat = m.matrix if isinstance(m, DensityOperator) else np.asarray(m, dtype=complex)
-    adjoint = _check_hermitian(mat, DECOMP_ATOL)
-    w, v = np.linalg.eigh((mat + adjoint) / 2.0)
-    return Spectrum(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
+    w, v = np.linalg.eigh(_checked_hermitian(mat))
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def sqrt_psd(m) -> np.ndarray:
@@ -201,14 +184,12 @@ def sqrt_psd(m) -> np.ndarray:
     NumericalDomain. The result S is Hermitian PSD with S·S equal to the
     input within 1e-8.
     """
-    spectrum = eigendecompose_hermitian(m)
-    if spectrum.eigenvalues.ndim != 1:
-        raise DimensionMismatch(f"expected one matrix, got shape {spectrum.eigenvectors.shape}")
-    w = spectrum.eigenvalues.copy()
-    smallest = float(w[-1])
-    if not (smallest >= -STATE_ATOL):
-        raise NumericalDomain(f"eigenvalue {smallest:.3g} is below -{STATE_ATOL:g}, "
+    w, v = eigendecompose_hermitian(m)
+    if w.ndim != 1 or not w.size:
+        raise DimensionMismatch(f"expected one non-empty matrix, got shape {v.shape}")
+    if not (w[-1] >= -STATE_ATOL):
+        raise NumericalDomain(f"eigenvalue {w[-1]:.3g} is below -{STATE_ATOL:g}, "
                               "matrix is not positive semidefinite")
     w[w < 0.0] = 0.0
-    root = Spectrum(np.sqrt(w), spectrum.eigenvectors).reconstruct()
+    root = (v * np.sqrt(w)) @ v.conj().T
     return (root + root.conj().T) / 2.0

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .detector import RocPoint, TrialOutcome, outcome_error
+from .detector import HYPOTHESIS_H0, HYPOTHESIS_H1, RocPoint, TrialOutcome, outcome_error
 from .errors import DegenerateInput, _real
 from .linkbudget import LinkBudgetResult
 from .scenario import Scenario
@@ -27,9 +27,9 @@ ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
 class DetectionReport:
     """Everything computed for one scenario.
 
-    The effective phase and the three metrics pass the real-number gate and
-    are stored as floats. monte_carlo is the (H0, H1) outcome pair of
-    detection_counts; the report derives its error rate and seed from it.
+    The effective phase and the three metrics pass the real-number gate. monte_carlo
+    is detection_counts' (H0, H1) outcome pair; the report derives its error rate and
+    seed from it. Sequences are stored as tuples; a wrong type raises DegenerateInput.
     """
 
     scenario: Scenario
@@ -45,6 +45,20 @@ class DetectionReport:
     def __post_init__(self):
         for name in ("phase_effective_rad", "trace_distance", "fidelity", "helstrom_error"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
+        for name, kind in (("scenario", Scenario), ("link_budget", (LinkBudgetResult, type(None)))):
+            if not isinstance(getattr(self, name), kind):
+                raise DegenerateInput(f"{name} cannot be {getattr(self, name)!r}")
+        for name, kind in (("monte_carlo", TrialOutcome), ("roc", RocPoint), ("warnings", str)):
+            value = getattr(self, name)
+            if value is None and name != "warnings":
+                continue
+            if not (isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)):
+                raise DegenerateInput(f"{name} must be a list or tuple of {kind.__name__}")
+            object.__setattr__(self, name, tuple(value))
+        mc = self.monte_carlo
+        if mc is not None and ([o.true_hypothesis for o in mc] != [HYPOTHESIS_H0, HYPOTHESIS_H1]
+                               or mc[0].seed != mc[1].seed):
+            raise DegenerateInput("monte_carlo must be the (H0, H1) outcome pair of one seed")
 
 
 @lru_cache(maxsize=None)

@@ -113,7 +113,7 @@ def test_mixed_state_anchor_eigenvalues():
     failures = []
     rho0 = hypothesis_h0(0.5)
     rho1 = hypothesis_h1(TargetParams(0.0, 1.0, 0.5))
-    eigenvalues = eigendecompose_hermitian(rho1.matrix - rho0.matrix).eigenvalues
+    eigenvalues, _ = eigendecompose_hermitian(rho1.matrix - rho0.matrix)
     expected = np.array([0.75, -0.25, -0.25, -0.25])
     if not np.allclose(eigenvalues, expected, atol=1e-9, rtol=0.0):
         failures.append(f"spectrum of rho1 - rho0 = {eigenvalues!r}, want {expected!r}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pure
+from qiradar import channel
 from qiradar.channel import (
     TargetParams,
     _h0_matrix,
@@ -13,7 +14,13 @@ from qiradar.channel import (
 )
 from qiradar.errors import DegenerateInput, DimensionMismatch
 from qiradar.metrics import trace_distance
-from qiradar.qstate import PureState, bell_phi_plus, density_from_pure, partial_trace
+from qiradar.qstate import (
+    DensityOperator,
+    PureState,
+    bell_phi_plus,
+    density_from_pure,
+    partial_trace,
+)
 
 PHI_GRID = [k * math.pi / 4 for k in range(9)]           # 0 .. 2pi
 ETA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -106,6 +113,34 @@ class TestHypotheses:
         for p in edges + list(np.random.default_rng(20240).random(200)):
             kron = np.kron(np.diag([1.0 - p, p]).astype(complex), np.eye(2, dtype=complex) / 2.0)
             assert _h0_matrix(p).tobytes() == kron.tobytes(), p
+
+    def test_stored_states_give_every_eigensolve_the_bits_it_had(self, monkeypatch):
+        # DensityOperator stores (A + A†)/2. ρ₀ and ρ₁'s off-diagonal entries
+        # are stored exactly as built; the fused multiply-add in complex
+        # multiplication can leave about 1e-17 on the imaginary part of ρ₁'s
+        # |11⟩ diagonal entry, which is dropped. Each eigensolve decomposes the
+        # Hermitian part of a combination of the built matrices, and that
+        # must not move by one bit, so report bytes cannot move.
+        built = []
+
+        def recording(matrix, dims):
+            built.append(matrix)
+            return DensityOperator(matrix, dims)
+
+        monkeypatch.setattr(channel, "DensityOperator", recording)
+        off_diagonal = ~np.eye(4, dtype=bool)
+        for phi in PHI_GRID + [1.0, 3.0, 5.5]:
+            for eta in ETA_GRID + [1e-12]:
+                for p in P_GRID + [1e-7]:
+                    rho0, rho1 = hypothesis_h0(p), hypothesis_h1(TargetParams(phi, eta, p))
+                    raw0, raw1 = built[-2:]
+                    assert rho0.matrix.tobytes() == raw0.tobytes()
+                    assert rho1.matrix[off_diagonal].tobytes() == raw1[off_diagonal].tobytes()
+                    assert rho1.matrix.real.tobytes() == raw1.real.tobytes()
+                    for w0, w1 in ((1.0, 1.0), (0.7, 0.3), (4.15, 1.0)):
+                        raw = w1 * raw1 - w0 * raw0
+                        stored = w1 * rho1.matrix - w0 * rho0.matrix
+                        assert stored.tobytes() == ((raw + raw.conj().T) / 2.0).tobytes()
 
     def test_h0_return_factor(self):
         rho = partial_trace(hypothesis_h0(0.3), {0})

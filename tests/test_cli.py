@@ -181,6 +181,30 @@ class TestReportSerialization:
         with pytest.raises(DegenerateInput, match="not valid JSON"):
             emit_report(report, "structured")
 
+    @pytest.mark.parametrize("fields, match", [
+        (lambda r: {"monte_carlo": (1, 2)}, "monte_carlo must be a list or tuple of TrialOutcome"),
+        (lambda r: {"monte_carlo": r.monte_carlo[::-1]}, r"\(H0, H1\) outcome pair"),
+        (lambda r: {"monte_carlo": (r.monte_carlo[0], replace(r.monte_carlo[1], seed=8))},
+         "pair of one seed"),
+        (lambda r: {"roc": [1, 2]}, "roc must be a list or tuple of RocPoint"),
+        (lambda r: {"link_budget": 5}, "link_budget cannot be 5"),
+        (lambda r: {"scenario": None}, "scenario cannot be None"),
+        (lambda r: {"warnings": "saturates"}, "warnings must be a list or tuple of str"),
+    ], ids=["mc-ints", "mc-swapped", "mc-seeds", "roc-ints", "link_budget", "scenario",
+            "warnings-str"])
+    def test_report_checks_its_structure(self, fields, match):
+        report = run_doc(FULL_DOC)
+        with pytest.raises(DegenerateInput, match=match):
+            replace(report, **fields(report))
+
+    def test_report_stores_its_sequences_as_tuples(self):
+        report = run_doc(FULL_DOC)
+        rebuilt = replace(report, roc=list(report.roc), monte_carlo=list(report.monte_carlo),
+                          warnings=["a warning"])
+        assert (rebuilt.roc, rebuilt.monte_carlo) == (report.roc, report.monte_carlo)
+        assert rebuilt.warnings == ("a warning",)
+        assert emit_report(replace(rebuilt, warnings=())) == emit_report(report)
+
     @pytest.mark.parametrize("call, match", [
         (lambda: emit_report(None), "NoneType"),
         (lambda: report_to_dict(None), "NoneType"),

@@ -296,6 +296,19 @@ class TestRocSweep:
         assert abs(point.p_false_alarm - 1.0) <= 1e-9
         assert abs(point.p_detection - 1.0) <= 1e-9
 
+    def test_sweep_survives_a_hermiticity_residual_at_large_thresholds(self):
+        # A 4e-10 residual passes the constructor; stored as given, it grew to
+        # 1.2e-8 in ρ₁ − 30ρ₀ and the sweep raised "not Hermitian".
+        m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        m[0, 1], m[1, 0] = 0.05 + 4e-10j, 0.05
+        rho0, rho1 = DensityOperator(m, (2, 2)), DensityOperator(np.eye(4) / 4, (2, 2))
+        thresholds = [30.0, 100.0, 1e6]
+        swept = roc_sweep(rho0, rho1, thresholds)
+        assert swept == roc_sweep(DensityOperator((m + m.conj().T) / 2, (2, 2)), rho1, thresholds)
+        # I/4 − tρ₀ is negative definite for t >= 30 (ρ₀'s eigenvalues exceed 0.09).
+        assert [(p.threshold, p.p_false_alarm, p.p_detection) for p in swept] == [
+            (t, 0.0, 0.0) for t in thresholds]
+
     def test_huge_threshold_rejects_everything(self):
         rho0 = hypothesis_h0(0.5)
         rho1 = hypothesis_h1(TargetParams(math.pi, 0.5, 0.5))
@@ -351,8 +364,8 @@ class TestRocSweep:
         for rho0, rho1 in pairs:
             expected = []
             for t in thresholds:
-                spectrum = eigendecompose_hermitian(rho1.matrix - t * rho0.matrix)
-                columns = spectrum.eigenvectors[:, spectrum.eigenvalues > 1e-10]
+                w, v = eigendecompose_hermitian(rho1.matrix - t * rho0.matrix)
+                columns = v[:, w > 1e-10]
                 projector = columns @ columns.conj().T
                 projector = (projector + projector.conj().T) / 2.0
                 expected.append((t, *(clamp_unit(float(np.trace(projector @ rho.matrix).real), "")

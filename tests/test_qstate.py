@@ -13,6 +13,11 @@ from qiradar.qstate import (
     sqrt_psd,
 )
 
+def rebuild(w, v):
+    """V diag(λ) V† per stack member: the oracle for an eigendecomposition."""
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def manual_reduced_state(rho, keep_second):
     """Independent partial-trace oracle for a 2x2-subsystem operator: direct
     summation over the traced-out basis, no reshape tricks."""
@@ -173,30 +178,30 @@ class TestPartialTrace:
 
 class TestEigendecomposeHermitian:
     def test_diagonal(self):
-        spectrum = eigendecompose_hermitian(np.diag([0.3, 0.7]))
-        np.testing.assert_allclose(spectrum.eigenvalues, [0.7, 0.3], atol=1e-15)
+        w, _ = eigendecompose_hermitian(np.diag([0.3, 0.7]))
+        np.testing.assert_allclose(w, [0.7, 0.3], atol=1e-15)
 
     def test_pauli_x(self):
-        spectrum = eigendecompose_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(spectrum.eigenvalues, [1.0, -1.0], atol=1e-12)
+        w, _ = eigendecompose_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-12)
 
     def test_reconstruction_roundtrip(self):
         rng = np.random.default_rng(4242)
         for _ in range(20):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             herm = g + g.conj().T
-            spectrum = eigendecompose_hermitian(herm)
-            np.testing.assert_allclose(spectrum.reconstruct(), herm, atol=1e-8)
-            assert np.all(np.diff(spectrum.eigenvalues) <= 1e-12)
-            gram = spectrum.eigenvectors.conj().T @ spectrum.eigenvectors
+            w, v = eigendecompose_hermitian(herm)
+            np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, herm, atol=1e-8)
+            assert np.all(np.diff(w) <= 1e-12)
+            gram = v.conj().T @ v
             np.testing.assert_allclose(gram, np.eye(4), atol=1e-9)
 
     def test_eigenvalue_sum_is_trace(self):
         rng = np.random.default_rng(88)
         for _ in range(10):
             rho = random_density(rng, 4, dims=(4,))
-            spectrum = eigendecompose_hermitian(rho)
-            assert abs(spectrum.eigenvalues.sum() - 1.0) <= 1e-9
+            w, _ = eigendecompose_hermitian(rho)
+            assert abs(w.sum() - 1.0) <= 1e-9
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NumericalDomain):
@@ -206,14 +211,14 @@ class TestEigendecomposeHermitian:
         rng = np.random.default_rng(77)
         g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
         stack = (g + g.conj().swapaxes(-1, -2)).reshape(2, 3, 4, 4)
-        spectrum = eigendecompose_hermitian(stack)
-        assert spectrum.eigenvalues.shape == (2, 3, 4)
-        assert spectrum.eigenvectors.shape == (2, 3, 4, 4)
+        w, v = eigendecompose_hermitian(stack)
+        assert w.shape == (2, 3, 4)
+        assert v.shape == (2, 3, 4, 4)
         for index in np.ndindex(2, 3):
-            alone = eigendecompose_hermitian(stack[index])
-            assert np.array_equal(spectrum.eigenvalues[index], alone.eigenvalues)
-            assert np.array_equal(spectrum.eigenvectors[index], alone.eigenvectors)
-            assert np.all(np.diff(alone.eigenvalues) <= 0.0)
+            w_alone, v_alone = eigendecompose_hermitian(stack[index])
+            assert np.array_equal(w[index], w_alone)
+            assert np.array_equal(v[index], v_alone)
+            assert np.all(np.diff(w_alone) <= 0.0)
 
     def test_stack_with_one_non_hermitian_member_rejected(self):
         stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
@@ -224,17 +229,23 @@ class TestEigendecomposeHermitian:
         rng = np.random.default_rng(4343)
         g = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
         stack = g + g.conj().swapaxes(-1, -2)
-        spectrum = eigendecompose_hermitian(stack)
-        rebuilt = spectrum.reconstruct()
+        rebuilt = rebuild(*eigendecompose_hermitian(stack))
         np.testing.assert_allclose(rebuilt, stack, atol=1e-8)
         for index, member in enumerate(rebuilt):
-            alone = eigendecompose_hermitian(stack[index]).reconstruct()
-            assert np.array_equal(member, alone)
+            assert np.array_equal(member, rebuild(*eigendecompose_hermitian(stack[index])))
 
     def test_empty_stack_gives_empty_spectrum(self):
-        spectrum = eigendecompose_hermitian(np.zeros((0, 4, 4)))
-        assert spectrum.eigenvalues.shape == (0, 4)
-        assert spectrum.reconstruct().shape == (0, 4, 4)
+        w, v = eigendecompose_hermitian(np.zeros((0, 4, 4)))
+        assert w.shape == (0, 4)
+        assert v.shape == (0, 4, 4)
+        assert rebuild(w, v).shape == (0, 4, 4)
+
+    def test_residual_above_state_atol_rejected(self):
+        # The one hermiticity tolerance: 2e-9 is past STATE_ATOL = 1e-9.
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = 2e-9
+        with pytest.raises(NumericalDomain, match="not Hermitian within 1e-09"):
+            eigendecompose_hermitian(m)
 
     # One finiteness check runs before the hermiticity residual, so NaN is not
     # reported as "not Hermitian" and inf - inf never warns.
@@ -281,6 +292,10 @@ class TestSqrtPsd:
             with pytest.raises(DimensionMismatch):
                 sqrt_psd(np.broadcast_to(np.eye(d) / d, (3, d, d)))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            sqrt_psd(np.zeros((0, 0)))
+
 
 class TestDensityOperatorInvariants:
     def test_non_hermitian_rejected(self):
@@ -305,10 +320,30 @@ class TestDensityOperatorInvariants:
         with pytest.raises(NumericalDomain, match="smallest eigenvalue"):
             DensityOperator(m, (4,))
 
-    def test_hermiticity_residual_is_stored_as_given(self):
+    def test_hermitian_part_is_stored(self):
         m = np.diag([0.5, 0.5]).astype(complex)
-        m[0, 1] = 5e-10
-        assert np.array_equal(DensityOperator(m, (2,)).matrix, m)
+        m[0, 1] = 5e-10 + 3e-10j
+        m[1, 1] += 4e-10j
+        stored = DensityOperator(m, (2,)).matrix
+        assert np.array_equal(stored, (m + m.conj().T) / 2)
+        assert np.array_equal(stored, stored.conj().T)
+
+    def test_combinations_of_perturbed_states_are_exactly_hermitian(self):
+        # Off-diagonal residuals just inside STATE_ATOL: every real combination
+        # of the stored matrices is Hermitian to the last bit, at any weight.
+        rng = np.random.default_rng(606)
+        off_diagonal = ~np.eye(4, dtype=bool)
+
+        def perturbed():
+            residual = rng.uniform(-3e-10, 3e-10, (2, 4, 4)) * off_diagonal
+            return DensityOperator(random_density(rng, 4).matrix + residual[0] + 1j * residual[1],
+                                   (2, 2)).matrix
+
+        for _ in range(50):
+            a, b = perturbed(), perturbed()
+            for t in (1.0, 0.3, 30.0, 1e6):
+                combination = a - t * b
+                assert np.array_equal(combination, combination.conj().T)
 
     def test_shape_dims_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
