@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import channel, detector, linkbudget, metrics
+from .closed_form import born_pair
 from .errors import ParseError, QIRadarError, ValidationError
 from .report import DetectionReport, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
@@ -40,16 +41,21 @@ def _run(scenario: Scenario) -> DetectionReport:
     )
     rho0 = channel.hypothesis_h0(scenario.noise_excitation)
     rho1 = channel.hypothesis_h1(params)
-    priors = (scenario.prior_h0, scenario.prior_h1)
+    priors = metrics.check_priors((scenario.prior_h0, scenario.prior_h1))
     summary = metrics.distinguishability(rho0, rho1, priors)
 
+    # The detector half takes its Born probabilities from the closed form;
+    # the generic helstrom_measurement and roc_sweep are its oracle.
+    eta, p = params.reflectivity_eta, params.noise_excitation_p
     monte_carlo = None
     if scenario.trials > 0:
-        monte_carlo = detector.detection_counts(rho0, rho1, priors, scenario.trials, scenario.seed)
+        monte_carlo = detector.draw_counts(born_pair(eta, p, *priors), priors[0],
+                                           scenario.trials, scenario.seed)
 
     roc = None
     if scenario.roc_thresholds is not None:
-        roc = tuple(detector.roc_sweep(rho0, rho1, scenario.roc_thresholds))
+        roc = tuple(detector._roc_point(t, *born_pair(eta, p, t, 1.0))
+                    for t in detector._check_thresholds(scenario.roc_thresholds))
 
     link_result = None
     if scenario.link_budget is not None:

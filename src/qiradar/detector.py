@@ -12,6 +12,8 @@ Born probability of the H1 projector, so their decide-H1 count is one
 Binomial(trials, p) draw. For hypothesis tag ``t`` (0 for H0, 1 for H1)
 under seed ``s`` it is ``Generator(PCG64(SeedSequence((s, t)))).binomial(trials, p)``,
 so counts depend only on (seed, trials) and cost the same at any trial count.
+draw_counts makes the draws from two given Born probabilities: detection_counts
+passes the generic measurement's, the pipeline closed_form.born_pair's.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import TIE_ATOL
 from .errors import DegenerateInput, DimensionMismatch, NumericalDomain, _check_integer, _real
 from .metrics import _require_same_dims, check_priors, clamp_unit
 from .qstate import DensityOperator, _checked_hermitian, eigendecompose_hermitian
 
-TIE_ATOL = 1e-10       # eigenvalues in [-TIE_ATOL, TIE_ATOL] are assigned to H0
 MAX_SEED = 2**64 - 1
 MAX_TRIALS = 10**9     # the longest Monte Carlo run; one binomial draw each way, well under 1 ms
 
@@ -80,7 +82,8 @@ class TrialOutcome:
         h0 = _check_integer("decide_h0_count", self.decide_h0_count, 0, trials)
         if h1 + h0 != trials:
             raise DegenerateInput(f"counts {h1} + {h0} do not sum to {trials} trials")
-        _stream_tag(self.true_hypothesis)
+        if not (isinstance(self.true_hypothesis, str) and self.true_hypothesis in _STREAM_TAG):
+            raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {self.true_hypothesis!r}")
         for name, value in (("decide_h1_count", h1), ("decide_h0_count", h0),
                             ("trials", trials), ("seed", _check_seed(self.seed))):
             object.__setattr__(self, name, value)
@@ -93,14 +96,6 @@ class RocPoint:
     threshold: float
     p_false_alarm: float
     p_detection: float
-
-
-def _stream_tag(hypothesis) -> int:
-    """The Monte Carlo stream tag of a hypothesis label, which must be H0 or H1."""
-    try:
-        return _STREAM_TAG[hypothesis]
-    except (KeyError, TypeError):  # TypeError: an unhashable label
-        raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {hypothesis!r}") from None
 
 
 def _positive_eigenspace_projector(matrix: np.ndarray) -> np.ndarray:
@@ -147,32 +142,29 @@ def _check_seed(seed) -> int:
     return _check_integer("seed", seed, 0, MAX_SEED)
 
 
-def _outcome(m: BinaryMeasurement, rho: DensityOperator, trials: int, seed: int,
-             hypothesis: str) -> TrialOutcome:
-    """Decision counts of ``trials`` measurements of ``m`` on ``rho``: one
-    binomial draw from the stream (seed, tag of ``hypothesis``)."""
-    stream = np.random.SeedSequence((seed, _stream_tag(hypothesis)))
-    decide_h1 = int(np.random.Generator(np.random.PCG64(stream)).binomial(
-        trials, born_probability(m, rho)))
-    return TrialOutcome(decide_h1, trials - decide_h1, trials, hypothesis, seed)
+def draw_counts(born, prior_h0: float, trials: int, seed: int) -> tuple[TrialOutcome, TrialOutcome]:
+    """The (H0, H1) outcome pair of a test that decides H1 with probability born[k]
+    under hypothesis k: floor(π₀·trials) trials under H0 and the rest under H1 (a side
+    with none counts zero), each count one binomial draw from the stream (seed, tag)."""
+    trials = _check_integer("trials", trials, 1, MAX_TRIALS)
+    seed = _check_seed(seed)
+    n_h0 = math.floor(prior_h0 * trials)
+    outcomes = []
+    for hypothesis, n, p in zip((HYPOTHESIS_H0, HYPOTHESIS_H1), (n_h0, trials - n_h0), born):
+        stream = np.random.SeedSequence((seed, _STREAM_TAG[hypothesis]))
+        decide_h1 = int(np.random.Generator(np.random.PCG64(stream)).binomial(
+            n, clamp_unit(p, "Born probability")))
+        outcomes.append(TrialOutcome(decide_h1, n - decide_h1, n, hypothesis, seed))
+    return tuple(outcomes)
 
 
 def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trials: int,
                      seed: int) -> tuple[TrialOutcome, TrialOutcome]:
-    """Run the Helstrom test under both true states.
-
-    Trials are allocated deterministically: floor(π₀·trials) under H0, the
-    remainder under H1; a side with no trials counts zero. Returns the
-    (H0, H1) outcome pair.
-    """
-    _require_same_dims(rho0, rho1)
-    p0, _ = check_priors(priors)
-    trials = _check_integer("trials", trials, 1, MAX_TRIALS)
-    seed = _check_seed(seed)
-    n_h0 = math.floor(p0 * trials)
-    m = helstrom_measurement(rho0, rho1, priors)
-    return (_outcome(m, rho0, n_h0, seed, HYPOTHESIS_H0),
-            _outcome(m, rho1, trials - n_h0, seed, HYPOTHESIS_H1))
+    """Run the Helstrom test under both true states: draw_counts of its two
+    Born probabilities."""
+    m = helstrom_measurement(rho0, rho1, priors)  # checks the dimensions and the priors
+    born = (born_probability(m, rho0), born_probability(m, rho1))
+    return draw_counts(born, check_priors(priors)[0], trials, seed)
 
 
 def empirical_error(rho0: DensityOperator, rho1: DensityOperator, priors, trials: int,
@@ -225,7 +217,11 @@ def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[
         projectors = _positive_eigenspace_projector(stack)
         p_fa = np.trace(projectors @ rho0.matrix, axis1=-2, axis2=-1).real
         p_d = np.trace(projectors @ rho1.matrix, axis1=-2, axis2=-1).real
-        points += [RocPoint(ti, clamp_unit(float(fa), "false-alarm probability"),
-                            clamp_unit(float(d), "detection probability"))
+        points += [_roc_point(ti, float(fa), float(d))
                    for ti, fa, d in zip(values[lo:lo + step], p_fa, p_d)]
     return points
+
+
+def _roc_point(threshold: float, p_false_alarm: float, p_detection: float) -> RocPoint:
+    return RocPoint(threshold, clamp_unit(p_false_alarm, "false-alarm probability"),
+                    clamp_unit(p_detection, "detection probability"))

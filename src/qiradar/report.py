@@ -12,6 +12,7 @@ document for reading: its fields in document order, 6 significant digits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -29,7 +30,8 @@ class DetectionReport:
 
     The effective phase and the three metrics pass the real-number gate. monte_carlo
     is detection_counts' (H0, H1) outcome pair; the report derives its error rate and
-    seed from it. Sequences are stored as tuples; a wrong type raises DegenerateInput.
+    seed from it. Each ROC point must hold float numbers: a threshold in [0, inf) and
+    two probabilities. Sequences are stored as tuples; a wrong type raises DegenerateInput.
     """
 
     scenario: Scenario
@@ -52,13 +54,23 @@ class DetectionReport:
             value = getattr(self, name)
             if value is None and name != "warnings":
                 continue
-            if not (isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)):
-                raise DegenerateInput(f"{name} must be a list or tuple of {kind.__name__}")
+            valid = _valid_point if kind is RocPoint else kind.__instancecheck__
+            if not (isinstance(value, (list, tuple)) and all(map(valid, value))):
+                raise DegenerateInput(f"{name} must be a list or tuple of {kind.__name__}" + (
+                    ": float thresholds >= 0 and probabilities" if kind is RocPoint else ""))
             object.__setattr__(self, name, tuple(value))
         mc = self.monte_carlo
         if mc is not None and ([o.true_hypothesis for o in mc] != [HYPOTHESIS_H0, HYPOTHESIS_H1]
                                or mc[0].seed != mc[1].seed):
             raise DegenerateInput("monte_carlo must be the (H0, H1) outcome pair of one seed")
+
+
+def _valid_point(p) -> bool:
+    """A RocPoint of a threshold in [0, inf) and two probabilities, each exactly a float
+    as the sweep stores it (np.float64, a float subclass, has another repr)."""
+    return (isinstance(p, RocPoint) and type(t := p.threshold) is float
+            and type(fa := p.p_false_alarm) is float and type(d := p.p_detection) is float
+            and 0.0 <= t < math.inf and 0.0 <= fa <= 1.0 and 0.0 <= d <= 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -105,8 +117,9 @@ def report_to_dict(report: DetectionReport) -> dict:
         ],
         "link_budget": _fields(report.link_budget, "warnings"),  # warnings are top-level
         "warnings": list(report.warnings),
-        # mc_stream 2: one binomial draw per hypothesis; structured 2: one line
-        "versions": {"mc_stream": 2, "structured": 2},
+        # mc_stream 2: one binomial draw per hypothesis; structured 2: one line;
+        # numerics 2: ROC and Monte Carlo Born probabilities from the closed form
+        "versions": {"mc_stream": 2, "numerics": 2, "structured": 2},
     }
 
 
@@ -167,7 +180,10 @@ def roc_csv(points) -> str:
     point = points  # names the culprit if points itself is not iterable
     try:
         for point in points:
+            if not _valid_point(point):
+                raise TypeError
             lines.append(f"{point.threshold!r},{point.p_false_alarm!r},{point.p_detection!r}")
-    except (AttributeError, TypeError):
-        raise DegenerateInput(f"points must be RocPoints, got {type(point).__name__}") from None
+    except TypeError:
+        raise DegenerateInput(f"points must be valid RocPoints, got {type(point).__name__} "
+                              f"{point!r}") from None
     return "\n".join(lines) + "\n"

@@ -5,9 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qiradar import detector, metrics, qstate
 from qiradar.cli import main, run_scenario
+from qiradar.closed_form import born_pair
 from qiradar.detector import RocPoint, TrialOutcome, outcome_error
 from qiradar.errors import DegenerateInput, NumericalDomain, ValidationError
+from qiradar.linkbudget import LinkBudgetResult
 from qiradar.report import ROC_CSV_HEADER, emit_report, report_to_dict, roc_csv
 from qiradar.scenario import MAX_TRIALS, Scenario, parse_scenario
 
@@ -42,6 +45,39 @@ class TestRunScenario:
         assert report.monte_carlo is None
         assert report.roc is None
         assert report.link_budget is None
+
+    def test_detector_half_runs_on_the_closed_form(self, monkeypatch):
+        # The ROC and the Monte Carlo Born probabilities come from
+        # closed_form.born_pair: no measurement, no ROC eigensolve. The four
+        # eigensolves left are the metrics' (D, two square roots for F, P_e).
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the pipeline ran the generic detector")
+
+        for name in ("roc_sweep", "helstrom_measurement", "detection_counts",
+                     "_positive_eigenspace_projector", "BinaryMeasurement"):
+            monkeypatch.setattr(detector, name, forbidden)
+        calls = []
+        original = qstate.eigendecompose_hermitian
+
+        def counted(m):
+            calls.append(m.shape)
+            return original(m)
+
+        for module in (qstate, metrics):
+            monkeypatch.setattr(module, "eigendecompose_hermitian", counted)
+        report = run_doc(FULL_DOC)
+        assert len(report.roc) == 3 and sum(o.trials for o in report.monte_carlo) == 20000
+        assert calls == [(4, 4)] * 4
+
+    def test_closed_form_roundoff_past_one_is_clamped(self):
+        # For these (η, p) the closed form's P_D at t = 0 and at the priors is 1 + 2^-52.
+        eta, p = 0.48785665652414756, 0.20995480637147712
+        assert born_pair(eta, p, 0.0, 1.0)[1] > 1.0 and born_pair(eta, p, 0.2, 0.8)[1] > 1.0
+        report = run_doc(f"phase_rad = 1\nreflectivity = {eta!r}\nnoise_excitation = {p!r}\n"
+                         "prior_h0 = 0.2\nprior_h1 = 0.8\ntrials = 1000\nseed = 3\n"
+                         "roc_thresholds = 0\n")
+        assert report.roc[0].p_detection == 1.0
+        assert report.monte_carlo[1].decide_h1_count == report.monte_carlo[1].trials == 800
 
     def test_vanished_target_is_undetectable(self):
         report = run_doc("phase_rad = 1.0\nreflectivity = 0\nnoise_excitation = 0.3\n")
@@ -177,9 +213,42 @@ class TestReportSerialization:
                     replace(report, **{name: value})
 
     def test_structured_rejects_what_json_cannot_carry(self):
-        report = replace(run_doc(ANCHOR_DOC), roc=(RocPoint(math.nan, 0.5, 2.0),))
+        # A LinkBudgetResult takes its numbers as given; the calculators never
+        # return NaN, so only a hand-built one can carry it this far.
+        report = replace(run_doc(ANCHOR_DOC), link_budget=LinkBudgetResult(snr=math.nan))
         with pytest.raises(DegenerateInput, match="not valid JSON"):
             emit_report(report, "structured")
+
+    @pytest.mark.parametrize("point", [
+        RocPoint(math.nan, 0.5, 0.5),
+        RocPoint(math.inf, 0.0, 0.0),
+        RocPoint(-1.0, 1.0, 1.0),
+        RocPoint(-0.5, 0.0, 0.0),
+        RocPoint(0.5, math.nan, 0.5),
+        RocPoint(0.5, 0.5, math.inf),
+        RocPoint(0.5, 1.0 + 2**-52, 0.5),
+        RocPoint(0.5, 0.5, -5e-324),
+        RocPoint(1, 0.5, 0.5),                  # an int is not what the sweep stores
+        RocPoint(0.5, True, 0.5),
+        RocPoint(0.5, 0.5, np.float32(0.5)),    # json cannot encode it
+        RocPoint(np.float64(0.5), 0.5, 0.5),    # the CSV would print np.float64(0.5)
+        RocPoint("1", 0.5, 0.5),
+        RocPoint(None, 0.5, 0.5),
+    ])
+    def test_roc_points_are_checked_in_the_report_and_the_csv(self, point):
+        report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
+        with pytest.raises(DegenerateInput, match="roc must be a list or tuple of RocPoint: float"):
+            replace(report, roc=report.roc + (point,))
+        with pytest.raises(DegenerateInput, match="points must be valid RocPoints, got RocPoint"):
+            roc_csv(report.roc + (point,))
+
+    def test_roc_points_on_their_bounds_are_accepted(self):
+        report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
+        edges = (RocPoint(0.0, 0.0, 1.0), RocPoint(1e308, 1.0, 0.0))
+        rebuilt = replace(report, roc=edges)
+        assert json.loads(emit_report(rebuilt, "structured"))["roc"][1]["threshold"] == 1e308
+        assert roc_csv(edges).splitlines()[1:] == ["0.0,0.0,1.0", "1e+308,1.0,0.0"]
+        assert "nan" not in emit_report(rebuilt) and "inf" not in emit_report(rebuilt)
 
     @pytest.mark.parametrize("fields, match", [
         (lambda r: {"monte_carlo": (1, 2)}, "monte_carlo must be a list or tuple of TrialOutcome"),

@@ -14,6 +14,10 @@ In the signal-first basis |00⟩, |01⟩, |10⟩, |11⟩ the no-target state is
   add under the square root.
 
 Eigenvalues within TIE_ATOL of zero side with H0, as in the package.
+
+The package's own closed form, ``qiradar.closed_form.born_pair``, is checked
+here against this oracle, against the generic eigensolver path, and against a
+50-digit mpmath evaluation of the same model.
 """
 
 import math
@@ -22,6 +26,7 @@ import numpy as np
 import pytest
 
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
+from qiradar.closed_form import born_pair
 from qiradar.detector import TIE_ATOL, born_probability, helstrom_measurement, roc_sweep
 from qiradar.metrics import FVG_ATOL, distinguishability
 
@@ -170,3 +175,113 @@ def test_metrics_do_not_depend_on_the_phase(eta, p, prior):
                        *(pt.p_false_alarm for pt in roc), *(pt.p_detection for pt in roc)])
     spread = np.ptp(np.array(values), axis=0)
     assert float(spread.max()) <= 1e-14, spread
+
+
+def weights(model, rng, prior):
+    """(w₀, w₁) of a sorted ROC sweep with its eigenvalue crossings, then the
+    Helstrom weights (π₀, π₁)."""
+    return [(t, 1.0) for t in thresholds(model, rng)] + [(prior, 1.0 - prior)]
+
+
+def test_born_pair_matches_the_oracle():
+    rng = np.random.default_rng(11)
+    for eta, p, phi, prior in grid():
+        model = Model(eta, p, phi)
+        for w0, w1 in weights(model, rng, prior):
+            projector = model.positive_projector(w1, w0)
+            expected = (model.born(projector, model.rho0), model.born(projector, model.rho1))
+            got = born_pair(eta, p, w0, w1)
+            assert max(abs(g - e) for g, e in zip(got, expected)) <= ATOL, (eta, p, w0, w1)
+
+
+ULP_1 = 2.0**-52
+
+
+@pytest.mark.parametrize("eta, p", [(eta, p) for eta in (0.0, 0.25, 0.375, 0.6, 1.0 - 1e-6, 1.0)
+                                    for p in (0.0, 0.2, 0.5)])
+def test_ties_at_threshold_one_minus_eta(eta, p):
+    # Each η here has 1 − η exact in binary, so t = 1 − η is the crossing itself;
+    # (0.6, 0.2) is the dense golden's, at t = 50/125 = 0.4 on its grid.
+    # There ρ₁ − tρ₀ = η|ψ′⟩⟨ψ′| exactly: both scalars and the block's
+    # lower eigenvalue are 0 (a triple crossing) and side with H0, so P = |ψ′⟩⟨ψ′|
+    # (or 0 at η = 0), and ⟨ψ′|ρ₀|ψ′⟩ = (a + b)/2 = ¼, ⟨ψ′|ρ₁|ψ′⟩ = η + (1 − η)/4.
+    p_fa, p_d = born_pair(eta, p, 1.0 - eta, 1.0)
+    expected = (0.0, 0.0) if eta == 0.0 else (0.25, eta + (1.0 - eta) / 4.0)
+    assert abs(p_fa - expected[0]) <= ULP_1 and abs(p_d - expected[1]) <= ULP_1
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_ties_when_the_states_coincide(p):
+    # η = 0: ρ₁ = ρ₀, so w₁ρ₁ − w₀ρ₀ = (w₁ − w₀)ρ₀ is positive on the support
+    # of ρ₀ (all four modes, or |00⟩ and |01⟩ at p = 0) or nowhere.
+    for w0, w1 in ((0.0, 1.0), (0.5, 1.0), (0.3, 0.7), (1.0 - 1e-9, 1.0)):
+        assert born_pair(0.0, p, w0, w1) == pytest.approx((1.0, 1.0), abs=ULP_1)
+    # Eigenvalues (w₁ − w₀)·{a, b} of at most 5e-11 are ties.
+    for w0, w1 in ((1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 0.0), (1.0 - 1e-10, 1.0)):
+        assert born_pair(0.0, p, w0, w1) == (0.0, 0.0)
+
+
+def test_sorted_sweep_does_not_increase():
+    # Tr(P_t ρ) falls with t for the Neyman-Pearson projector P_t of ρ₁ − tρ₀;
+    # the float evaluation may rise by one rounding at 1 (2^−52).
+    for eta, p, phi, _ in grid()[::3]:
+        model = Model(eta, p, phi)
+        ts = sorted({0.0, 1.0 - eta, *model.crossings(), *np.linspace(0.0, 8.0, 161),
+                     *np.geomspace(1e-9, 1e9, 37)})
+        points = [born_pair(eta, p, float(t), 1.0) for t in ts]
+        for t, (fa0, d0), (fa1, d1) in zip(ts[1:], points, points[1:]):
+            assert fa1 <= fa0 + ULP_1 and d1 <= d0 + ULP_1, (eta, p, t)
+
+
+# Edges of item 3 of the accuracy contract: η and p near 0 and 1, priors
+# down to 1e-12 on either side, and thresholds at the eigenvalue crossings.
+MP_ETAS = (0.0, 1e-12, 1e-6, 0.3, 0.6, 1.0 - 1e-6, 1.0 - 1e-12, 1.0)
+MP_PS = (0.0, 1e-300, 1e-12, 1e-6, 0.2, 0.5, 1.0 - 1e-6)
+MP_PRIORS = (0.0, 1e-12, 1e-8, 1e-3, 0.3, 0.5, 0.7, 1.0 - 1e-8, 1.0 - 1e-12, 1.0)
+MP_THRESHOLDS = (0.0, 0.4, 1.0, 1.5, 8.0, 1e6)
+# Crossings at huge thresholds, where m + r cancels to nothing: m − r and
+# det/(m − r) must give the eigenvalue near 0 (found by a seeded random search).
+MP_FAR_CROSSINGS = ((0.9999996580576973, 1.958143668256522e-09),
+                    (0.7127192548373937, 1.592423588492364e-10),
+                    (0.3608345856139843, 7.821151399112491e-12))
+# Measured: at most 3.4 ulp over this grid, and 4.4 ulp over 3000 random
+# log-uniform (η, p, t, π₀) cases at their crossings. 0 must come out exactly 0.
+MP_ULPS = 8
+
+
+def mp_born(mpmath, eta, p, w0, w1, phi=1.0):
+    """(Tr Pρ₀, Tr Pρ₁) at 50 digits from the textbook block formulas: eigenvalues
+    m ± r and the projector (M − λ₋I)/(λ₊ − λ₋), with no care for cancellation."""
+    eta, p, w0, w1 = (mpmath.mpf(x) for x in (eta, p, w0, w1))
+    a, b = (1 - p) / 2, p / 2
+    coupling = eta * mpmath.expj(-phi) / 2
+    rho0 = ([[a, 0], [0, b]], a, b)
+    rho1 = ([[eta / 2 + (1 - eta) * a, coupling], [mpmath.conj(coupling), eta / 2 + (1 - eta) * b]],
+            (1 - eta) * a, (1 - eta) * b)
+    m = [[w1 * y - w0 * x for x, y in zip(rx, ry)] for rx, ry in zip(rho0[0], rho1[0])]
+    u, v = mpmath.re(m[0][0]), mpmath.re(m[1][1])
+    mid, rad = (u + v) / 2, mpmath.sqrt(((u - v) / 2) ** 2 + abs(m[0][1]) ** 2)
+    if mid - rad > TIE_ATOL:
+        proj = [[1, 0], [0, 1]]
+    elif mid + rad > TIE_ATOL:
+        proj = [[(m[i][j] - (mid - rad) * (i == j)) / (2 * rad) for j in (0, 1)] for i in (0, 1)]
+    else:
+        proj = [[0, 0], [0, 0]]
+    scalars = [w1 * y - w0 * x > TIE_ATOL for x, y in zip(rho0[1:], rho1[1:])]
+    return tuple(mpmath.re(sum(proj[i][j] * block[j][i] for i in (0, 1) for j in (0, 1)))
+                 + sum(x for x, on in zip(rest, scalars) if on)
+                 for block, *rest in (rho0, rho1))
+
+
+def test_born_pair_within_a_few_ulp_of_50_digits():
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(eta, p, t, 1.0) for eta, p in MP_FAR_CROSSINGS for t in Model(eta, p, 0.0).crossings()]
+    for eta in MP_ETAS:
+        for p in MP_PS:
+            ts = (*MP_THRESHOLDS, *Model(eta, p, 0.0).crossings())
+            cases += [(eta, p, t, 1.0) for t in ts] + [(eta, p, pr, 1.0 - pr) for pr in MP_PRIORS]
+    with mpmath.workdps(50):
+        for eta, p, w0, w1 in cases:
+            for got, ref in zip(born_pair(eta, p, w0, w1), mp_born(mpmath, eta, p, w0, w1)):
+                bound = MP_ULPS * math.ulp(float(ref))
+                assert abs(mpmath.mpf(got) - ref) <= bound, (eta, p, w0, w1, got, ref)

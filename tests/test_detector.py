@@ -168,10 +168,13 @@ class TestTrialCounts:
     @pytest.mark.parametrize("trials", [1000, MAX_TRIALS])
     def test_certain_outcomes(self, trials):
         rho = random_density(np.random.default_rng(21), 4, dims=(4,))
-        always = detector._outcome(identity_measurement(4), rho, trials, 1, "H1")
-        assert always.decide_h1_count == trials
-        never = detector._outcome(never_measurement(4), rho, trials, 1, "H1")
-        assert never.decide_h1_count == 0
+        certain = (born_probability(identity_measurement(4), rho),
+                   born_probability(never_measurement(4), rho))
+        for prior_h0, side in ((1.0, 0), (0.0, 1)):  # every trial under one hypothesis
+            always, never = (detector.draw_counts((p, p), prior_h0, trials, 1)[side]
+                             for p in certain)
+            assert always.decide_h1_count == always.trials == trials
+            assert never.decide_h1_count == 0 and never.trials == trials
 
     @pytest.mark.parametrize("trials", [1, 2**20 + 1, MAX_TRIALS])
     def test_counts_follow_the_documented_stream(self, trials):
@@ -189,20 +192,28 @@ class TestTrialCounts:
         p = {0: born_probability(m, rho0), 1: born_probability(m, rho1)}
         n_h0 = trials // 2
         for seed in (5150, 2**64 - 1):
-            for tag, hypothesis, rho in ((0, "H0", rho0), (1, "H1", rho1)):
-                out = detector._outcome(m, rho, trials, seed, hypothesis)
+            for tag, prior_h0 in ((0, 1.0), (1, 0.0)):  # every trial under hypothesis tag
+                out = detector.draw_counts((p[0], p[1]), prior_h0, trials, seed)[tag]
                 assert out.decide_h1_count == stream_count(p[tag], trials, seed, tag)
             out0, out1 = detection_counts(rho0, rho1, HALF, trials, seed)
             assert (out0.trials, out1.trials) == (n_h0, trials - n_h0)
             assert out0.decide_h1_count == stream_count(p[0], n_h0, seed, 0)
             assert out1.decide_h1_count == stream_count(p[1], trials - n_h0, seed, 1)
 
+    def test_draw_counts_clamps_roundoff_past_the_unit_interval(self):
+        # The closed form can return 1 + 2^-52 (or a tiny negative), which numpy's
+        # binomial would refuse with a ValueError; clamp_unit snaps it first.
+        h0, h1 = detector.draw_counts((1.0 + 2**-52, -2**-60), 0.5, 10, 1)
+        assert (h0.decide_h1_count, h1.decide_h1_count) == (5, 0)
+        with pytest.raises(NumericalDomain, match="Born probability"):
+            detector.draw_counts((0.5, 1.0 + 1e-6), 0.5, 10, 1)
+
     def test_binomial_consistency(self):
         rho0, rho1 = pure_pair(math.pi / 2)
         m = helstrom_measurement(rho0, rho1, HALF)
         trials = 1_000_000
         p = born_probability(m, rho1)
-        out = detector._outcome(m, rho1, trials, 20240817, "H1")
+        _, out = detector.draw_counts((0.0, p), 0.0, trials, 20240817)
         sigma = math.sqrt(p * (1.0 - p) / trials)
         assert abs(out.decide_h1_count / trials - p) <= 4.0 * sigma
 
@@ -222,11 +233,7 @@ class TestTrialCounts:
             detection_counts(rho0, rho1, HALF, trials, seed)
 
     def test_unknown_hypothesis_rejected(self):
-        rho0, rho1 = pure_pair(1.0)
-        m = helstrom_measurement(rho0, rho1, HALF)
-        for label in ("H2", ["H1"]):  # an unhashable label is no TypeError
-            with pytest.raises(DegenerateInput, match="true_hypothesis"):
-                detector._outcome(m, rho1, 10, 1, label)
+        for label in ("H2", ["H1"], 0):  # an unhashable label is no TypeError
             with pytest.raises(DegenerateInput, match="true_hypothesis"):
                 TrialOutcome(0, 0, 0, label, 0)
 

@@ -13,13 +13,21 @@ with its 1000-point ROC list and threshold echo. The edge goldens pin every link
 noise source and a Monte Carlo run whose H0 outcome has zero trials.
 A change that moves any byte fails here; a deliberate contract change must
 bump its entry in ``versions``, regenerate the goldens and say so.
+
+Since ``versions.numerics`` 2 the pipeline takes its ROC points and Monte Carlo
+Born probabilities from the closed form. The generic eigensolver path must
+still reproduce every golden ROC point within 1e-13 and every golden Monte
+Carlo count exactly, which stands in for keeping the numerics 1 files.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import main
+from qiradar.detector import detection_counts, roc_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -97,3 +105,23 @@ def test_edge_report_matches_golden(fmt, tmp_path):
     out = tmp_path / "report"
     assert main(["run", str(cfg), "--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"edge.{FORMAT_SUFFIX[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["dense", "edge", "example"])
+def test_generic_path_reproduces_the_golden_detector_numbers(name):
+    doc = json.loads((GOLDEN / f"{name}.structured.json").read_text(encoding="utf-8"))
+    s = doc["scenario"]
+    rho0 = hypothesis_h0(s["noise_excitation"])
+    rho1 = hypothesis_h1(TargetParams(doc["phase_effective_rad"], s["reflectivity"],
+                                      s["noise_excitation"]))
+    golden = [(p["threshold"], p["p_false_alarm"], p["p_detection"]) for p in doc["roc"]]
+    assert [p.threshold for p in roc_sweep(rho0, rho1, s["roc_thresholds"])] == s["roc_thresholds"]
+    for point, (t, p_fa, p_d) in zip(roc_sweep(rho0, rho1, s["roc_thresholds"]), golden):
+        assert abs(point.p_false_alarm - p_fa) <= 1e-13 and abs(point.p_detection - p_d) <= 1e-13, t
+    if s["trials"]:
+        mc = doc["monte_carlo"]
+        outcomes = detection_counts(rho0, rho1, (s["prior_h0"], s["prior_h1"]), s["trials"],
+                                    mc["seed"])
+        assert [{"decide_h0_count": o.decide_h0_count, "decide_h1_count": o.decide_h1_count,
+                 "trials": o.trials, "true_hypothesis": o.true_hypothesis}
+                for o in outcomes] == [mc["h0"], mc["h1"]]
