@@ -55,7 +55,7 @@ def _run(scenario: Scenario) -> DetectionReport:
     roc = None
     if scenario.roc_thresholds is not None:
         roc = tuple(detector._roc_point(t, *born_pair(eta, p, t, 1.0))
-                    for t in detector._check_thresholds(scenario.roc_thresholds))
+                    for t in scenario.roc_thresholds)  # Scenario has checked them
 
     link_result = None
     if scenario.link_budget is not None:

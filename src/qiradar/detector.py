@@ -89,7 +89,7 @@ class TrialOutcome:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RocPoint:
     """One operating point of the threshold sweep."""
 

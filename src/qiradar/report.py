@@ -5,7 +5,8 @@ sort_keys=True)`` and a newline: sorted field names and full
 shortest-round-trip float precision, so two runs of the same scenario and seed
 are byte-identical, every numeric survives a parse round trip exactly (NaN
 and ±inf, which JSON cannot carry, raise DegenerateInput), and reports
-concatenate into JSON Lines. The table format renders the same
+concatenate into JSON Lines. A report formats each ROC number once: the
+structured line and roc_csv share that text. The table format renders the same
 document for reading: its fields in document order, 6 significant digits.
 """
 
@@ -13,8 +14,11 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import filterfalse
+from operator import attrgetter
 
 from .detector import HYPOTHESIS_H0, HYPOTHESIS_H1, RocPoint, TrialOutcome, outcome_error
 from .errors import DegenerateInput, _real
@@ -30,8 +34,9 @@ class DetectionReport:
 
     The effective phase and the three metrics pass the real-number gate. monte_carlo
     is detection_counts' (H0, H1) outcome pair; the report derives its error rate and
-    seed from it. Each ROC point must hold float numbers: a threshold in [0, inf) and
-    two probabilities. Sequences are stored as tuples; a wrong type raises DegenerateInput.
+    seed from it. roc has a point at each of scenario.roc_thresholds (None without them),
+    holding floats: the threshold and two probabilities. Sequences are stored as tuples;
+    a wrong type raises DegenerateInput.
     """
 
     scenario: Scenario
@@ -50,15 +55,19 @@ class DetectionReport:
         for name, kind in (("scenario", Scenario), ("link_budget", (LinkBudgetResult, type(None)))):
             if not isinstance(getattr(self, name), kind):
                 raise DegenerateInput(f"{name} cannot be {getattr(self, name)!r}")
-        for name, kind in (("monte_carlo", TrialOutcome), ("roc", RocPoint), ("warnings", str)):
+        for name, kind in (("monte_carlo", TrialOutcome), ("warnings", str)):
             value = getattr(self, name)
             if value is None and name != "warnings":
                 continue
-            valid = _valid_point if kind is RocPoint else kind.__instancecheck__
-            if not (isinstance(value, (list, tuple)) and all(map(valid, value))):
-                raise DegenerateInput(f"{name} must be a list or tuple of {kind.__name__}" + (
-                    ": float thresholds >= 0 and probabilities" if kind is RocPoint else ""))
+            if not (isinstance(value, (list, tuple)) and all(map(kind.__instancecheck__, value))):
+                raise DegenerateInput(f"{name} must be a list or tuple of {kind.__name__}")
             object.__setattr__(self, name, tuple(value))
+        if self.roc is not None:
+            object.__setattr__(self, "roc", _checked_curve(self.roc, in_report=True))
+        thresholds = None if self.roc is None else tuple(map(attrgetter("threshold"), self.roc))
+        if thresholds != self.scenario.roc_thresholds:
+            raise DegenerateInput("roc must have one point at each of scenario.roc_thresholds, "
+                                  "in order, and be None when there are none")
         mc = self.monte_carlo
         if mc is not None and ([o.true_hypothesis for o in mc] != [HYPOTHESIS_H0, HYPOTHESIS_H1]
                                or mc[0].seed != mc[1].seed):
@@ -71,6 +80,34 @@ def _valid_point(p) -> bool:
     return (isinstance(p, RocPoint) and type(t := p.threshold) is float
             and type(fa := p.p_false_alarm) is float and type(d := p.p_detection) is float
             and 0.0 <= t < math.inf and 0.0 <= fa <= 1.0 and 0.0 <= d <= 1.0)
+
+
+class _Curve(tuple):
+    """ROC points that passed _valid_point, with each column's repr text built once:
+    the structured report and the CSV join the same strings."""
+
+    @cached_property
+    def columns(self) -> tuple[list[str], list[str], list[str]]:
+        return tuple(list(map(repr, map(attrgetter(name), self)))
+                     for name in ROC_CSV_HEADER.split(","))
+
+
+def _checked_curve(points, in_report: bool = False) -> _Curve:
+    """points as a _Curve, which passes through as it is. Anything else must be an
+    iterable of valid points (a list or tuple of them in a report)."""
+    if type(points) is _Curve:
+        return points
+    culprit = points  # names points itself if it is not iterable
+    if not in_report or isinstance(points, (list, tuple)):
+        with suppress(TypeError):
+            curve = _Curve(points)
+            if (culprit := next(filterfalse(_valid_point, curve), curve)) is curve:
+                return curve
+    if in_report:
+        raise DegenerateInput("roc must be a list or tuple of RocPoint: "
+                              "float thresholds >= 0 and probabilities")
+    raise DegenerateInput(f"points must be valid RocPoints, got {type(culprit).__name__} "
+                          f"{culprit!r}")
 
 
 @lru_cache(maxsize=None)
@@ -88,6 +125,15 @@ def _fields(record, *omit: str) -> dict | None:
 def report_to_dict(report: DetectionReport) -> dict:
     """Plain-types view of a report: the payload of the structured format, and
     in this key order the rows of the table format."""
+    doc = _document(report)
+    if report.roc is not None:
+        doc["roc"] = [{"threshold": p.threshold, "p_false_alarm": p.p_false_alarm,
+                       "p_detection": p.p_detection} for p in report.roc]
+    return doc
+
+
+def _document(report: DetectionReport) -> dict:
+    """report_to_dict's document with "roc" left None."""
     if not isinstance(report, DetectionReport):
         raise DegenerateInput(f"report must be a DetectionReport, got {type(report).__name__}")
     scenario, mc = report.scenario, report.monte_carlo
@@ -106,15 +152,7 @@ def report_to_dict(report: DetectionReport) -> dict:
             "helstrom_error": report.helstrom_error,
         },
         "monte_carlo": mc,
-        # RocPoint's fields spelled out: a _fields call per point would dominate a long ROC
-        "roc": None if report.roc is None else [
-            {
-                "threshold": point.threshold,
-                "p_false_alarm": point.p_false_alarm,
-                "p_detection": point.p_detection,
-            }
-            for point in report.roc
-        ],
+        "roc": None,
         "link_budget": _fields(report.link_budget, "warnings"),  # warnings are top-level
         "warnings": list(report.warnings),
         # mc_stream 2: one binomial draw per hypothesis; structured 2: one line;
@@ -164,11 +202,20 @@ def _table_lines(doc: dict) -> list[str]:
 def emit_report(report: DetectionReport, format: str = "table") -> str:
     """Render a report as 'structured' (JSON) or 'table' text."""
     if format == "structured":
-        doc = report_to_dict(report)
         try:
-            return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+            text = json.dumps(_document(report), sort_keys=True, allow_nan=False)
         except ValueError as exc:  # NaN or ±inf, which only a hand-built record can hold
             raise DegenerateInput(f"report is not valid JSON: {exc}") from None
+        if report.roc is not None:
+            # json.dumps of the point dicts, from the curve's cached text. Keys are sorted,
+            # and the scenario, versions and warnings after the top-level "roc" are checked
+            # records and strs (no JSON string holds an unescaped quote), so the last
+            # '"roc": null' is that key; an unchecked LinkBudgetResult comes before it.
+            points = ", ".join([f'{{"p_detection": {d}, "p_false_alarm": {fa}, "threshold": {t}}}'
+                                for t, fa, d in zip(*report.roc.columns)])
+            head, _, tail = text.rpartition('"roc": null')
+            text = f'{head}"roc": [{points}]{tail}'
+        return text + "\n"
     if format == "table":
         return "\n".join(_table_lines(report_to_dict(report))) + "\n"
     raise DegenerateInput(f"unknown report format {format!r}")
@@ -176,14 +223,5 @@ def emit_report(report: DetectionReport, format: str = "table") -> str:
 
 def roc_csv(points) -> str:
     """Comma-separated ROC rows under the standard header, full precision."""
-    lines = [ROC_CSV_HEADER]
-    point = points  # names the culprit if points itself is not iterable
-    try:
-        for point in points:
-            if not _valid_point(point):
-                raise TypeError
-            lines.append(f"{point.threshold!r},{point.p_false_alarm!r},{point.p_detection!r}")
-    except TypeError:
-        raise DegenerateInput(f"points must be valid RocPoints, got {type(point).__name__} "
-                              f"{point!r}") from None
-    return "\n".join(lines) + "\n"
+    rows = map(",".join, zip(*_checked_curve(points).columns))
+    return "\n".join((ROC_CSV_HEADER, *rows)) + "\n"

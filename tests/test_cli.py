@@ -31,9 +31,25 @@ FULL_DOC = ANCHOR_DOC + (
 
 NO_TRIALS = (TrialOutcome(0, 0, 0, "H0", 0), TrialOutcome(0, 0, 0, "H1", 0))
 
+EDGE_ETA_P = (0.48785665652414756, 0.20995480637147712)
+EDGE_ROC_DOC = (  # a signed zero, a repeated threshold, probabilities of 0 and 1, and 1e308
+    "phase_rad = 1\nreflectivity = {!r}\nnoise_excitation = {!r}\n".format(*EDGE_ETA_P)
+    + "roc_thresholds = -0, 0, 0, 1, 1e308\n"
+)
+
 
 def run_doc(doc: str):
     return run_scenario(parse_scenario(doc))
+
+
+def assert_one_rendering(report):
+    """The structured line is json.dumps of the document, and a report's checked
+    curve gives the same bytes as its points handed over unchecked."""
+    text = emit_report(report, "structured")
+    assert text == json.dumps(report_to_dict(report), sort_keys=True) + "\n"
+    assert roc_csv(report.roc) == roc_csv(list(report.roc))
+    assert emit_report(replace(report, roc=report.roc), "structured") == text
+    assert emit_report(replace(report, roc=list(report.roc)), "structured") == text
 
 
 class TestRunScenario:
@@ -243,12 +259,55 @@ class TestReportSerialization:
             roc_csv(report.roc + (point,))
 
     def test_roc_points_on_their_bounds_are_accepted(self):
-        report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
+        report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1e308\n")
         edges = (RocPoint(0.0, 0.0, 1.0), RocPoint(1e308, 1.0, 0.0))
         rebuilt = replace(report, roc=edges)
         assert json.loads(emit_report(rebuilt, "structured"))["roc"][1]["threshold"] == 1e308
         assert roc_csv(edges).splitlines()[1:] == ["0.0,0.0,1.0", "1e+308,1.0,0.0"]
         assert "nan" not in emit_report(rebuilt) and "inf" not in emit_report(rebuilt)
+
+    @pytest.mark.parametrize("fields", [
+        lambda r: {"roc": r.roc[::-1]},
+        lambda r: {"roc": r.roc[:1]},
+        lambda r: {"roc": r.roc + r.roc[-1:]},
+        lambda r: {"roc": None},
+        lambda r: {"roc": (RocPoint(0.0, 1.0, 1.0), RocPoint(2.0, 0.0, 0.0))},
+        lambda r: {"scenario": replace(r.scenario, roc_thresholds=(0.0, 2.0))},
+        lambda r: {"scenario": replace(r.scenario, roc_thresholds=None)},
+        lambda r: {"roc": ()},
+    ], ids=["reversed", "short", "long", "dropped", "moved", "other-scenario", "no-thresholds",
+            "empty"])
+    def test_roc_matches_its_scenarios_thresholds(self, fields):
+        report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
+        with pytest.raises(DegenerateInput, match="one point at each of scenario.roc_thresholds"):
+            replace(report, **fields(report))
+
+    def test_roc_edge_values_render_once_through_the_pipeline(self):
+        # At t = 0 the closed form's P_D is 1 + 2^-52 for these (η, p), clamped to 1.
+        assert born_pair(*EDGE_ETA_P, 0.0, 1.0)[1] == 1.0 + 2**-52
+        report = run_doc(EDGE_ROC_DOC)
+        assert roc_csv(report.roc).splitlines()[1:] == [
+            "-0.0,1.0,1.0", "0.0,1.0,1.0", "0.0,1.0,1.0",
+            "1.0,0.20960185462869285,0.5855475646954656", "1e+308,0.0,0.0"]
+        assert_one_rendering(report)
+
+    def test_roc_edge_values_render_once_in_hand_built_reports(self):
+        report = run_doc(EDGE_ROC_DOC)
+        clamped = detector._roc_point(0.0, 1.0 + 2**-52, 1.0 + 2**-52)
+        edges = [RocPoint(-0.0, 0.0, 1.0), RocPoint(0.0, 5e-324, 1.0), clamped,
+                 RocPoint(1.0, 1.0, 0.0), RocPoint(1e308, 0.0, 0.0)]
+        rebuilt = replace(report, roc=edges)
+        assert roc_csv(rebuilt.roc).splitlines()[1:] == [
+            "-0.0,0.0,1.0", "0.0,5e-324,1.0", "0.0,1.0,1.0", "1.0,1.0,0.0", "1e+308,0.0,0.0"]
+        assert_one_rendering(rebuilt)
+        # Text that looks like the ROC key, where a hand-built report can hold it.
+        for snr in ({"roc": None}, '"roc": null'):
+            assert_one_rendering(replace(rebuilt, link_budget=LinkBudgetResult(snr=snr),
+                                         warnings=['"roc": null']))
+        # The CSV renders an unemitted report's curve first; the structured line reuses it.
+        fresh = replace(report, roc=tuple(edges))
+        assert roc_csv(fresh.roc) == roc_csv(rebuilt.roc)
+        assert emit_report(fresh, "structured") == emit_report(rebuilt, "structured")
 
     @pytest.mark.parametrize("fields, match", [
         (lambda r: {"monte_carlo": (1, 2)}, "monte_carlo must be a list or tuple of TrialOutcome"),

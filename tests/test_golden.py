@@ -1,12 +1,12 @@
 """Byte-identity of the shipped scenarios' reports against checked-in goldens.
 
 The files under ``tests/golden/`` are the CLI output for ``scenarios/``: the
-structured and table reports of example.cfg and thermal.cfg, and
-example.cfg's ROC CSV. example.cfg runs 100000 Monte Carlo trials, so its
+structured and table reports of example.cfg and thermal.cfg, and the ROC CSVs
+of example.cfg and dense.cfg. example.cfg runs 100000 Monte Carlo trials, so its
 golden also pins the exact decision counts of Monte Carlo stream version 2
 (one binomial draw per hypothesis), the version every report names in its
 ``versions`` block.
-dense.roc.csv pins a 1000-threshold ROC whose grid hits the triply
+dense.roc.csv pins dense.cfg's 1000-threshold ROC, whose grid hits the triply
 degenerate eigenvalue crossing of ρ₁ − tρ₀ at t = 0.4 exactly, and
 dense.structured.json the one-line structured report of the same scenario,
 with its 1000-point ROC list and threshold echo. The edge goldens pin every link-budget row with all four warnings, a thermal
@@ -50,27 +50,17 @@ def test_roc_csv_matches_golden(tmp_path):
     assert roc.read_bytes() == (GOLDEN / "example.roc.csv").read_bytes()
 
 
-DENSE_SCENARIO = (
-    "phase_rad = 1.0\n"
-    "reflectivity = 0.6\n"
-    "noise_excitation = 0.2\n"
-    "roc_thresholds = " + ", ".join(repr(k / 125) for k in range(1000)) + "\n"
-)
-
-
 def test_dense_roc_csv_matches_golden(tmp_path):
-    cfg = tmp_path / "dense.cfg"
-    cfg.write_text(DENSE_SCENARIO, encoding="utf-8")
     roc = tmp_path / "roc.csv"
-    assert main(["run", str(cfg), "--out", str(tmp_path / "report"), "--roc-out", str(roc)]) == 0
+    assert main(["run", str(ROOT / "scenarios" / "dense.cfg"), "--out", str(tmp_path / "report"),
+                 "--roc-out", str(roc)]) == 0
     assert roc.read_bytes() == (GOLDEN / "dense.roc.csv").read_bytes()
 
 
 def test_dense_structured_report_matches_golden(tmp_path):
-    cfg = tmp_path / "dense.cfg"
-    cfg.write_text(DENSE_SCENARIO, encoding="utf-8")
     out = tmp_path / "report"
-    assert main(["run", str(cfg), "--format", "structured", "--out", str(out)]) == 0
+    assert main(["run", str(ROOT / "scenarios" / "dense.cfg"), "--format", "structured",
+                 "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "dense.structured.json").read_bytes()
 
 

@@ -18,7 +18,7 @@ field ranges over the whole float range.
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -143,6 +143,11 @@ def test_accepted_scenarios_run_or_raise_numerical_domain(values):
     assert emit_report(rerun, "structured") == text
     assert emit_report(rerun, "table") == table
     if report.roc is not None:
-        assert len(roc_csv(report.roc).splitlines()) == len(report.roc) + 1
+        # The emitted report's checked curve and its points handed over unchecked
+        # give the same bytes.
+        csv = roc_csv(report.roc)
+        assert len(csv.splitlines()) == len(report.roc) + 1
+        assert csv == roc_csv(list(report.roc))
+        assert emit_report(replace(report, roc=list(report.roc)), "structured") == text
     assert 0.0 <= report.helstrom_error <= 0.5 + 1e-12
     assert not math.isnan(report.trace_distance)
