@@ -12,9 +12,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import channel, detector, linkbudget, metrics
-from .closed_form import born_pair
+from .closed_form import born_pair, born_pairs
 from .errors import ParseError, QIRadarError, ValidationError
-from .report import DetectionReport, emit_report, roc_csv
+from .report import DetectionReport, _Curve, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
 
 
@@ -53,9 +53,9 @@ def _run(scenario: Scenario) -> DetectionReport:
                                            scenario.trials, scenario.seed)
 
     roc = None
-    if scenario.roc_thresholds is not None:
-        roc = tuple(detector._roc_point(t, *born_pair(eta, p, t, 1.0))
-                    for t in scenario.roc_thresholds)  # Scenario has checked them
+    if (thresholds := scenario.roc_thresholds) is not None:  # Scenario has checked them
+        p_fa, p_d = zip(*born_pairs(eta, p, zip(thresholds, [1.0] * len(thresholds))))
+        roc = _Curve(detector._roc_points(thresholds, p_fa, p_d))  # checked as it is built
 
     link_result = None
     if scenario.link_budget is not None:

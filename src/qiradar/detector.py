@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +90,7 @@ class TrialOutcome:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True, slots=True)
-class RocPoint:
+class RocPoint(NamedTuple):
     """One operating point of the threshold sweep."""
 
     threshold: float
@@ -217,11 +217,15 @@ def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[
         projectors = _positive_eigenspace_projector(stack)
         p_fa = np.trace(projectors @ rho0.matrix, axis1=-2, axis2=-1).real
         p_d = np.trace(projectors @ rho1.matrix, axis1=-2, axis2=-1).real
-        points += [_roc_point(ti, float(fa), float(d))
-                   for ti, fa, d in zip(values[lo:lo + step], p_fa, p_d)]
+        points += _roc_points(values[lo:lo + step], p_fa.tolist(), p_d.tolist())
     return points
 
 
-def _roc_point(threshold: float, p_false_alarm: float, p_detection: float) -> RocPoint:
-    return RocPoint(threshold, clamp_unit(p_false_alarm, "false-alarm probability"),
-                    clamp_unit(p_detection, "detection probability"))
+def _roc_points(thresholds, *probabilities):
+    """RocPoints from three columns; a probability column inside [0, 1] passes as it is."""
+    columns = []
+    for values, what in zip(probabilities, ("false-alarm probability", "detection probability")):
+        if not (0.0 <= min(values) and max(values) <= 1.0 and not math.isnan(sum(values))):
+            values = [clamp_unit(v, what) for v in values]
+        columns.append(values)
+    return map(RocPoint, thresholds, *columns)

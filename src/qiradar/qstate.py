@@ -51,13 +51,15 @@ def _norm(amps: np.ndarray) -> float:
 
 
 def _checked_hermitian(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """The Hermitian part (A + A†)/2 of a square matrix or stack, which must be
-    finite and Hermitian within STATE_ATOL."""
+    """The Hermitian part (A + A†)/2 of a square matrix or stack, which must be finite and
+    Hermitian within STATE_ATOL. An A equal to A† (a real mix of stored states) is returned."""
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise NumericalDomain(f"{what} has a non-finite entry")
     adjoint = mat.conj().swapaxes(-1, -2)
+    if (mat == adjoint).all():
+        return mat
     if not (float(np.abs(mat - adjoint).max(initial=0.0)) <= STATE_ATOL):
         raise NumericalDomain(f"{what} is not Hermitian within {STATE_ATOL:g}")
     return (mat + adjoint) / 2.0

@@ -5,15 +5,16 @@ sort_keys=True)`` and a newline: sorted field names and full
 shortest-round-trip float precision, so two runs of the same scenario and seed
 are byte-identical, every numeric survives a parse round trip exactly (NaN
 and ±inf, which JSON cannot carry, raise DegenerateInput), and reports
-concatenate into JSON Lines. A report formats each ROC number once: the
-structured line and roc_csv share that text. The table format renders the same
-document for reading: its fields in document order, 6 significant digits.
+concatenate into JSON Lines. A report formats each ROC number once: the structured
+line's roc_thresholds echo and points and roc_csv share that text. The table format
+renders the same document for reading: its fields in document order, 6 significant digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
@@ -34,9 +35,9 @@ class DetectionReport:
 
     The effective phase and the three metrics pass the real-number gate. monte_carlo
     is detection_counts' (H0, H1) outcome pair; the report derives its error rate and
-    seed from it. roc has a point at each of scenario.roc_thresholds (None without them),
-    holding floats: the threshold and two probabilities. Sequences are stored as tuples;
-    a wrong type raises DegenerateInput.
+    seed from it. roc has a point at each of scenario.roc_thresholds, sign and all (None
+    without them), holding floats: the threshold and two probabilities. Sequences are
+    stored as tuples; a wrong type raises DegenerateInput.
     """
 
     scenario: Scenario
@@ -62,16 +63,19 @@ class DetectionReport:
             if not (isinstance(value, (list, tuple)) and all(map(kind.__instancecheck__, value))):
                 raise DegenerateInput(f"{name} must be a list or tuple of {kind.__name__}")
             object.__setattr__(self, name, tuple(value))
-        if self.roc is not None:
-            object.__setattr__(self, "roc", _checked_curve(self.roc, in_report=True))
-        thresholds = None if self.roc is None else tuple(map(attrgetter("threshold"), self.roc))
-        if thresholds != self.scenario.roc_thresholds:
+        roc = None if self.roc is None else _checked_curve(self.roc, in_report=True)
+        object.__setattr__(self, "roc", roc)
+        if _bits(roc and map(attrgetter("threshold"), roc)) != _bits(self.scenario.roc_thresholds):
             raise DegenerateInput("roc must have one point at each of scenario.roc_thresholds, "
                                   "in order, and be None when there are none")
         mc = self.monte_carlo
         if mc is not None and ([o.true_hypothesis for o in mc] != [HYPOTHESIS_H0, HYPOTHESIS_H1]
                                or mc[0].seed != mc[1].seed):
             raise DegenerateInput("monte_carlo must be the (H0, H1) outcome pair of one seed")
+
+
+def _bits(values) -> bytes | None:  # IEEE 754 bytes tell -0.0 from 0.0; None stays None
+    return None if values is None else array("d", values).tobytes()
 
 
 def _valid_point(p) -> bool:
@@ -83,13 +87,12 @@ def _valid_point(p) -> bool:
 
 
 class _Curve(tuple):
-    """ROC points that passed _valid_point, with each column's repr text built once:
-    the structured report and the CSV join the same strings."""
+    """Checked ROC points, with each column's repr text built once: the structured
+    report's echo and points and the CSV join the same strings."""
 
     @cached_property
-    def columns(self) -> tuple[list[str], list[str], list[str]]:
-        return tuple(list(map(repr, map(attrgetter(name), self)))
-                     for name in ROC_CSV_HEADER.split(","))
+    def columns(self) -> tuple[list[str], ...]:
+        return tuple(list(map(repr, column)) for column in zip(*self))
 
 
 def _checked_curve(points, in_report: bool = False) -> _Curve:
@@ -127,13 +130,13 @@ def report_to_dict(report: DetectionReport) -> dict:
     in this key order the rows of the table format."""
     doc = _document(report)
     if report.roc is not None:
-        doc["roc"] = [{"threshold": p.threshold, "p_false_alarm": p.p_false_alarm,
-                       "p_detection": p.p_detection} for p in report.roc]
+        doc["scenario"]["roc_thresholds"] = list(report.scenario.roc_thresholds)
+        doc["roc"] = [point._asdict() for point in report.roc]
     return doc
 
 
 def _document(report: DetectionReport) -> dict:
-    """report_to_dict's document with "roc" left None."""
+    """report_to_dict's document with "roc" and the scenario's "roc_thresholds" left None."""
     if not isinstance(report, DetectionReport):
         raise DegenerateInput(f"report must be a DetectionReport, got {type(report).__name__}")
     scenario, mc = report.scenario, report.monte_carlo
@@ -142,8 +145,7 @@ def _document(report: DetectionReport) -> dict:
         mc = {"empirical_error": outcome_error(h0, h1), "h0": _fields(h0, "seed"),
               "h1": _fields(h1, "seed"), "seed": h0.seed}
     return {
-        "scenario": {**_fields(scenario),
-                     "roc_thresholds": scenario.roc_thresholds and list(scenario.roc_thresholds),
+        "scenario": {**_fields(scenario), "roc_thresholds": None,
                      "link_budget": _fields(scenario.link_budget)},
         "phase_effective_rad": report.phase_effective_rad,
         "metrics": {
@@ -207,14 +209,16 @@ def emit_report(report: DetectionReport, format: str = "table") -> str:
         except ValueError as exc:  # NaN or ±inf, which only a hand-built record can hold
             raise DegenerateInput(f"report is not valid JSON: {exc}") from None
         if report.roc is not None:
-            # json.dumps of the point dicts, from the curve's cached text. Keys are sorted,
-            # and the scenario, versions and warnings after the top-level "roc" are checked
-            # records and strs (no JSON string holds an unescaped quote), so the last
-            # '"roc": null' is that key; an unchecked LinkBudgetResult comes before it.
+            # json.dumps of the threshold echo and the point dicts, from the curve's cached text.
+            # Keys are sorted and all after the top-level "roc" is checked (a JSON string has no
+            # unescaped quote), so the last '"roc_thresholds": null' is the scenario's and the
+            # last '"roc": null' before it is "roc"; a hand-built LinkBudgetResult comes first.
             points = ", ".join([f'{{"p_detection": {d}, "p_false_alarm": {fa}, "threshold": {t}}}'
                                 for t, fa, d in zip(*report.roc.columns)])
-            head, _, tail = text.rpartition('"roc": null')
-            text = f'{head}"roc": [{points}]{tail}'
+            echo = ", ".join(report.roc.columns[0])
+            head, _, tail = text.rpartition('"roc_thresholds": null')
+            head, _, middle = head.rpartition('"roc": null')
+            text = f'{head}"roc": [{points}]{middle}"roc_thresholds": [{echo}]{tail}'
         return text + "\n"
     if format == "table":
         return "\n".join(_table_lines(report_to_dict(report))) + "\n"

@@ -34,6 +34,7 @@ ValidationError naming the field.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -191,6 +192,8 @@ def _typed_value(key: str, text: str, line_no: int):
         return _number(key, text, line_no, int)
     if key != "roc_thresholds":
         return _number(key, text, line_no)
+    with suppress(ValueError):  # else name the empty entry or the non-number below
+        return tuple(map(float, text.split(",")))  # float() strips each token itself
     tokens = [tok.strip() for tok in text.split(",")]
     if not all(tokens):
         raise ParseError(f"line {line_no}: empty entry in list for {key!r}", line=line_no)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qiradar import detector, metrics, qstate
+from qiradar import report as report_module
 from qiradar.cli import main, run_scenario
 from qiradar.closed_form import born_pair
 from qiradar.detector import RocPoint, TrialOutcome, outcome_error
@@ -275,8 +276,11 @@ class TestReportSerialization:
         lambda r: {"scenario": replace(r.scenario, roc_thresholds=(0.0, 2.0))},
         lambda r: {"scenario": replace(r.scenario, roc_thresholds=None)},
         lambda r: {"roc": ()},
+        # The echo prints the curve's text, so a threshold must match to the sign.
+        lambda r: {"roc": (r.roc[0]._replace(threshold=-0.0), r.roc[1])},
+        lambda r: {"scenario": replace(r.scenario, roc_thresholds=(-0.0, 1.0))},
     ], ids=["reversed", "short", "long", "dropped", "moved", "other-scenario", "no-thresholds",
-            "empty"])
+            "empty", "signed-zero-point", "signed-zero-scenario"])
     def test_roc_matches_its_scenarios_thresholds(self, fields):
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
         with pytest.raises(DegenerateInput, match="one point at each of scenario.roc_thresholds"):
@@ -289,11 +293,14 @@ class TestReportSerialization:
         assert roc_csv(report.roc).splitlines()[1:] == [
             "-0.0,1.0,1.0", "0.0,1.0,1.0", "0.0,1.0,1.0",
             "1.0,0.20960185462869285,0.5855475646954656", "1e+308,0.0,0.0"]
+        text = emit_report(report, "structured")
+        assert '"roc_thresholds": [-0.0, 0.0, 0.0, 1.0, 1e+308]' in text
+        assert text.count('"threshold": -0.0') == 1
         assert_one_rendering(report)
 
     def test_roc_edge_values_render_once_in_hand_built_reports(self):
         report = run_doc(EDGE_ROC_DOC)
-        clamped = detector._roc_point(0.0, 1.0 + 2**-52, 1.0 + 2**-52)
+        [clamped] = detector._roc_points((0.0,), (1.0 + 2**-52,), (1.0 + 2**-52,))
         edges = [RocPoint(-0.0, 0.0, 1.0), RocPoint(0.0, 5e-324, 1.0), clamped,
                  RocPoint(1.0, 1.0, 0.0), RocPoint(1e308, 0.0, 0.0)]
         rebuilt = replace(report, roc=edges)
@@ -308,6 +315,35 @@ class TestReportSerialization:
         fresh = replace(report, roc=tuple(edges))
         assert roc_csv(fresh.roc) == roc_csv(rebuilt.roc)
         assert emit_report(fresh, "structured") == emit_report(rebuilt, "structured")
+
+    def test_threshold_echo_splice_ignores_look_alike_text(self):
+        # The echo's text is spliced in at the last '"roc_thresholds": null'; a
+        # hand-built LinkBudgetResult comes before it and a warning is escaped.
+        report = run_doc(EDGE_ROC_DOC)
+        for snr in ({"roc_thresholds": None, "roc": None}, '"roc_thresholds": null'):
+            assert_one_rendering(replace(report, link_budget=LinkBudgetResult(snr=snr),
+                                         warnings=['"roc_thresholds": null', '"roc": null']))
+
+    def test_pipeline_curve_is_checked_once(self, monkeypatch):
+        # run_scenario builds the report's checked curve from checked thresholds and
+        # clamped probabilities, so _valid_point does not run on it again.
+        def forbidden(point):
+            raise AssertionError("the pipeline's curve was checked twice")
+
+        monkeypatch.setattr(report_module, "_valid_point", forbidden)
+        report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
+        assert type(report.roc) is report_module._Curve
+        assert roc_csv(report.roc).count("\n") == 3
+
+    def test_a_plain_tuple_is_not_a_roc_point(self):
+        # RocPoint is a NamedTuple and compares equal to a plain tuple of its floats.
+        point = (0.5, 0.5, 0.5)
+        assert RocPoint(*point) == point and not report_module._valid_point(point)
+        report = run_doc(ANCHOR_DOC + "roc_thresholds = 0.5\n")
+        with pytest.raises(DegenerateInput, match="roc must be a list or tuple of RocPoint"):
+            replace(report, roc=[point])
+        with pytest.raises(DegenerateInput, match="points must be valid RocPoints, got tuple"):
+            roc_csv([point])
 
     @pytest.mark.parametrize("fields, match", [
         (lambda r: {"monte_carlo": (1, 2)}, "monte_carlo must be a list or tuple of TrialOutcome"),

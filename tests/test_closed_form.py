@@ -26,9 +26,11 @@ import numpy as np
 import pytest
 
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
+from qiradar.cli import run_scenario
 from qiradar.closed_form import born_pair
 from qiradar.detector import TIE_ATOL, born_probability, helstrom_measurement, roc_sweep
-from qiradar.metrics import FVG_ATOL, distinguishability
+from qiradar.metrics import FVG_ATOL, clamp_unit, distinguishability
+from qiradar.scenario import Scenario
 
 ATOL = 1e-12
 
@@ -192,6 +194,19 @@ def test_born_pair_matches_the_oracle():
             expected = (model.born(projector, model.rho0), model.born(projector, model.rho1))
             got = born_pair(eta, p, w0, w1)
             assert max(abs(g - e) for g, e in zip(got, expected)) <= ATOL, (eta, p, w0, w1)
+
+
+def test_pipeline_roc_is_born_pair_bit_for_bit():
+    # run_scenario sweeps with born_pairs, which forms the (η, p) constants once;
+    # each point must still be born_pair's (clamped to [0, 1]) to the last bit,
+    # at the crossings and at the tie t = 1 − η too.
+    rng = np.random.default_rng(7)
+    for eta, p, phi, _ in grid():
+        ts = sorted({*thresholds(Model(eta, p, phi), rng), 1.0 - eta})
+        roc = run_scenario(Scenario(phase_rad=phi, reflectivity=eta, noise_excitation=p,
+                                    roc_thresholds=ts)).roc
+        expected = [(t, *(clamp_unit(x, "") for x in born_pair(eta, p, t, 1.0))) for t in ts]
+        assert np.array(roc).tobytes() == np.array(expected).tobytes(), (eta, p)
 
 
 ULP_1 = 2.0**-52

@@ -10,6 +10,7 @@ from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hyp
 from qiradar.detector import (
     MAX_TRIALS,
     BinaryMeasurement,
+    RocPoint,
     TrialOutcome,
     born_probability,
     detection_counts,
@@ -359,6 +360,25 @@ class TestRocSweep:
 
     def test_no_thresholds_give_no_points(self):
         assert roc_sweep(KET0, KET1, []) == []
+
+    def test_roc_points_clamp_each_probability_column(self):
+        # A column inside [0, 1] passes as it is; any other goes through clamp_unit.
+        points = list(detector._roc_points((0.5, 1.0), (1.0 + 2**-52, 0.25), (-5e-324, -0.0)))
+        assert points == [RocPoint(0.5, 1.0, 0.0), RocPoint(1.0, 0.25, -0.0)]
+        assert math.copysign(1.0, points[1].p_detection) == -1.0
+        for column in ([0.5, math.nan], [math.nan, 0.5], [0.5, 1.5], [-1e-6, 0.5]):
+            with pytest.raises(NumericalDomain, match="false-alarm probability"):
+                detector._roc_points((0.5, 1.0), column, (0.5, 0.5))
+            with pytest.raises(NumericalDomain, match="detection probability"):
+                detector._roc_points((0.5, 1.0), (0.5, 0.5), column)
+
+    def test_roc_point_is_an_immutable_named_tuple(self):
+        point = RocPoint(0.5, 0.25, 0.75)
+        assert RocPoint._fields == ("threshold", "p_false_alarm", "p_detection")
+        assert (point.threshold, point.p_false_alarm, point.p_detection) == (0.5, 0.25, 0.75)
+        assert tuple(point) == (0.5, 0.25, 0.75)
+        with pytest.raises(AttributeError):
+            point.threshold = 1.0
 
     @pytest.mark.parametrize("entries", [1 << 16, 48, 80, 1])  # 6, 3, 5, 1 thresholds per stack
     def test_stacked_sweep_equals_the_per_threshold_loop(self, entries, monkeypatch):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_pure
+from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
 from qiradar.qstate import (
     DensityOperator,
     PureState,
+    _checked_hermitian,
     bell_phi_plus,
     density_from_pure,
     eigendecompose_hermitian,
@@ -259,6 +261,35 @@ class TestEigendecomposeHermitian:
         for shape in ((4,), (2, 3), (5, 2, 3)):
             with pytest.raises(DimensionMismatch):
                 eigendecompose_hermitian(np.zeros(shape))
+
+
+class TestCheckedHermitian:
+    @staticmethod
+    def hermitian_part(mat):
+        return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+
+    def test_combinations_of_stored_states_come_back_bit_for_bit(self):
+        # What the pipeline decomposes: the model's states, their differences at the
+        # priors and ROC stacks, and perturbed random states. Each equals its adjoint,
+        # is returned as it is, and holds the same bits as (A + A†)/2.
+        rng = np.random.default_rng(31)
+        pairs = [(hypothesis_h0(p), hypothesis_h1(TargetParams(phi, eta, p)))
+                 for eta in (0.0, 0.35, 1.0) for p in (0.0, 1e-7, 0.5) for phi in (0.0, 1.0, 4.0)]
+        pairs += [(random_density(rng, 4), random_density(rng, 4)) for _ in range(10)]
+        ts = np.array([0.0, 0.4, 1.0, 8.0, 1e6])
+        for rho0, rho1 in pairs:
+            for mat in (rho0.matrix, rho1.matrix, rho0.matrix - rho1.matrix,
+                        0.3 * rho1.matrix - 0.7 * rho0.matrix,
+                        rho1.matrix - ts[:, None, None] * rho0.matrix):
+                assert _checked_hermitian(mat) is mat
+                assert mat.tobytes() == self.hermitian_part(mat).tobytes()
+
+    def test_small_asymmetry_is_symmetrised(self):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = 1e-12
+        got = _checked_hermitian(m)
+        assert np.array_equal(got, self.hermitian_part(m))
+        assert np.array_equal(got, got.conj().T) and got[0, 1] == 5e-13
 
 
 class TestSqrtPsd:

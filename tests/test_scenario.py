@@ -136,8 +136,22 @@ class TestParseErrors:
             parse_with("trials = 2.5\n")
 
     def test_empty_list_entry(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 4: empty entry in list for 'roc_thresholds'"):
             parse_with("roc_thresholds = 0,,1\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("0, 1,", "line 4: empty entry in list for 'roc_thresholds'"),
+        ("0, fast, 1", "line 4: value for 'roc_thresholds' is not a number: 'fast'"),
+        ("0, 1 2", "line 4: value for 'roc_thresholds' is not a number: '1 2'"),
+    ])
+    def test_threshold_list_errors_name_the_entry(self, value, message):
+        with pytest.raises(ParseError) as err:
+            parse_with(f"roc_thresholds = {value}\n")
+        assert str(err.value) == message and err.value.line == 4
+
+    def test_threshold_list_tokens_are_stripped_floats(self):
+        assert parse_with("roc_thresholds = 0 ,\t1.5,  2e0 , 1_0\n").roc_thresholds == (
+            0.0, 1.5, 2.0, 10.0)
 
     def test_unknown_link_budget_subkey(self):
         with pytest.raises(ParseError):
