@@ -54,8 +54,8 @@ def _run(scenario: Scenario) -> DetectionReport:
 
     roc = None
     if (thresholds := scenario.roc_thresholds) is not None:  # Scenario has checked them
-        p_fa, p_d = zip(*born_pairs(eta, p, zip(thresholds, [1.0] * len(thresholds))))
-        roc = _Curve(detector._roc_points(thresholds, p_fa, p_d))  # checked as it is built
+        columns = born_pairs(eta, p, thresholds)
+        roc = _Curve(detector._roc_points(thresholds, *columns))  # checked as it is built
 
     link_result = None
     if scenario.link_budget is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -191,7 +192,9 @@ def _check_thresholds(thresholds) -> list[float]:
     try:
         if isinstance(thresholds, (str, bytes, bytearray)):  # would iterate per character
             raise TypeError
-        values = [_real("threshold", t) for t in thresholds]
+        values = list(thresholds)
+        if not ({*map(type, values)} <= {float} and math.isfinite(sum(values))):
+            values = [_real("threshold", t) for t in values]  # converts, or names the culprit
     except TypeError:  # not iterable, a 0-d array among them
         raise DegenerateInput(f"thresholds must be a list of numbers, got {thresholds!r}") from None
     if values and min(values) < 0.0:
@@ -228,4 +231,4 @@ def _roc_points(thresholds, *probabilities):
         if not (0.0 <= min(values) and max(values) <= 1.0 and not math.isnan(sum(values))):
             values = [clamp_unit(v, what) for v in values]
         columns.append(values)
-    return map(RocPoint, thresholds, *columns)
+    return map(tuple.__new__, repeat(RocPoint), zip(thresholds, *columns))  # RocPoint._make

@@ -34,6 +34,7 @@ ValidationError naming the field.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -154,7 +155,7 @@ class Scenario:
         name = "roc_thresholds"
         thresholds = tuple(_checked(name, _check_thresholds, self.roc_thresholds))
         _require(len(thresholds) > 0, name, "roc_thresholds must not be empty")
-        _require(all(a <= b for a, b in zip(thresholds, thresholds[1:])), name,
+        _require(all(map(operator.le, thresholds, thresholds[1:])), name,
                  "roc_thresholds must be in ascending order")
         _set(self, name, thresholds)
 

@@ -1,7 +1,10 @@
-"""Shared random-object builders for the test suite."""
+"""Shared random-object builders and references for the test suite."""
+
+import math
 
 import numpy as np
 
+from qiradar.closed_form import TIE_ATOL
 from qiradar.qstate import DensityOperator, PureState
 
 
@@ -25,3 +28,34 @@ def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(g)
     return q
+
+
+def unstopped_born_pair(eta, p, w0, w1):
+    """closed_form.born_pair with no zero-tail exit: every point goes through the whole
+    formula, in the package's operation order, so the bits of a stopped sweep can be
+    checked against it."""
+    a, b = (1.0 - p) / 2.0, p / 2.0
+    fa, fb = (1.0 - eta) * a, (1.0 - eta) * b
+    y11, y22 = eta / 2.0 + fa, eta / 2.0 + fb
+    s = math.fsum((w1, -w0, -w1 * eta))
+    c, d = w1 * eta / 2.0, s * (a - b) / 2.0
+    m, r = c + s / 4.0, math.hypot(d, c)
+    big = m + math.copysign(r, m)
+    small = s * (c / 2.0 + s * a * b) / big if big else 0.0
+    upper, lower = (big, small) if big > 0.0 else (small, big)
+    if upper <= TIE_ATOL:
+        p_h0 = p_h1 = 0.0
+    elif lower > TIE_ATOL:
+        p_h0, p_h1 = 0.5, y11 + y22
+    else:
+        k = c / (2.0 * r)
+        if d >= 0.0:
+            p11, p22 = (r + d) / (2.0 * r), k * c / (r + d)
+        else:
+            p11, p22 = k * c / (r - d), (r - d) / (2.0 * r)
+        p_h0, p_h1 = a * p11 + b * p22, y11 * p11 + y22 * p22 + k * eta
+    if s * a > TIE_ATOL:
+        p_h0, p_h1 = p_h0 + a, p_h1 + fa
+    if s * b > TIE_ATOL:
+        p_h0, p_h1 = p_h0 + b, p_h1 + fb
+    return p_h0, p_h1

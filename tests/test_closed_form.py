@@ -24,10 +24,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import unstopped_born_pair
 
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import run_scenario
-from qiradar.closed_form import born_pair
+from qiradar.closed_form import born_pair, born_pairs
 from qiradar.detector import TIE_ATOL, born_probability, helstrom_measurement, roc_sweep
 from qiradar.metrics import FVG_ATOL, clamp_unit, distinguishability
 from qiradar.scenario import Scenario
@@ -196,17 +197,54 @@ def test_born_pair_matches_the_oracle():
             assert max(abs(g - e) for g, e in zip(got, expected)) <= ATOL, (eta, p, w0, w1)
 
 
+def ulp_neighbours(t, k=4):
+    """t and the k floats on either side of it that are >= 0."""
+    below, above = [t], [t]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return [x for x in below + above[1:] if x >= 0.0]
+
+
 def test_pipeline_roc_is_born_pair_bit_for_bit():
-    # run_scenario sweeps with born_pairs, which forms the (η, p) constants once;
-    # each point must still be born_pair's (clamped to [0, 1]) to the last bit,
-    # at the crossings and at the tie t = 1 − η too.
+    # run_scenario sweeps with born_pairs, which forms the (η, p) constants once and
+    # stops at the zero tail past the last crossing t₊; each point must still be
+    # born_pair's (clamped to [0, 1]) to the last bit, at the crossings, a few ulp
+    # either side of t₊, at the tie t = 1 − η, at huge and repeated thresholds, and
+    # at p = 0 (where there is no tail), p = 5e-324 and η = 0.
     rng = np.random.default_rng(7)
-    for eta, p, phi, _ in grid():
-        ts = sorted({*thresholds(Model(eta, p, phi), rng), 1.0 - eta})
-        roc = run_scenario(Scenario(phase_rad=phi, reflectivity=eta, noise_excitation=p,
-                                    roc_thresholds=ts)).roc
-        expected = [(t, *(clamp_unit(x, "") for x in born_pair(eta, p, t, 1.0))) for t in ts]
-        assert np.array(roc).tobytes() == np.array(expected).tobytes(), (eta, p)
+    edges = [(eta, p, 0.5, None) for eta in (0.0, 0.35, 0.6, 1.0) for p in (0.0, 5e-324)]
+    edges += [(0.0, p, 1.0, None) for p in (1e-7, 0.2, 0.5, 0.97)]
+    for eta, p, phi, _ in grid() + edges:
+        model = Model(eta, p, phi)
+        ts = [*thresholds(model, rng), 1.0 - eta, *ulp_neighbours(max(model.crossings())),
+              1e16, 1e300, 1e308]
+        ts = sorted(ts + ts[::4])  # every fourth threshold twice
+        roc = np.array(run_scenario(Scenario(phase_rad=phi, reflectivity=eta,
+                                             noise_excitation=p, roc_thresholds=ts)).roc)
+        for point in born_pair, unstopped_born_pair:
+            expected = [(t, *(clamp_unit(x, "") for x in point(eta, p, t, 1.0))) for t in ts]
+            assert roc.tobytes() == np.array(expected).tobytes(), (eta, p, point.__name__)
+
+
+def test_sweep_stops_at_the_first_tail_point():
+    # η = p = 1/2: the crossings are 1 − η = 0.5 and t₊ = 2.5, where q = c/2 + s·a·b is
+    # exactly 0. The first threshold past t₊ is the first tail point: born_pairs takes
+    # it from the list and no further one, and fills the rest with (0, 0).
+    class Counted(list):
+        taken = 0
+
+        def __iter__(self):
+            for item in super().__iter__():
+                self.taken += 1
+                yield item
+
+    assert max(Model(0.5, 0.5, 0.0).crossings()) == 2.5
+    ts = Counted([0.0, 0.5, 1.0, 2.0, 2.5, math.nextafter(2.5, 3.0), 3.0, 8.0, 1e308])
+    p_fa, p_d = born_pairs(0.5, 0.5, ts)
+    assert ts.taken == 6
+    assert list(zip(p_fa, p_d)) == [unstopped_born_pair(0.5, 0.5, t, 1.0) for t in ts]
+    assert p_fa[3] > 0.0 and p_d[3] > 0.0 and p_fa[4:] == p_d[4:] == [0.0] * 5
 
 
 ULP_1 = 2.0**-52

@@ -353,6 +353,23 @@ class TestRocSweep:
             with pytest.raises(DegenerateInput, match="got " + re.escape(repr(bad[-1]))):
                 roc_sweep(KET0, KET1, bad)
 
+    def test_threshold_gate_takes_each_list_as_before(self):
+        # A list of floats with a finite sum passes in one C-level check; any other
+        # list goes entry by entry, with the same values and the same messages.
+        assert detector._check_thresholds((1e308, 1e308)) == [1e308, 1e308]  # sum overflows
+        [zero] = detector._check_thresholds([-0.0])
+        assert math.copysign(1.0, zero) == -1.0
+        values = detector._check_thresholds([0.5, np.float64(2.0), 3])
+        assert values == [0.5, 2.0, 3.0] and {type(v) for v in values} == {float}
+        for bad, message in (([0.5, math.nan], "threshold must be finite, got nan"),
+                             ([math.inf, -math.inf], "threshold must be finite, got inf"),
+                             ([np.float64(math.nan)], f"finite, got {np.float64(math.nan)!r}"),
+                             ([0.5, True], "threshold must be a real number, got True"),
+                             ([1e308, -1e308], "thresholds must be >= 0, got -1e+308"),
+                             ([1e308, 1e308, -1.0], "thresholds must be >= 0, got -1.0")):
+            with pytest.raises(DegenerateInput, match=re.escape(message)):
+                detector._check_thresholds(bad)
+
     def test_non_iterable_thresholds_rejected(self):
         for bad in (5, 0.5, None, "123", b"12"):
             with pytest.raises(DegenerateInput, match="got " + re.escape(repr(bad))):

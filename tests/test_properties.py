@@ -10,6 +10,8 @@
   json.dumps(report_to_dict(report), sort_keys=True) + "\n", and it parses
   back to that document, whose scenario block rebuilds an equal Scenario
   that reruns to the same structured and table bytes.
+* Every accepted Scenario's ROC, over any sorted thresholds, is born_pair's
+  point by point (clamped), to the last bit.
 
 Examples are derandomized and bounded so the suite stays fast and
 reproducible. Trial counts are kept small only for run time; every other
@@ -18,14 +20,18 @@ field ranges over the whole float range.
 
 import json
 import math
+import struct
 from dataclasses import fields, replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import unstopped_born_pair
 
 from qiradar.cli import run_scenario
+from qiradar.closed_form import born_pair
 from qiradar.errors import NumericalDomain, ParseError, ValidationError
 from qiradar.linkbudget import LinkBudgetInputs
+from qiradar.metrics import clamp_unit
 from qiradar.report import emit_report, report_to_dict, roc_csv
 from qiradar.scenario import KNOWN_KEYS, Scenario, parse_scenario
 
@@ -151,3 +157,34 @@ def test_accepted_scenarios_run_or_raise_numerical_domain(values):
         assert emit_report(replace(report, roc=list(report.roc)), "structured") == text
     assert 0.0 <= report.helstrom_error <= 0.5 + 1e-12
     assert not math.isnan(report.trace_distance)
+
+
+@st.composite
+def sorted_thresholds(draw):
+    """Non-descending thresholds: small and huge values, -0.0, and repeats."""
+    values = draw(st.lists(st.one_of(st.floats(0.0, 8.0), positive,
+                                     st.sampled_from([-0.0, 0.0, 1e16, 1e300, 1e308])),
+                           min_size=1, max_size=30))
+    return sorted(values + draw(st.lists(st.sampled_from(values), max_size=5)))
+
+
+@BOUNDED
+@given(plausible_scenarios(), sorted_thresholds())
+def test_pipeline_roc_is_born_pair_on_every_sorted_sweep(values, thresholds):
+    # The sweep's zero tail must not change a bit of any point: each point of the
+    # run_scenario ROC is born_pair's at that threshold, clamped to [0, 1].
+    values.pop("link_budget", None)
+    try:
+        scenario = Scenario(**{**values, "roc_thresholds": thresholds})
+    except ValidationError:
+        return
+    eta, p = scenario.reflectivity, scenario.noise_excitation
+    got = ieee_bytes(run_scenario(scenario).roc)
+    for point in born_pair, unstopped_born_pair:
+        expected = [(t, *(clamp_unit(x, "") for x in point(eta, p, t, 1.0)))
+                    for t in scenario.roc_thresholds]
+        assert got == ieee_bytes(expected), point.__name__
+
+
+def ieee_bytes(points) -> bytes:
+    return struct.pack(f"{3 * len(points)}d", *(x for point in points for x in point))

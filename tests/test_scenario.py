@@ -331,6 +331,11 @@ class TestDirectConstruction:
             Scenario(**DIRECT, roc_thresholds=thresholds)
         assert err.value.field == "roc_thresholds"
 
+    def test_thresholds_keep_their_bits(self):
+        # 1e308 + 1e308 overflows, so this list is gated entry by entry; -0.0 keeps its sign.
+        thresholds = Scenario(**DIRECT, roc_thresholds=[-0.0, 1e308, 1e308]).roc_thresholds
+        assert thresholds == (0.0, 1e308, 1e308) and math.copysign(1.0, thresholds[0]) == -1.0
+
     def test_values_are_normalized(self):
         scenario = Scenario(phase_rad=1, reflectivity=1, noise_excitation=0,
                             roc_thresholds=[0, 1], prior_h0=1, prior_h1=0)
