@@ -14,7 +14,6 @@ from .detector import (
     TrialOutcome,
     born_probability,
     detection_counts,
-    empirical_error,
     helstrom_measurement,
     measurement_error,
     roc_sweep,

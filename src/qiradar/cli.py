@@ -54,8 +54,7 @@ def _run(scenario: Scenario) -> DetectionReport:
 
     roc = None
     if (thresholds := scenario.roc_thresholds) is not None:  # Scenario has checked them
-        columns = born_pairs(eta, p, thresholds)
-        roc = _Curve(detector._roc_points(thresholds, *columns))  # checked as it is built
+        roc = _Curve.of_columns(thresholds, *born_pairs(eta, p, thresholds))  # checked as it is built
 
     link_result = None
     if scenario.link_budget is not None:

@@ -3,7 +3,8 @@
 The optimal (Helstrom) test decides H1 exactly on the strictly positive
 eigenspace of π₁ρ₁ − π₀ρ₀. Eigenvalues within 1e-10 of zero side with H0,
 the conservative "no target" call; the tie assignment does not change the
-error probability.
+error probability. roc_sweep runs the same test on ρ₁ − t·ρ₀ at each threshold
+t; these generic tests are the reference for the pipeline's closed_form.
 
 Reproducible Monte Carlo
 ------------------------
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,6 @@ MAX_SEED = 2**64 - 1
 MAX_TRIALS = 10**9     # the longest Monte Carlo run; one binomial draw each way, well under 1 ms
 
 PROJECTOR_ATOL = 1e-8  # idempotency tolerance; hermiticity uses STATE_ATOL
-ROC_STACK_ENTRIES = 1 << 16  # matrix entries per stacked ROC eigensolve: ~1 MB per scratch array
 
 HYPOTHESIS_H0 = "H0"
 HYPOTHESIS_H1 = "H1"
@@ -100,11 +99,11 @@ class RocPoint(NamedTuple):
 
 
 def _positive_eigenspace_projector(matrix: np.ndarray) -> np.ndarray:
-    """Projector onto the strictly positive (λ > 1e-10) eigenspace, per stack member."""
+    """Projector onto the strictly positive (λ > 1e-10) eigenspace of a Hermitian matrix."""
     eigenvalues, eigenvectors = eigendecompose_hermitian(matrix)
-    columns = eigenvectors * (eigenvalues > TIE_ATOL)[..., None, :]
-    projector = columns @ columns.conj().swapaxes(-1, -2)
-    return (projector + projector.conj().swapaxes(-1, -2)) / 2.0
+    columns = eigenvectors * (eigenvalues > TIE_ATOL)
+    projector = columns @ columns.conj().T
+    return (projector + projector.conj().T) / 2.0
 
 
 def helstrom_measurement(rho0: DensityOperator, rho1: DensityOperator,
@@ -143,15 +142,20 @@ def _check_seed(seed) -> int:
     return _check_integer("seed", seed, 0, MAX_SEED)
 
 
+def split_trials(prior_h0: float, trials: int) -> tuple[int, int]:
+    """The (H0, H1) trial counts of a run: floor(π₀·trials) under H0, the rest under H1."""
+    n_h0 = math.floor(prior_h0 * trials)
+    return n_h0, trials - n_h0
+
+
 def draw_counts(born, prior_h0: float, trials: int, seed: int) -> tuple[TrialOutcome, TrialOutcome]:
     """The (H0, H1) outcome pair of a test that decides H1 with probability born[k]
-    under hypothesis k: floor(π₀·trials) trials under H0 and the rest under H1 (a side
-    with none counts zero), each count one binomial draw from the stream (seed, tag)."""
+    under hypothesis k: split_trials' counts (a side with none counts zero), each
+    count one binomial draw from the stream (seed, tag)."""
     trials = _check_integer("trials", trials, 1, MAX_TRIALS)
     seed = _check_seed(seed)
-    n_h0 = math.floor(prior_h0 * trials)
     outcomes = []
-    for hypothesis, n, p in zip((HYPOTHESIS_H0, HYPOTHESIS_H1), (n_h0, trials - n_h0), born):
+    for hypothesis, n, p in zip((HYPOTHESIS_H0, HYPOTHESIS_H1), split_trials(prior_h0, trials), born):
         stream = np.random.SeedSequence((seed, _STREAM_TAG[hypothesis]))
         decide_h1 = int(np.random.Generator(np.random.PCG64(stream)).binomial(
             n, clamp_unit(p, "Born probability")))
@@ -166,16 +170,6 @@ def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trial
     m = helstrom_measurement(rho0, rho1, priors)  # checks the dimensions and the priors
     born = (born_probability(m, rho0), born_probability(m, rho1))
     return draw_counts(born, check_priors(priors)[0], trials, seed)
-
-
-def empirical_error(rho0: DensityOperator, rho1: DensityOperator, priors, trials: int,
-                    seed: int) -> float:
-    """Empirical error rate of the Helstrom test over ``trials`` trials.
-
-    False alarms under H0 plus misses under H1, divided by the total trial
-    count; converges to helstrom_error as trials grows.
-    """
-    return outcome_error(*detection_counts(rho0, rho1, priors, trials, seed))
 
 
 def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
@@ -203,32 +197,16 @@ def _check_thresholds(thresholds) -> list[float]:
 
 
 def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[RocPoint]:
-    """Quantum Neyman-Pearson sweep.
+    """Quantum Neyman-Pearson sweep, one threshold test at a time.
 
     For each threshold t the test decides H1 on the strictly positive
-    eigenspace of ρ₁ − t·ρ₀; the point records (t, Tr(P·ρ₀), Tr(P·ρ₁)).
-    The t = 1 point coincides with the equal-prior Helstrom test. One
-    stacked eigensolve serves up to ROC_STACK_ENTRIES / d² thresholds.
+    eigenspace of ρ₁ − t·ρ₀, as helstrom_measurement does for π₁ρ₁ − π₀ρ₀;
+    the point records (t, Tr(P·ρ₀), Tr(P·ρ₁)). The t = 1 point coincides with
+    the equal-prior Helstrom test. Each test holds one d×d projector.
     """
     _require_same_dims(rho0, rho1)
-    values = _check_thresholds(thresholds)
-    t = np.array(values, dtype=float)
-    step = max(1, ROC_STACK_ENTRIES // rho0.matrix.size)
     points = []
-    for lo in range(0, t.size, step):
-        stack = rho1.matrix - t[lo:lo + step, None, None] * rho0.matrix
-        projectors = _positive_eigenspace_projector(stack)
-        p_fa = np.trace(projectors @ rho0.matrix, axis1=-2, axis2=-1).real
-        p_d = np.trace(projectors @ rho1.matrix, axis1=-2, axis2=-1).real
-        points += _roc_points(values[lo:lo + step], p_fa.tolist(), p_d.tolist())
+    for t in _check_thresholds(thresholds):
+        m = BinaryMeasurement(_positive_eigenspace_projector(rho1.matrix - t * rho0.matrix))
+        points.append(RocPoint(t, born_probability(m, rho0), born_probability(m, rho1)))
     return points
-
-
-def _roc_points(thresholds, *probabilities):
-    """RocPoints from three columns; a probability column inside [0, 1] passes as it is."""
-    columns = []
-    for values, what in zip(probabilities, ("false-alarm probability", "detection probability")):
-        if not (0.0 <= min(values) and max(values) <= 1.0 and not math.isnan(sum(values))):
-            values = [clamp_unit(v, what) for v in values]
-        columns.append(values)
-    return map(tuple.__new__, repeat(RocPoint), zip(thresholds, *columns))  # RocPoint._make

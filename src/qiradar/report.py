@@ -18,12 +18,14 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from operator import attrgetter
 
-from .detector import HYPOTHESIS_H0, HYPOTHESIS_H1, RocPoint, TrialOutcome, outcome_error
+from .detector import (HYPOTHESIS_H0, HYPOTHESIS_H1, RocPoint, TrialOutcome, outcome_error,
+                       split_trials)
 from .errors import DegenerateInput, _real
 from .linkbudget import LinkBudgetResult
+from .metrics import clamp_unit
 from .scenario import Scenario
 
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
@@ -34,10 +36,12 @@ class DetectionReport:
     """Everything computed for one scenario.
 
     The effective phase and the three metrics pass the real-number gate. monte_carlo
-    is detection_counts' (H0, H1) outcome pair; the report derives its error rate and
-    seed from it. roc has a point at each of scenario.roc_thresholds, sign and all (None
-    without them), holding floats: the threshold and two probabilities. Sequences are
-    stored as tuples; a wrong type raises DegenerateInput.
+    is the scenario's (H0, H1) outcome pair as draw_counts makes it: None when
+    scenario.trials is 0, else of scenario.seed with split_trials' counts. The report
+    derives its error rate and seed from it. roc has a point at each of
+    scenario.roc_thresholds, sign and all (None without them), holding floats: the
+    threshold and two probabilities. Sequences are stored as tuples; a wrong type
+    raises DegenerateInput.
     """
 
     scenario: Scenario
@@ -72,6 +76,11 @@ class DetectionReport:
         if mc is not None and ([o.true_hypothesis for o in mc] != [HYPOTHESIS_H0, HYPOTHESIS_H1]
                                or mc[0].seed != mc[1].seed):
             raise DegenerateInput("monte_carlo must be the (H0, H1) outcome pair of one seed")
+        s = self.scenario
+        want = (s.seed, split_trials(s.prior_h0, s.trials)) if s.trials else None
+        if (mc and (mc[0].seed, (mc[0].trials, mc[1].trials))) != want:
+            raise DegenerateInput("monte_carlo must be the scenario's: None without trials, "
+                                  "else its seed and its trials split by prior_h0")
 
 
 def _bits(values) -> bytes | None:  # IEEE 754 bytes tell -0.0 from 0.0; None stays None
@@ -89,6 +98,16 @@ def _valid_point(p) -> bool:
 class _Curve(tuple):
     """Checked ROC points, with each column's repr text built once: the structured
     report's echo and points and the CSV join the same strings."""
+
+    @classmethod
+    def of_columns(cls, thresholds, p_fa, p_d) -> _Curve:
+        """A curve of checked thresholds; a probability column outside [0, 1] is clamped."""
+        checked = []
+        for values, what in zip((p_fa, p_d), ("false-alarm probability", "detection probability")):
+            if not (0.0 <= min(values) and max(values) <= 1.0 and not math.isnan(sum(values))):
+                values = [clamp_unit(v, what) for v in values]
+            checked.append(values)
+        return cls(map(tuple.__new__, repeat(RocPoint), zip(thresholds, *checked)))  # _make
 
     @cached_property
     def columns(self) -> tuple[list[str], ...]:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
+from qiradar.channel import apply_signal_phase
 from qiradar.closed_form import TIE_ATOL
-from qiradar.qstate import DensityOperator, PureState
+from qiradar.qstate import DensityOperator, PureState, bell_phi_plus, density_from_pure
 
 
 def random_density(rng, dim, dims=None):
@@ -21,6 +22,12 @@ def random_pure(rng, dims):
     dim = int(np.prod(dims))
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(amps / np.linalg.norm(amps), tuple(dims))
+
+
+def pure_pair(phi):
+    """The Bell pair and its copy with phase phi on the signal, as density operators."""
+    psi = bell_phi_plus()
+    return density_from_pure(psi), density_from_pure(apply_signal_phase(psi, phi))
 
 
 def random_unitary(rng, dim):

@@ -1,0 +1,116 @@
+"""Checks that can fail: each mutant breaks src/ on purpose, and tier-1 must fail on it.
+
+    python tests/mutants.py
+
+Run from the root of a checkout. For each entry the script copies src/ to a temporary
+directory, replaces the entry's old text (which must occur exactly once in its file, or
+the entry is stale) with its new text, and runs tier-1 against that copy with -x. A
+mutant passes the check when the run reports a failing test; one the suite passes
+survives, and the script exits 1. The unmutated copy must pass first, so a broken
+harness cannot look like a killed mutant. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str  # under src/qiradar
+    old: str
+    new: str
+    why: str
+
+
+MUTANTS = (
+    Mutant("closed_form.py", "big = m + math.copysign(r, m)", "big = m + r",
+           "the block eigenvalue farther from 0 loses its sign"),
+    Mutant("closed_form.py", "s = math.fsum((w1, -w0, minus_w1_eta))",
+           "s = w1 - w0 + minus_w1_eta", "s rounded twice instead of once"),
+    Mutant("closed_form.py", "if s < 0.0 and m < 0.0 and q < 0.0:", "if s < 0.0 and m < 0.0:",
+           "the zero-tail exit fires while det/s is still positive"),
+    Mutant("closed_form.py", "if upper <= TIE_ATOL:", "if upper < TIE_ATOL:",
+           "a block eigenvalue of exactly TIE_ATOL decides H1"),
+    Mutant("detector.py", "eigenvectors * (eigenvalues > TIE_ATOL)",
+           "eigenvectors * (eigenvalues >= TIE_ATOL)",
+           "an eigenvalue of exactly TIE_ATOL decides H1 in the generic test"),
+    Mutant("detector.py", "n_h0 = math.floor(prior_h0 * trials)",
+           "n_h0 = round(prior_h0 * trials)", "the trial allocation rounds instead of flooring"),
+    Mutant("detector.py", "_STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}",
+           "_STREAM_TAG = {HYPOTHESIS_H0: 1, HYPOTHESIS_H1: 0}",
+           "the Monte Carlo stream tags are swapped"),
+    Mutant("report.py", """text.rpartition('"roc_thresholds": null')""",
+           """text.partition('"roc_thresholds": null')""",
+           "the threshold echo is spliced at the first look-alike, not the scenario's"),
+    Mutant("report.py", "sort_keys=True, allow_nan=False", "allow_nan=False",
+           "the structured report's keys are unsorted"),
+    Mutant("report.py", "type(t := p.threshold) is float", "isinstance(t := p.threshold, float)",
+           "an np.float64 threshold is accepted into a report"),
+    Mutant("report.py", 'else array("d", values).tobytes()', "else tuple(values)",
+           "a point at 0.0 matches a scenario threshold of -0.0"),
+    Mutant("report.py", " and not math.isnan(sum(values))", "",
+           "a NaN probability column skips the clamp"),
+    Mutant("metrics.py", "FVG_ATOL = 1e-7", "FVG_ATOL = 1e-6",
+           "the Fuchs-van de Graaff slack is 10x wider"),
+    Mutant("metrics.py", "MAX_DIMENSION**1.5 / 2) * STATE_ATOL",
+           "MAX_DIMENSION**1.5 / 2) * STATE_ATOL * 10", "the clamp window is 10x wider"),
+    Mutant("metrics.py", "pe <= 0.5 + 1e-12", "pe <= 0.5 + 1e-6",
+           "the Helstrom error may exceed 1/2 by 1e-6"),
+)
+
+
+def tier1_env(src: Path) -> dict[str, str]:
+    # No bytecode: a mutant restored within the second of its edit could reuse a stale .pyc.
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def run_tier1(src: Path) -> int:
+    """pytest's exit code for tier-1 with -x against the package in src."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--continue-on-collection-errors", str(ROOT / "tests")]
+    return subprocess.run(command, cwd=ROOT, env=tier1_env(src), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        found = subprocess.run([sys.executable, "-c", "import qiradar; print(qiradar.__file__)"],
+                               env=tier1_env(src), capture_output=True, text=True,
+                               check=True).stdout.strip()
+        if not Path(found).is_relative_to(src):  # an installed qiradar must not shadow the copy
+            sys.exit(f"qiradar resolves to {found}, not the copy under {src}")
+        if (code := run_tier1(src)) != 0:
+            sys.exit(f"tier-1 fails (exit {code}) on the unmutated copy")
+        survivors = []
+        for mutant in MUTANTS:
+            path = src / "qiradar" / mutant.file
+            original = path.read_text(encoding="utf-8")
+            if (count := original.count(mutant.old)) != 1:
+                sys.exit(f"stale mutant, {count} matches in {mutant.file}: {mutant.old!r}")
+            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                code = run_tier1(src)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            verdict = "killed" if code == 1 else f"SURVIVED (exit {code})"
+            print(f"{verdict:18} {time.perf_counter() - start:5.1f} s  {mutant.file}: {mutant.why}")
+            if code != 1:
+                survivors.append(mutant)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 import qiradar
-from conftest import random_density, random_unitary
-from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
+from conftest import pure_pair, random_density, random_unitary
+from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import main
 from qiradar.detector import (
     BinaryMeasurement,
-    empirical_error,
+    detection_counts,
     helstrom_measurement,
     measurement_error,
+    outcome_error,
 )
 from qiradar.linkbudget import (
     photon_energy,
@@ -36,12 +37,7 @@ from qiradar.linkbudget import (
     watts_to_dbm,
 )
 from qiradar.metrics import fidelity, helstrom_error, trace_distance
-from qiradar.qstate import (
-    bell_phi_plus,
-    density_from_pure,
-    eigendecompose_hermitian,
-    partial_trace,
-)
+from qiradar.qstate import eigendecompose_hermitian, partial_trace
 
 HALF = (0.5, 0.5)
 
@@ -65,11 +61,6 @@ def _exactly(value: float, target: float) -> bool:
     a decimal target bit for bit; correct rounding puts it within one ulp.
     """
     return value == target or abs(value - target) <= math.ulp(target)
-
-
-def pure_pair(phi: float):
-    psi = bell_phi_plus()
-    return density_from_pure(psi), density_from_pure(apply_signal_phase(psi, phi))
 
 
 def test_link_budget_golden_values():
@@ -137,7 +128,7 @@ def test_monte_carlo_matches_analytic_error():
             rho0 = hypothesis_h0(0.5)
             rho1 = hypothesis_h1(TargetParams(phi, eta, 0.5))
             analytic = helstrom_error(rho0, rho1, HALF)
-            empirical = empirical_error(rho0, rho1, HALF, trials, seed)
+            empirical = outcome_error(*detection_counts(rho0, rho1, HALF, trials, seed))
             sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
             if abs(empirical - analytic) > 4.0 * sigma:
                 failures.append(

@@ -9,7 +9,7 @@ from qiradar import detector, metrics, qstate
 from qiradar import report as report_module
 from qiradar.cli import main, run_scenario
 from qiradar.closed_form import born_pair
-from qiradar.detector import RocPoint, TrialOutcome, outcome_error
+from qiradar.detector import RocPoint, TrialOutcome, outcome_error, split_trials
 from qiradar.errors import DegenerateInput, NumericalDomain, ValidationError
 from qiradar.linkbudget import LinkBudgetResult
 from qiradar.report import ROC_CSV_HEADER, emit_report, report_to_dict, roc_csv
@@ -300,7 +300,7 @@ class TestReportSerialization:
 
     def test_roc_edge_values_render_once_in_hand_built_reports(self):
         report = run_doc(EDGE_ROC_DOC)
-        [clamped] = detector._roc_points((0.0,), (1.0 + 2**-52,), (1.0 + 2**-52,))
+        [clamped] = report_module._Curve.of_columns((0.0,), (1.0 + 2**-52,), (1.0 + 2**-52,))
         edges = [RocPoint(-0.0, 0.0, 1.0), RocPoint(0.0, 5e-324, 1.0), clamped,
                  RocPoint(1.0, 1.0, 0.0), RocPoint(1e308, 0.0, 0.0)]
         rebuilt = replace(report, roc=edges)
@@ -361,6 +361,26 @@ class TestReportSerialization:
         with pytest.raises(DegenerateInput, match=match):
             replace(report, **fields(report))
 
+    @pytest.mark.parametrize("trials, prior_h0, monte_carlo", [
+        (100, 0.5, detector.draw_counts((0.3, 0.7), 0.5, 10, 99)),  # other seed and trials
+        (100, 0.5, detector.draw_counts((0.3, 0.7), 0.5, 100, 99)),  # other seed
+        (100, 0.5, detector.draw_counts((0.3, 0.7), 0.5, 99, 5)),   # other trials
+        (10, 0.3, detector.draw_counts((0.3, 0.7), 0.4, 10, 5)),    # other split: 4 + 6
+        (10, 0.3, detector.draw_counts((0.3, 0.7), 0.2, 10, 5)),    # other split: 2 + 8
+        (100, 0.5, None),
+        (0, 0.5, detector.draw_counts((0.3, 0.7), 0.5, 100, 5)),
+        (0, 0.5, NO_TRIALS),
+    ], ids=["seed-and-trials", "seed", "trials", "split-up", "split-down", "missing",
+            "without-trials", "empty-without-trials"])
+    def test_monte_carlo_matches_its_scenario(self, trials, prior_h0, monte_carlo):
+        scenario = Scenario(phase_rad=1, reflectivity=0.5, noise_excitation=0.1, trials=trials,
+                            seed=5, prior_h0=prior_h0, prior_h1=1 - prior_h0)
+        report = run_scenario(scenario)
+        if trials:
+            assert [o.trials for o in report.monte_carlo] == list(split_trials(prior_h0, trials))
+        with pytest.raises(DegenerateInput, match="monte_carlo must be the scenario's"):
+            replace(report, monte_carlo=monte_carlo)
+
     def test_report_stores_its_sequences_as_tuples(self):
         report = run_doc(FULL_DOC)
         rebuilt = replace(report, roc=list(report.roc), monte_carlo=list(report.monte_carlo),
@@ -375,7 +395,9 @@ class TestReportSerialization:
         (lambda: roc_csv(None), "NoneType"),
         (lambda: roc_csv([1, 2]), "int"),
         (lambda: outcome_error(*NO_TRIALS), "no trials"),
-        (lambda: report_to_dict(replace(run_doc(ANCHOR_DOC), monte_carlo=NO_TRIALS)), "no trials"),
+        # A report without trials holds no outcome pair, so outcome_error never sees one.
+        (lambda: report_to_dict(replace(run_doc(ANCHOR_DOC), monte_carlo=NO_TRIALS)),
+         "monte_carlo must be the scenario's: None without trials"),
     ], ids=["emit_report", "report_to_dict", "roc_csv", "roc_csv-items", "outcome_error",
             "report_to_dict-outcomes"])
     def test_report_entry_points_raise_typed_errors(self, call, match):

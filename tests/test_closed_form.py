@@ -274,6 +274,12 @@ def test_ties_when_the_states_coincide(p):
         assert born_pair(0.0, p, w0, w1) == (0.0, 0.0)
 
 
+def test_a_block_eigenvalue_at_the_tie_tolerance_sides_with_h0():
+    # η = p = 0, w₀ = 0, w₁ = 2·TIE_ATOL: the block is diag(TIE_ATOL, 0) exactly (c = 0,
+    # s·a = TIE_ATOL), so its upper eigenvalue is a tie and nothing decides H1.
+    assert born_pair(0.0, 0.0, 0.0, 2 * TIE_ATOL) == (0.0, 0.0)
+
+
 def test_sorted_sweep_does_not_increase():
     # Tr(P_t ρ) falls with t for the Neyman-Pearson projector P_t of ρ₁ − tρ₀;
     # the float evaluation may rise by one rounding at 1 (2^−52).

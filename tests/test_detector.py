@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_density, random_unitary
+from conftest import pure_pair, random_density, random_unitary
 from qiradar import detector
-from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
+from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
+from qiradar.closed_form import TIE_ATOL
 from qiradar.detector import (
     MAX_TRIALS,
     BinaryMeasurement,
@@ -14,28 +15,28 @@ from qiradar.detector import (
     TrialOutcome,
     born_probability,
     detection_counts,
-    empirical_error,
     helstrom_measurement,
     measurement_error,
+    outcome_error,
     roc_sweep,
 )
 from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
 from qiradar.metrics import clamp_unit, helstrom_error
-from qiradar.qstate import (
-    DensityOperator,
-    bell_phi_plus,
-    density_from_pure,
-    eigendecompose_hermitian,
-)
+from qiradar.qstate import DensityOperator, eigendecompose_hermitian
+from qiradar.report import _Curve
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]), (2,))
 KET1 = DensityOperator(np.diag([0.0, 1.0]), (2,))
 HALF = (0.5, 0.5)
 
 
-def pure_pair(phi):
-    psi = bell_phi_plus()
-    return density_from_pure(psi), density_from_pure(apply_signal_phase(psi, phi))
+def _sweep_pairs():
+    rng = np.random.default_rng(2718)
+    pairs = [(hypothesis_h0(0.2), hypothesis_h1(TargetParams(1.0, 0.6, 0.2)))]
+    return pairs + [(random_density(rng, 4), random_density(rng, 4)) for _ in range(5)]
+
+
+SWEEP_PAIRS = _sweep_pairs()  # the model's pair at η 0.6, p 0.2, then five random pairs
 
 
 def identity_measurement(dim):
@@ -265,12 +266,12 @@ class TestTrialCounts:
 
 class TestEmpiricalError:
     def test_orthogonal_states_never_err(self):
-        assert empirical_error(KET0, KET1, HALF, 10_000, seed=3) == 0.0
+        assert outcome_error(*detection_counts(KET0, KET1, HALF, 10_000, seed=3)) == 0.0
 
     def test_identical_states_err_half(self):
         rho = random_density(np.random.default_rng(2), 4, dims=(2, 2))
         trials = 100_000
-        value = empirical_error(rho, rho, HALF, trials, seed=11)
+        value = outcome_error(*detection_counts(rho, rho, HALF, trials, seed=11))
         sigma = math.sqrt(0.25 / trials)
         assert abs(value - 0.5) <= 4.0 * sigma
 
@@ -279,7 +280,7 @@ class TestEmpiricalError:
         rho1 = hypothesis_h1(TargetParams(math.pi, 0.5, 0.5))
         trials = 1_000_000
         analytic = helstrom_error(rho0, rho1, HALF)
-        value = empirical_error(rho0, rho1, HALF, trials, seed=90210)
+        value = outcome_error(*detection_counts(rho0, rho1, HALF, trials, seed=90210))
         sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
         assert abs(value - analytic) <= 4.0 * sigma
 
@@ -379,15 +380,24 @@ class TestRocSweep:
         assert roc_sweep(KET0, KET1, []) == []
 
     def test_roc_points_clamp_each_probability_column(self):
-        # A column inside [0, 1] passes as it is; any other goes through clamp_unit.
-        points = list(detector._roc_points((0.5, 1.0), (1.0 + 2**-52, 0.25), (-5e-324, -0.0)))
-        assert points == [RocPoint(0.5, 1.0, 0.0), RocPoint(1.0, 0.25, -0.0)]
+        # The pipeline's curve builder: a column inside [0, 1] passes as it is;
+        # any other goes through clamp_unit.
+        points = _Curve.of_columns((0.5, 1.0), (1.0 + 2**-52, 0.25), (-5e-324, -0.0))
+        assert type(points) is _Curve
+        assert points == (RocPoint(0.5, 1.0, 0.0), RocPoint(1.0, 0.25, -0.0))
         assert math.copysign(1.0, points[1].p_detection) == -1.0
         for column in ([0.5, math.nan], [math.nan, 0.5], [0.5, 1.5], [-1e-6, 0.5]):
             with pytest.raises(NumericalDomain, match="false-alarm probability"):
-                detector._roc_points((0.5, 1.0), column, (0.5, 0.5))
+                _Curve.of_columns((0.5, 1.0), column, (0.5, 0.5))
             with pytest.raises(NumericalDomain, match="detection probability"):
-                detector._roc_points((0.5, 1.0), (0.5, 0.5), column)
+                _Curve.of_columns((0.5, 1.0), (0.5, 0.5), column)
+
+    def test_an_eigenvalue_at_the_tie_tolerance_sides_with_h0(self):
+        # ρ₁ − 0·ρ₀ has the eigenvalue TIE_ATOL exactly; only λ > TIE_ATOL decides H1.
+        rho0 = DensityOperator(np.eye(2) / 2, (2,))
+        rho1 = DensityOperator(np.diag([TIE_ATOL, 1.0 - TIE_ATOL]), (2,))
+        [point] = roc_sweep(rho0, rho1, [0.0])
+        assert (point.p_false_alarm, point.p_detection) == (0.5, 1.0 - TIE_ATOL)
 
     def test_roc_point_is_an_immutable_named_tuple(self):
         point = RocPoint(0.5, 0.25, 0.75)
@@ -397,25 +407,21 @@ class TestRocSweep:
         with pytest.raises(AttributeError):
             point.threshold = 1.0
 
-    @pytest.mark.parametrize("entries", [1 << 16, 48, 80, 1])  # 6, 3, 5, 1 thresholds per stack
-    def test_stacked_sweep_equals_the_per_threshold_loop(self, entries, monkeypatch):
+    @pytest.mark.parametrize("rho0, rho1", SWEEP_PAIRS,
+                             ids=["model", *(f"random-{k}" for k in range(1, 6))])
+    def test_sweep_equals_the_per_threshold_loop(self, rho0, rho1):
         # Reference: one eigensolve per threshold, positive columns sliced out.
-        monkeypatch.setattr(detector, "ROC_STACK_ENTRIES", entries)
-        rng = np.random.default_rng(2718)
-        pairs = [(hypothesis_h0(0.2), hypothesis_h1(TargetParams(1.0, 0.6, 0.2)))]
-        pairs += [(random_density(rng, 4), random_density(rng, 4)) for _ in range(5)]
         thresholds = [0.0, 0.25, 0.4, 1.0, 4.15, 8.0]  # 0.4: triply degenerate crossing
-        for rho0, rho1 in pairs:
-            expected = []
-            for t in thresholds:
-                w, v = eigendecompose_hermitian(rho1.matrix - t * rho0.matrix)
-                columns = v[:, w > 1e-10]
-                projector = columns @ columns.conj().T
-                projector = (projector + projector.conj().T) / 2.0
-                expected.append((t, *(clamp_unit(float(np.trace(projector @ rho.matrix).real), "")
-                                      for rho in (rho0, rho1))))
-            swept = roc_sweep(rho0, rho1, thresholds)
-            assert [(p.threshold, p.p_false_alarm, p.p_detection) for p in swept] == expected
+        expected = []
+        for t in thresholds:
+            w, v = eigendecompose_hermitian(rho1.matrix - t * rho0.matrix)
+            columns = v[:, w > 1e-10]
+            projector = columns @ columns.conj().T
+            projector = (projector + projector.conj().T) / 2.0
+            expected.append((t, *(clamp_unit(float(np.trace(projector @ rho.matrix).real), "")
+                                  for rho in (rho0, rho1))))
+        swept = roc_sweep(rho0, rho1, thresholds)
+        assert [(p.threshold, p.p_false_alarm, p.p_detection) for p in swept] == expected
 
 
 class TestOptimality:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_density, random_pure, random_unitary
-from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
+from conftest import pure_pair, random_density, random_pure, random_unitary
+from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
 from qiradar.metrics import (
     CLAMP_WINDOW,
@@ -17,16 +17,10 @@ from qiradar.metrics import (
     helstrom_error,
     trace_distance,
 )
-from qiradar.qstate import DensityOperator, bell_phi_plus, density_from_pure
+from qiradar.qstate import DensityOperator, density_from_pure
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]), (2,))
 KET1 = DensityOperator(np.diag([0.0, 1.0]), (2,))
-
-
-def phase_pair(phi):
-    """The entangled pair and its phase-shifted copy, both as projectors."""
-    psi = bell_phi_plus()
-    return density_from_pure(psi), density_from_pure(apply_signal_phase(psi, phi))
 
 
 def edge_state(d, first, tilt=0.0):
@@ -66,7 +60,7 @@ class TestTraceDistance:
         assert abs(trace_distance(KET0, KET1) - 1.0) <= 1e-12
 
     def test_pure_phase_pair_closed_form(self):
-        a, b = phase_pair(math.pi / 2)
+        a, b = pure_pair(math.pi / 2)
         assert abs(trace_distance(a, b) - math.sin(math.pi / 4)) <= 1e-10
 
     def test_matches_singular_value_oracle(self):
@@ -111,7 +105,7 @@ class TestFidelity:
 
     def test_pure_phase_pair_closed_form(self):
         for phi in (math.pi / 3, math.pi / 2, math.pi):
-            a, b = phase_pair(phi)
+            a, b = pure_pair(phi)
             assert abs(fidelity(a, b) - math.cos(phi / 2) ** 2) <= 1e-10
 
     def test_matches_scipy_sqrtm_oracle(self):
@@ -148,7 +142,7 @@ class TestHelstromError:
         assert helstrom_error(KET0, KET1, (0.5, 0.5)) <= 1e-12
 
     def test_pure_phase_pair_closed_form(self):
-        a, b = phase_pair(math.pi / 2)
+        a, b = pure_pair(math.pi / 2)
         expected = 0.5 * (1.0 - math.sin(math.pi / 4))
         assert abs(helstrom_error(a, b, (0.5, 0.5)) - expected) <= 1e-10
 
@@ -248,15 +242,22 @@ class TestDistinguishabilityReport:
         assert report.priors == (0.5, 0.5)
 
     def test_sandwich_violation_rejected(self):
-        # D = 0.9 with F = 0.9 would break D <= sqrt(1-F) ~ 0.316.
-        with pytest.raises(NumericalDomain):
-            DistinguishabilityReport(0.9, 0.9, 0.05, (0.5, 0.5))
+        # D = 0.9 with F = 0.9 would break D <= sqrt(1-F) ~ 0.316. The slack is 1e-7:
+        # D = 0.5 ± 5e-7 lies past √(1 − 0.75) = 0.5 or below 1 − √0.25 = 0.5.
+        for d, f in ((0.9, 0.9), (0.5 + 5e-7, 0.75), (0.5 - 5e-7, 0.25)):
+            with pytest.raises(NumericalDomain):
+                DistinguishabilityReport(d, f, 0.05, (0.5, 0.5))
+        DistinguishabilityReport(0.5 + 5e-8, 0.75, 0.05, (0.5, 0.5))
+        DistinguishabilityReport(0.5 - 5e-8, 0.25, 0.05, (0.5, 0.5))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(NumericalDomain):
             DistinguishabilityReport(1.5, 0.2, 0.1, (0.5, 0.5))
         with pytest.raises(NumericalDomain):
             DistinguishabilityReport(0.5, 0.2, 0.7, (0.5, 0.5))
+        with pytest.raises(NumericalDomain):  # P_e may pass ½ by 1e-12 only
+            DistinguishabilityReport(0.5, 0.5, 0.5 + 1e-9, (0.5, 0.5))
+        assert DistinguishabilityReport(0.5, 0.5, 0.5 + 1e-13, (0.5, 0.5)).helstrom_error > 0.5
 
     @pytest.mark.parametrize("metrics", [
         ("0.5", 0.5, 0.25), (0.5, None, 0.25), (0.5, 0.5, True), (math.nan, 0.5, 0.25),
@@ -302,3 +303,8 @@ class TestClampWindow:
                 clamp_unit(value, "probe")
         assert clamp_unit(1.0 + CLAMP_WINDOW, "probe") == 1.0
         assert clamp_unit(-CLAMP_WINDOW, "probe") == 0.0
+        # The window is pinned: (2·16 − 1 + 16^1.5/2)·1e-9 = 6.3e-8, so 1e-7 is no roundoff.
+        for value in (1.0 + 1e-7, -1e-7):
+            with pytest.raises(NumericalDomain):
+                clamp_unit(value, "probe")
+        assert clamp_unit(1.0 + 6.2e-8, "probe") == 1.0 and clamp_unit(-6.2e-8, "probe") == 0.0
