@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import channel, detector, linkbudget, metrics
+from . import channel, closed_form, detector, linkbudget, metrics
 from .closed_form import born_pair, born_pairs
 from .errors import ParseError, QIRadarError, ValidationError
 from .report import DetectionReport, _Curve, emit_report, roc_csv
@@ -22,7 +22,8 @@ def run_scenario(scenario: Scenario) -> DetectionReport:
     """Run the full detection pipeline for one validated scenario.
 
     Builds both hypothesis states at the effective phase (phase_rad minus
-    env_phase_rad), computes the three distinguishability metrics, then runs
+    env_phase_rad), computes the three distinguishability metrics (D from the
+    states, F and P_e in closed form), then runs
     Monte Carlo trials, the ROC sweep and the link-budget calculators when
     the scenario asks for them. Deterministic for a fixed seed.
     """
@@ -42,11 +43,17 @@ def _run(scenario: Scenario) -> DetectionReport:
     rho0 = channel.hypothesis_h0(scenario.noise_excitation)
     rho1 = channel.hypothesis_h1(params)
     priors = metrics.check_priors((scenario.prior_h0, scenario.prior_h1))
-    summary = metrics.distinguishability(rho0, rho1, priors)
-
-    # The detector half takes its Born probabilities from the closed form;
-    # the generic helstrom_measurement and roc_sweep are its oracle.
+    # D comes from the generic eigensolve; F, P_e and the detector half's Born probabilities
+    # from the closed form, which the generic metrics, helstrom_measurement and roc_sweep check.
     eta, p = params.reflectivity_eta, params.noise_excitation_p
+    summary = metrics.DistinguishabilityReport(
+        trace_distance=metrics.trace_distance(rho0, rho1),
+        fidelity=metrics.clamp_unit(closed_form.fidelity(eta, p), "fidelity"),
+        helstrom_error=metrics.clamp_unit(closed_form.helstrom_error(eta, p, priors),
+                                          "Helstrom error"),
+        priors=priors,
+    )
+
     monte_carlo = None
     if scenario.trials > 0:
         monte_carlo = detector.draw_counts(born_pair(eta, p, *priors), priors[0],

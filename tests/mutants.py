@@ -34,8 +34,17 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("closed_form.py", "big = m + math.copysign(r, m)", "big = m + r",
            "the block eigenvalue farther from 0 loses its sign"),
-    Mutant("closed_form.py", "s = math.fsum((w1, -w0, minus_w1_eta))",
-           "s = w1 - w0 + minus_w1_eta", "s rounded twice instead of once"),
+    Mutant("closed_form.py", "(1.0 - eta) * (eta / 4.0 + fa * b))",
+           "(eta / 2.0 + fa) * (eta / 2.0 + fb) - eta * eta / 4.0)",
+           "det ρ₁ on the block is y₁₁y₂₂ − c², which cancels as η nears 1"),
+    Mutant("closed_form.py", "return min(p0 * a, p1 * fa) + min(p0 * b, p1 * fb) + block + ",
+           "return block + ", "P_e drops the scalar modes' minima"),
+    Mutant("closed_form.py", "if s * (p1 * eta / 4.0 + s * a * b) < 0.0:",
+           "if s * (p1 * eta / 4.0 + s * a * b) > 0.0:", "P_e takes the wrong branch on the block"),
+    Mutant("closed_form.py", "s = p1 * (1.0 - eta) - p0", "s = p1 - p0 - p1 * eta",
+           "P_e's block weight cancels at a tiny prior and η near 1"),
+    Mutant("closed_form.py", " + math.fsum((1.0, -p0, -p1)) / 2.0", "",
+           "P_e is ½(π₀ + π₁ − ‖·‖₁), not the documented ½(1 − ‖·‖₁)"),
     Mutant("closed_form.py", "if s < 0.0 and m < 0.0 and q < 0.0:", "if s < 0.0 and m < 0.0:",
            "the zero-tail exit fires while det/s is still positive"),
     Mutant("closed_form.py", "if upper <= TIE_ATOL:", "if upper < TIE_ATOL:",
@@ -51,6 +60,8 @@ MUTANTS = (
     Mutant("report.py", """text.rpartition('"roc_thresholds": null')""",
            """text.partition('"roc_thresholds": null')""",
            "the threshold echo is spliced at the first look-alike, not the scenario's"),
+    Mutant("report.py", """head.rpartition('"roc": null')""", """head.partition('"roc": null')""",
+           "the points are spliced at the first look-alike, not the report's roc"),
     Mutant("report.py", "sort_keys=True, allow_nan=False", "allow_nan=False",
            "the structured report's keys are unsorted"),
     Mutant("report.py", "type(t := p.threshold) is float", "isinstance(t := p.threshold, float)",
@@ -65,6 +76,8 @@ MUTANTS = (
            "MAX_DIMENSION**1.5 / 2) * STATE_ATOL * 10", "the clamp window is 10x wider"),
     Mutant("metrics.py", "pe <= 0.5 + 1e-12", "pe <= 0.5 + 1e-6",
            "the Helstrom error may exceed 1/2 by 1e-6"),
+    Mutant("metrics.py", "abs(p0 + p1 - 1.0) <= PRIOR_ATOL", "p0 + p1 - 1.0 <= PRIOR_ATOL",
+           "priors that sum to less than 1 are accepted"),
 )
 
 

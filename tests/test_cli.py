@@ -64,15 +64,17 @@ class TestRunScenario:
         assert report.link_budget is None
 
     def test_detector_half_runs_on_the_closed_form(self, monkeypatch):
-        # The ROC and the Monte Carlo Born probabilities come from
-        # closed_form.born_pair: no measurement, no ROC eigensolve. The four
-        # eigensolves left are the metrics' (D, two square roots for F, P_e).
+        # F, P_e, the ROC and the Monte Carlo Born probabilities come from
+        # closed_form: no measurement, no ROC eigensolve and no matrix square
+        # root. The one eigensolve left is D's.
         def forbidden(*args, **kwargs):
-            raise AssertionError("the pipeline ran the generic detector")
+            raise AssertionError("the pipeline ran the generic detector or F")
 
         for name in ("roc_sweep", "helstrom_measurement", "detection_counts",
                      "_positive_eigenspace_projector", "BinaryMeasurement"):
             monkeypatch.setattr(detector, name, forbidden)
+        for module in (qstate, metrics):
+            monkeypatch.setattr(module, "sqrt_psd", forbidden)
         calls = []
         original = qstate.eigendecompose_hermitian
 
@@ -84,7 +86,7 @@ class TestRunScenario:
             monkeypatch.setattr(module, "eigendecompose_hermitian", counted)
         report = run_doc(FULL_DOC)
         assert len(report.roc) == 3 and sum(o.trials for o in report.monte_carlo) == 20000
-        assert calls == [(4, 4)] * 4
+        assert calls == [(4, 4)]
 
     def test_closed_form_roundoff_past_one_is_clamped(self):
         # For these (η, p) the closed form's P_D at t = 0 and at the priors is 1 + 2^-52.

@@ -15,19 +15,23 @@ A change that moves any byte fails here; a deliberate contract change must
 bump its entry in ``versions``, regenerate the goldens and say so.
 
 Since ``versions.numerics`` 2 the pipeline takes its ROC points and Monte Carlo
-Born probabilities from the closed form. The generic eigensolver path must
-still reproduce every golden ROC point within 1e-13 and every golden Monte
-Carlo count exactly, which stands in for keeping the numerics 1 files.
+Born probabilities from the closed form, and since 3 its fidelity and Helstrom
+error too. The generic eigensolver path must still reproduce every golden ROC
+point within 1e-13, every golden Monte Carlo count exactly, the trace distance
+to the bit and F and P_e within its documented tolerances, which stands in for
+keeping the files of the earlier versions.
 """
 
 import json
 from pathlib import Path
 
 import pytest
+from conftest import GENERIC_ATOL, generic_fidelity_atol
 
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import main
 from qiradar.detector import detection_counts, roc_sweep
+from qiradar.metrics import distinguishability
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -97,13 +101,30 @@ def test_edge_report_matches_golden(fmt, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"edge.{FORMAT_SUFFIX[fmt]}").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["dense", "edge", "example"])
-def test_generic_path_reproduces_the_golden_detector_numbers(name):
+def golden_states(name):
+    """A structured golden's document and the generic states of its scenario."""
     doc = json.loads((GOLDEN / f"{name}.structured.json").read_text(encoding="utf-8"))
     s = doc["scenario"]
-    rho0 = hypothesis_h0(s["noise_excitation"])
     rho1 = hypothesis_h1(TargetParams(doc["phase_effective_rad"], s["reflectivity"],
                                       s["noise_excitation"]))
+    return doc, hypothesis_h0(s["noise_excitation"]), rho1
+
+
+@pytest.mark.parametrize("name", ["dense", "edge", "example", "thermal"])
+def test_generic_path_reproduces_the_golden_metrics(name):
+    doc, rho0, rho1 = golden_states(name)
+    s, golden = doc["scenario"], doc["metrics"]
+    generic = distinguishability(rho0, rho1, (s["prior_h0"], s["prior_h1"]))
+    assert generic.trace_distance == golden["trace_distance"]
+    f_atol = generic_fidelity_atol(s["reflectivity"], s["noise_excitation"])
+    assert abs(generic.fidelity - golden["fidelity"]) <= f_atol
+    assert abs(generic.helstrom_error - golden["helstrom_error"]) <= GENERIC_ATOL
+
+
+@pytest.mark.parametrize("name", ["dense", "edge", "example"])
+def test_generic_path_reproduces_the_golden_detector_numbers(name):
+    doc, rho0, rho1 = golden_states(name)
+    s = doc["scenario"]
     golden = [(p["threshold"], p["p_false_alarm"], p["p_detection"]) for p in doc["roc"]]
     assert [p.threshold for p in roc_sweep(rho0, rho1, s["roc_thresholds"])] == s["roc_thresholds"]
     for point, (t, p_fa, p_d) in zip(roc_sweep(rho0, rho1, s["roc_thresholds"]), golden):

@@ -11,6 +11,7 @@ from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
 from qiradar.metrics import (
     CLAMP_WINDOW,
     DistinguishabilityReport,
+    check_priors,
     clamp_unit,
     distinguishability,
     fidelity,
@@ -176,6 +177,16 @@ class TestHelstromError:
         for priors in ((math.nan, 1.0), (math.inf, -math.inf), (math.inf, math.inf)):
             with pytest.raises(DegenerateInput):
                 helstrom_error(KET0, KET1, priors)
+
+    @pytest.mark.parametrize("miss, accepted", [(9e-10, True), (-9e-10, True), (1.1e-9, False),
+                                                (-1.1e-9, False), (-0.4, False)])
+    def test_prior_sum_tolerance_holds_on_both_sides(self, miss, accepted):
+        priors = (0.25, 0.75 + miss)
+        if accepted:
+            assert check_priors(priors) == priors
+        else:
+            with pytest.raises(DegenerateInput):
+                check_priors(priors)
 
     # A set has no order to read (π₀, π₁) from; a dict is indexed by its keys.
     @pytest.mark.parametrize("priors", [(0.2, 0.3, 0.5), {0.3, 0.7}, 0.5, {"h0": 0.5, "h1": 0.5}],

@@ -12,6 +12,8 @@
   that reruns to the same structured and table bytes.
 * Every accepted Scenario's ROC, over any sorted thresholds, is born_pair's
   point by point (clamped), to the last bit.
+* Every accepted Scenario's F and P_e, which the pipeline takes from the closed
+  form, are the generic metrics of its states within their tolerances.
 
 Examples are derandomized and bounded so the suite stays fast and
 reproducible. Trial counts are kept small only for run time; every other
@@ -25,8 +27,10 @@ from dataclasses import fields, replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import unstopped_born_pair
+from conftest import GENERIC_ATOL, generic_fidelity_atol, unstopped_born_pair
 
+from qiradar import metrics
+from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import run_scenario
 from qiradar.closed_form import born_pair
 from qiradar.errors import NumericalDomain, ParseError, ValidationError
@@ -157,6 +161,24 @@ def test_accepted_scenarios_run_or_raise_numerical_domain(values):
         assert emit_report(replace(report, roc=list(report.roc)), "structured") == text
     assert 0.0 <= report.helstrom_error <= 0.5 + 1e-12
     assert not math.isnan(report.trace_distance)
+
+
+@BOUNDED
+@given(plausible_scenarios())
+def test_pipeline_metrics_are_the_generic_ones(values):
+    # The generic path keeps checking the closed-form kernel on every accepted scenario.
+    values.pop("link_budget", None)
+    try:
+        scenario = Scenario(**values)
+    except ValidationError:
+        return
+    report = run_scenario(scenario)
+    eta, p = scenario.reflectivity, scenario.noise_excitation
+    rho0 = hypothesis_h0(p)
+    rho1 = hypothesis_h1(TargetParams(report.phase_effective_rad, eta, p))
+    priors = (scenario.prior_h0, scenario.prior_h1)
+    assert abs(report.fidelity - metrics.fidelity(rho0, rho1)) <= generic_fidelity_atol(eta, p)
+    assert abs(report.helstrom_error - metrics.helstrom_error(rho0, rho1, priors)) <= GENERIC_ATOL
 
 
 @st.composite
