@@ -10,8 +10,6 @@ closed-form link-budget, thermal-noise and EMI calculators.
 from .channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
 from .detector import (
     BinaryMeasurement,
-    RocPoint,
-    TrialOutcome,
     born_probability,
     detection_counts,
     helstrom_measurement,
@@ -58,7 +56,7 @@ from .qstate import (
     partial_trace,
     sqrt_psd,
 )
-from .report import DetectionReport, emit_report, report_to_dict, roc_csv
+from .report import DetectionReport, RocPoint, TrialOutcome, emit_report, report_to_dict, roc_csv
 from .scenario import Scenario, parse_scenario
 from .cli import run_scenario
 

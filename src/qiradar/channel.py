@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, _real
+from .errors import DimensionMismatch, _excitation, _real, _reflectivity
 from .qstate import DensityOperator, PureState
 
 TWO_PI = 2.0 * math.pi
@@ -36,20 +36,6 @@ def _reduce_phase(phi: float) -> float:
         # fmod of a tiny negative can round back up to exactly 2π.
         reduced = 0.0
     return reduced
-
-
-def _reflectivity(eta: float) -> float:
-    eta = _real("reflectivity", eta)
-    if not (0.0 <= eta <= 1.0):
-        raise DegenerateInput(f"reflectivity must lie in [0, 1], got {eta!r}")
-    return eta
-
-
-def _excitation(p: float) -> float:
-    p = _real("noise excitation", p)
-    if not (0.0 <= p < 1.0):
-        raise DegenerateInput(f"noise excitation must lie in [0, 1), got {p!r}")
-    return p
 
 
 @dataclass(frozen=True)

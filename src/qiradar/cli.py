@@ -12,8 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import channel, closed_form, detector, linkbudget, metrics
-from .closed_form import born_pair, born_pairs
-from .errors import ParseError, QIRadarError, ValidationError
+from .errors import (DegenerateInput, ParseError, QIRadarError, ValidationError, check_priors,
+                     clamp_unit)
 from .report import DetectionReport, _Curve, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
 
@@ -27,6 +27,8 @@ def run_scenario(scenario: Scenario) -> DetectionReport:
     Monte Carlo trials, the ROC sweep and the link-budget calculators when
     the scenario asks for them. Deterministic for a fixed seed.
     """
+    if not isinstance(scenario, Scenario):
+        raise DegenerateInput(f"scenario must be a Scenario, got {type(scenario).__name__}")
     try:
         return _run(scenario)
     except QIRadarError as exc:
@@ -42,26 +44,25 @@ def _run(scenario: Scenario) -> DetectionReport:
     )
     rho0 = channel.hypothesis_h0(scenario.noise_excitation)
     rho1 = channel.hypothesis_h1(params)
-    priors = metrics.check_priors((scenario.prior_h0, scenario.prior_h1))
+    priors = check_priors((scenario.prior_h0, scenario.prior_h1))
     # D comes from the generic eigensolve; F, P_e and the detector half's Born probabilities
     # from the closed form, which the generic metrics, helstrom_measurement and roc_sweep check.
     eta, p = params.reflectivity_eta, params.noise_excitation_p
     summary = metrics.DistinguishabilityReport(
         trace_distance=metrics.trace_distance(rho0, rho1),
-        fidelity=metrics.clamp_unit(closed_form.fidelity(eta, p), "fidelity"),
-        helstrom_error=metrics.clamp_unit(closed_form.helstrom_error(eta, p, priors),
-                                          "Helstrom error"),
+        fidelity=clamp_unit(closed_form.fidelity(eta, p), "fidelity"),
+        helstrom_error=clamp_unit(closed_form.helstrom_error(eta, p, priors), "Helstrom error"),
         priors=priors,
     )
 
     monte_carlo = None
     if scenario.trials > 0:
-        monte_carlo = detector.draw_counts(born_pair(eta, p, *priors), priors[0],
+        monte_carlo = detector.draw_counts(closed_form.born_pair(eta, p, *priors), priors[0],
                                            scenario.trials, scenario.seed)
 
     roc = None
     if (thresholds := scenario.roc_thresholds) is not None:  # Scenario has checked them
-        roc = _Curve.of_columns(thresholds, *born_pairs(eta, p, thresholds))  # checked as it is built
+        roc = _Curve.of_columns(thresholds, *closed_form.born_pairs(eta, p, thresholds))
 
     link_result = None
     if scenario.link_budget is not None:

@@ -19,24 +19,19 @@ passes the generic measurement's, the pipeline closed_form.born_pair's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .closed_form import TIE_ATOL
-from .errors import DegenerateInput, DimensionMismatch, NumericalDomain, _check_integer, _real
-from .metrics import _require_same_dims, check_priors, clamp_unit
+from .errors import (MAX_TRIALS, DimensionMismatch, NumericalDomain, _check_integer, _check_seed,
+                     _check_thresholds, check_priors, clamp_unit)
+from .metrics import _require_same_dims
 from .qstate import DensityOperator, _checked_hermitian, eigendecompose_hermitian
-
-MAX_SEED = 2**64 - 1
-MAX_TRIALS = 10**9     # the longest Monte Carlo run; one binomial draw each way, well under 1 ms
+from .report import HYPOTHESIS_H0, HYPOTHESIS_H1, RocPoint, TrialOutcome, split_trials
 
 PROJECTOR_ATOL = 1e-8  # idempotency tolerance; hermiticity uses STATE_ATOL
 
-HYPOTHESIS_H0 = "H0"
-HYPOTHESIS_H1 = "H1"
 _STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}
 
 
@@ -65,37 +60,6 @@ class BinaryMeasurement:
     @property
     def dimension(self) -> int:
         return self.project_h1.shape[0]
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Decision counts from a batch of measurement trials under one true state."""
-
-    decide_h1_count: int
-    decide_h0_count: int
-    trials: int
-    true_hypothesis: str
-    seed: int
-
-    def __post_init__(self):
-        trials = _check_integer("trials", self.trials, 0, MAX_TRIALS)
-        h1 = _check_integer("decide_h1_count", self.decide_h1_count, 0, trials)
-        h0 = _check_integer("decide_h0_count", self.decide_h0_count, 0, trials)
-        if h1 + h0 != trials:
-            raise DegenerateInput(f"counts {h1} + {h0} do not sum to {trials} trials")
-        if not (isinstance(self.true_hypothesis, str) and self.true_hypothesis in _STREAM_TAG):
-            raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {self.true_hypothesis!r}")
-        for name, value in (("decide_h1_count", h1), ("decide_h0_count", h0),
-                            ("trials", trials), ("seed", _check_seed(self.seed))):
-            object.__setattr__(self, name, value)
-
-
-class RocPoint(NamedTuple):
-    """One operating point of the threshold sweep."""
-
-    threshold: float
-    p_false_alarm: float
-    p_detection: float
 
 
 def _positive_eigenspace_projector(matrix: np.ndarray) -> np.ndarray:
@@ -138,16 +102,6 @@ def measurement_error(m: BinaryMeasurement, rho0: DensityOperator, rho1: Density
     return p0 * false_alarm + p1 * (1.0 - detection)
 
 
-def _check_seed(seed) -> int:
-    return _check_integer("seed", seed, 0, MAX_SEED)
-
-
-def split_trials(prior_h0: float, trials: int) -> tuple[int, int]:
-    """The (H0, H1) trial counts of a run: floor(π₀·trials) under H0, the rest under H1."""
-    n_h0 = math.floor(prior_h0 * trials)
-    return n_h0, trials - n_h0
-
-
 def draw_counts(born, prior_h0: float, trials: int, seed: int) -> tuple[TrialOutcome, TrialOutcome]:
     """The (H0, H1) outcome pair of a test that decides H1 with probability born[k]
     under hypothesis k: split_trials' counts (a side with none counts zero), each
@@ -170,30 +124,6 @@ def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trial
     m = helstrom_measurement(rho0, rho1, priors)  # checks the dimensions and the priors
     born = (born_probability(m, rho0), born_probability(m, rho1))
     return draw_counts(born, check_priors(priors)[0], trials, seed)
-
-
-def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
-    """Fraction of wrong calls in an (H0, H1) outcome pair: false alarms under
-    H0 plus misses under H1, over all trials, of which there must be some."""
-    trials = outcome_h0.trials + outcome_h1.trials
-    if not trials:
-        raise DegenerateInput("an outcome pair with no trials has no error rate")
-    return (outcome_h0.decide_h1_count + outcome_h1.decide_h0_count) / trials
-
-
-def _check_thresholds(thresholds) -> list[float]:
-    """The thresholds as a list of finite reals >= 0; a str is not a list of them."""
-    try:
-        if isinstance(thresholds, (str, bytes, bytearray)):  # would iterate per character
-            raise TypeError
-        values = list(thresholds)
-        if not ({*map(type, values)} <= {float} and math.isfinite(sum(values))):
-            values = [_real("threshold", t) for t in values]  # converts, or names the culprit
-    except TypeError:  # not iterable, a 0-d array among them
-        raise DegenerateInput(f"thresholds must be a list of numbers, got {thresholds!r}") from None
-    if values and min(values) < 0.0:
-        raise DegenerateInput(f"thresholds must be >= 0, got {min(values)!r}")
-    return values
 
 
 def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[RocPoint]:

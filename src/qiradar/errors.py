@@ -1,6 +1,7 @@
-"""Exception taxonomy shared by every module in the package, and its number gates:
-``_real`` (a finite int, float, Fraction or numpy scalar) and ``_check_integer`` (an
-int or numpy integer in a range); str, bytes, bool and Decimal pass neither."""
+"""Exception taxonomy shared by every module in the package, and its number gates, each
+defined once and none needing numpy: ``_real`` (a finite int, float, Fraction or numpy
+scalar), ``_check_integer`` (an int or numpy integer in a range) and the range checks built
+on them; str, bytes, bool and Decimal pass neither."""
 
 import math
 import numbers
@@ -63,3 +64,79 @@ def _check_integer(name: str, value, low: int, high: int) -> int:
             and low <= value <= high):
         raise DegenerateInput(f"{name} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
+
+
+MAX_DIMENSION = 16     # the largest total Hilbert dimension of a state
+STATE_ATOL = 1e-9      # norm, trace and hermiticity tolerance
+MAX_SEED = 2**64 - 1
+MAX_TRIALS = 10**9     # the longest Monte Carlo run; one binomial draw each way, well under 1 ms
+PRIOR_ATOL = 1e-9
+
+# Accepted states (δ = STATE_ATOL, n <= MAX_DIMENSION): trace <= 1 + δ, at most n - 1 eigenvalues
+# in [-δ, 0), entries Hermitian within δ (<= n^1.5 δ/2 in trace norm). So D, P_e, F and Born
+# probabilities of an accepted pair leave [0, 1] by at most (2n - 1 + n^1.5/2)δ, about 6.3e-8.
+CLAMP_WINDOW = (2 * MAX_DIMENSION - 1 + MAX_DIMENSION**1.5 / 2) * STATE_ATOL
+
+
+def clamp_unit(value: float, what: str) -> float:
+    """Snap values within CLAMP_WINDOW of [0, 1] back onto the interval."""
+    if -CLAMP_WINDOW <= value < 0.0:
+        return 0.0
+    if 1.0 < value <= 1.0 + CLAMP_WINDOW:
+        return 1.0
+    if not (0.0 <= value <= 1.0):  # NaN fails too
+        raise NumericalDomain(f"{what} = {value:.12g} lies outside [0, 1] beyond roundoff")
+    return value
+
+
+def check_priors(priors) -> tuple[float, float]:
+    """Validate a prior pair: two nonnegative reals summing to 1."""
+    try:
+        p0, p1 = _real("prior_h0", priors[0]), _real("prior_h1", priors[1])
+    except (TypeError, IndexError, KeyError):
+        raise DegenerateInput(f"priors must be a pair of reals, got {priors!r}") from None
+    if len(priors) != 2:
+        raise DegenerateInput(f"priors must be a pair, got {len(priors)} values")
+    if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= PRIOR_ATOL):
+        raise DegenerateInput(f"priors must be nonnegative and sum to 1, got {priors!r}")
+    return p0, p1
+
+
+def _reflectivity(eta: float) -> float:
+    eta = _real("reflectivity", eta)
+    if not (0.0 <= eta <= 1.0):
+        raise DegenerateInput(f"reflectivity must lie in [0, 1], got {eta!r}")
+    return eta
+
+
+def _excitation(p: float) -> float:
+    p = _real("noise excitation", p)
+    if not (0.0 <= p < 1.0):
+        raise DegenerateInput(f"noise excitation must lie in [0, 1), got {p!r}")
+    return p
+
+
+def _require_positive(name: str, value: float) -> float:
+    value = _real(name, value)
+    if value <= 0.0:
+        raise DegenerateInput(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _check_seed(seed) -> int:
+    return _check_integer("seed", seed, 0, MAX_SEED)
+
+
+def _check_thresholds(thresholds) -> list[float]:
+    """The thresholds as a list of finite reals >= 0; a str is not a list of them."""
+    try:
+        if isinstance(thresholds, (str, bytes, bytearray)):  # would iterate per character
+            raise TypeError
+        values = list(thresholds)
+        if not ({*map(type, values)} <= {float} and math.isfinite(sum(values))):
+            values = [_real("threshold", t) for t in values]  # converts, or names the culprit
+    except TypeError:  # not iterable, a 0-d array among them
+        raise DegenerateInput(f"thresholds must be a list of numbers, got {thresholds!r}") from None
+    if values and min(values) < 0.0:
+        raise DegenerateInput(f"thresholds must be >= 0, got {min(values)!r}")
+    return values

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DegenerateInput, NumericalDomain, _real
+from .errors import DegenerateInput, NumericalDomain, _real, _require_positive
 
 
 PLANCK_H = 6.62607015e-34    # J·s
@@ -35,13 +35,6 @@ SERIES_CROSSOVER_X = 1e-6   # below this, e^x − 1 cancels; use the Laurent ser
 OCCUPANCY_FLOOR = 1e-100    # occupancies below this are reported as exactly 0
 _FLOOR_X = 230.3            # just above ln(1e100); e^x would dwarf the floor anyway
 SATURATION_NBAR = 10.0      # above this the qubit noise map p = n̄/(1+n̄) saturates
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = _real(name, value)
-    if value <= 0.0:
-        raise DegenerateInput(f"{name} must be positive, got {value!r}")
-    return value
 
 
 def _ratio(num: float, den: float, what: str) -> float:

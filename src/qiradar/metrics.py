@@ -10,8 +10,8 @@ priors the Helstrom bound is P_e = ½(1 − D), the minimum error probability
 of any binary test between the two states.
 
 Results are clamped back into their closed ranges when they leave them by at
-most CLAMP_WINDOW, the most that states DensityOperator accepts can produce;
-larger excursions raise NumericalDomain so genuine bugs are not hidden.
+most errors.CLAMP_WINDOW, the most that states DensityOperator accepts can
+produce; larger excursions raise NumericalDomain so genuine bugs are not hidden.
 """
 
 from __future__ import annotations
@@ -21,39 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NumericalDomain, _real
-from .qstate import MAX_DIMENSION, STATE_ATOL, DensityOperator, eigendecompose_hermitian, sqrt_psd
+from .errors import DimensionMismatch, NumericalDomain, _real, check_priors, clamp_unit
+from .qstate import DensityOperator, eigendecompose_hermitian, sqrt_psd
 
-# Accepted states (δ = STATE_ATOL, n <= MAX_DIMENSION): trace <= 1 + δ, at most n - 1 eigenvalues
-# in [-δ, 0), entries Hermitian within δ (<= n^1.5 δ/2 in trace norm). So D, P_e, F and Born
-# probabilities of an accepted pair leave [0, 1] by at most (2n - 1 + n^1.5/2)δ, about 6.3e-8.
-CLAMP_WINDOW = (2 * MAX_DIMENSION - 1 + MAX_DIMENSION**1.5 / 2) * STATE_ATOL
 FVG_ATOL = 1e-7  # Fuchs-van de Graaff sandwich slack
-PRIOR_ATOL = 1e-9
-
-
-def clamp_unit(value: float, what: str) -> float:
-    """Snap values within CLAMP_WINDOW of [0, 1] back onto the interval."""
-    if -CLAMP_WINDOW <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + CLAMP_WINDOW:
-        return 1.0
-    if not (0.0 <= value <= 1.0):  # NaN fails too
-        raise NumericalDomain(f"{what} = {value:.12g} lies outside [0, 1] beyond roundoff")
-    return value
-
-
-def check_priors(priors) -> tuple[float, float]:
-    """Validate a prior pair: two nonnegative reals summing to 1."""
-    try:
-        p0, p1 = _real("prior_h0", priors[0]), _real("prior_h1", priors[1])
-    except (TypeError, IndexError, KeyError):
-        raise DegenerateInput(f"priors must be a pair of reals, got {priors!r}") from None
-    if len(priors) != 2:
-        raise DegenerateInput(f"priors must be a pair, got {len(priors)} values")
-    if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= PRIOR_ATOL):
-        raise DegenerateInput(f"priors must be nonnegative and sum to 1, got {priors!r}")
-    return p0, p1
 
 
 def _require_same_dims(a: DensityOperator, b: DensityOperator) -> None:

@@ -13,8 +13,7 @@ Conventions
   second. A composite basis index factors as ``i = i_first * d_second +
   i_second``.
 * Every hermiticity check uses STATE_ATOL; a DensityOperator stores its
-  Hermitian part (A + A†)/2. ``eigendecompose_hermitian`` returns (eigenvalues,
-  eigenvectors), descending along the last axis, for a matrix or a stack.
+  Hermitian part (A + A†)/2.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NumericalDomain, _check_integer
-
-MAX_DIMENSION = 16
-STATE_ATOL = 1e-9    # norm, trace and hermiticity tolerance
+from .errors import (MAX_DIMENSION, STATE_ATOL, DegenerateInput, DimensionMismatch,
+                     NumericalDomain, _check_integer)
 
 
 def _as_dims(dims) -> tuple[int, ...]:
@@ -51,13 +48,13 @@ def _norm(amps: np.ndarray) -> float:
 
 
 def _checked_hermitian(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """The Hermitian part (A + A†)/2 of a square matrix or stack, which must be finite and
-    Hermitian within STATE_ATOL. An A equal to A† (a real mix of stored states) is returned."""
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+    """The Hermitian part (A + A†)/2 of a square matrix, which must be finite and Hermitian
+    within STATE_ATOL. An A equal to A† (a real mix of stored states) is returned."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise NumericalDomain(f"{what} has a non-finite entry")
-    adjoint = mat.conj().swapaxes(-1, -2)
+    adjoint = mat.conj().T
     if (mat == adjoint).all():
         return mat
     if not (float(np.abs(mat - adjoint).max(initial=0.0)) <= STATE_ATOL):
@@ -167,15 +164,15 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 
 def eigendecompose_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a Hermitian matrix or stack ``(..., d, d)``, descending.
+    """Eigendecompose one Hermitian d×d matrix, descending.
 
-    Accepts a DensityOperator or a raw array and returns numpy eigh's pair
-    (eigenvalues, eigenvectors), reordered descending. A non-finite entry, or
-    a hermiticity residual past STATE_ATOL in any member, raises NumericalDomain.
+    Accepts a DensityOperator or a raw d×d array and returns numpy eigh's pair
+    (eigenvalues, eigenvectors), reordered descending. A non-finite entry, or a
+    hermiticity residual past STATE_ATOL, raises NumericalDomain.
     """
     mat = m.matrix if isinstance(m, DensityOperator) else np.asarray(m, dtype=complex)
     w, v = np.linalg.eigh(_checked_hermitian(mat))
-    return w[..., ::-1].copy(), v[..., ::-1].copy()
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def sqrt_psd(m) -> np.ndarray:
@@ -187,7 +184,7 @@ def sqrt_psd(m) -> np.ndarray:
     input within 1e-8.
     """
     w, v = eigendecompose_hermitian(m)
-    if w.ndim != 1 or not w.size:
+    if not w.size:
         raise DimensionMismatch(f"expected one non-empty matrix, got shape {v.shape}")
     if not (w[-1] >= -STATE_ATOL):
         raise NumericalDomain(f"eigenvalue {w[-1]:.3g} is below -{STATE_ATOL:g}, "

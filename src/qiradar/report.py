@@ -1,4 +1,4 @@
-"""Detection reports and their serialized forms.
+"""Detection reports, the records they hold and their serialized forms.
 
 The structured format is one line, ``json.dumps(report_to_dict(r),
 sort_keys=True)`` and a newline: sorted field names and full
@@ -20,15 +20,62 @@ from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import filterfalse, repeat
 from operator import attrgetter
+from typing import NamedTuple
 
-from .detector import (HYPOTHESIS_H0, HYPOTHESIS_H1, RocPoint, TrialOutcome, outcome_error,
-                       split_trials)
-from .errors import DegenerateInput, _real
+from .errors import MAX_TRIALS, DegenerateInput, _check_integer, _check_seed, _real, clamp_unit
 from .linkbudget import LinkBudgetResult
-from .metrics import clamp_unit
 from .scenario import Scenario
 
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
+
+HYPOTHESIS_H0 = "H0"
+HYPOTHESIS_H1 = "H1"
+
+
+class RocPoint(NamedTuple):
+    """One operating point of the threshold sweep."""
+
+    threshold: float
+    p_false_alarm: float
+    p_detection: float
+
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    """Decision counts from a batch of measurement trials under one true state."""
+
+    decide_h1_count: int
+    decide_h0_count: int
+    trials: int
+    true_hypothesis: str
+    seed: int
+
+    def __post_init__(self):
+        trials = _check_integer("trials", self.trials, 0, MAX_TRIALS)
+        h1 = _check_integer("decide_h1_count", self.decide_h1_count, 0, trials)
+        h0 = _check_integer("decide_h0_count", self.decide_h0_count, 0, trials)
+        if h1 + h0 != trials:
+            raise DegenerateInput(f"counts {h1} + {h0} do not sum to {trials} trials")
+        if not (isinstance(h := self.true_hypothesis, str) and h in (HYPOTHESIS_H0, HYPOTHESIS_H1)):
+            raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {h!r}")
+        for name, value in (("decide_h1_count", h1), ("decide_h0_count", h0),
+                            ("trials", trials), ("seed", _check_seed(self.seed))):
+            object.__setattr__(self, name, value)
+
+
+def split_trials(prior_h0: float, trials: int) -> tuple[int, int]:
+    """The (H0, H1) trial counts of a run: floor(π₀·trials) under H0, the rest under H1."""
+    n_h0 = math.floor(prior_h0 * trials)
+    return n_h0, trials - n_h0
+
+
+def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
+    """Fraction of wrong calls in an (H0, H1) outcome pair: false alarms under
+    H0 plus misses under H1, over all trials, of which there must be some."""
+    trials = outcome_h0.trials + outcome_h1.trials
+    if not trials:
+        raise DegenerateInput("an outcome pair with no trials has no error rate")
+    return (outcome_h0.decide_h1_count + outcome_h1.decide_h0_count) / trials
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ Keys:
 
 parse_scenario only turns text into typed values: unknown or duplicate keys
 and values that are not numbers raise ParseError with the line number.
-Scenario applies every range and consistency rule, reusing the library check
-(built on the number gates in errors) that owns each field, so a parsed and a
-directly built Scenario pass the same checks; a violation raises
-ValidationError naming the field.
+Scenario applies every range and consistency rule, reusing the number gate in
+errors that the library applies to each field, so a parsed and a directly built
+Scenario pass the same checks; a violation raises ValidationError naming the
+field.
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .channel import _excitation, _reflectivity
-from .detector import MAX_TRIALS, _check_seed, _check_thresholds
-from .errors import (DegenerateInput, NumericalDomain, ParseError, ValidationError,
-                     _check_integer, _real)
-from .linkbudget import (LinkBudgetInputs, _require_positive, occupancy_to_excitation,
-                         thermal_occupancy)
-from .metrics import check_priors
+from .errors import (MAX_TRIALS, DegenerateInput, NumericalDomain, ParseError, ValidationError,
+                     _check_integer, _check_seed, _check_thresholds, _excitation, _real,
+                     _reflectivity, _require_positive, check_priors)
+from .linkbudget import LinkBudgetInputs, occupancy_to_excitation, thermal_occupancy
 
 _LINK_PREFIX = "link_budget."
 _LINK_KEYS = frozenset(_LINK_PREFIX + f.name for f in fields(LinkBudgetInputs))
@@ -211,6 +208,8 @@ def _link_budget(values: dict[str, float]) -> LinkBudgetInputs:
 def parse_scenario(text: str) -> Scenario:
     """Turn a scenario document into typed values and build the Scenario
     from them, which validates itself."""
+    if not isinstance(text, str):
+        raise DegenerateInput(f"text must be a str, got {type(text).__name__}")
     values: dict = {"phase_rad": None, "reflectivity": None}
     link: dict[str, float] = {}
     seen: set[str] = set()

@@ -52,7 +52,7 @@ MUTANTS = (
     Mutant("detector.py", "eigenvectors * (eigenvalues > TIE_ATOL)",
            "eigenvectors * (eigenvalues >= TIE_ATOL)",
            "an eigenvalue of exactly TIE_ATOL decides H1 in the generic test"),
-    Mutant("detector.py", "n_h0 = math.floor(prior_h0 * trials)",
+    Mutant("report.py", "n_h0 = math.floor(prior_h0 * trials)",
            "n_h0 = round(prior_h0 * trials)", "the trial allocation rounds instead of flooring"),
     Mutant("detector.py", "_STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}",
            "_STREAM_TAG = {HYPOTHESIS_H0: 1, HYPOTHESIS_H1: 0}",
@@ -72,12 +72,15 @@ MUTANTS = (
            "a NaN probability column skips the clamp"),
     Mutant("metrics.py", "FVG_ATOL = 1e-7", "FVG_ATOL = 1e-6",
            "the Fuchs-van de Graaff slack is 10x wider"),
-    Mutant("metrics.py", "MAX_DIMENSION**1.5 / 2) * STATE_ATOL",
+    Mutant("errors.py", "MAX_DIMENSION**1.5 / 2) * STATE_ATOL",
            "MAX_DIMENSION**1.5 / 2) * STATE_ATOL * 10", "the clamp window is 10x wider"),
     Mutant("metrics.py", "pe <= 0.5 + 1e-12", "pe <= 0.5 + 1e-6",
            "the Helstrom error may exceed 1/2 by 1e-6"),
-    Mutant("metrics.py", "abs(p0 + p1 - 1.0) <= PRIOR_ATOL", "p0 + p1 - 1.0 <= PRIOR_ATOL",
+    Mutant("errors.py", "abs(p0 + p1 - 1.0) <= PRIOR_ATOL", "p0 + p1 - 1.0 <= PRIOR_ATOL",
            "priors that sum to less than 1 are accepted"),
+    Mutant("scenario.py", "from .linkbudget import ",
+           "from .metrics import check_priors\nfrom .linkbudget import ",
+           "the scenario imports the linear-algebra layer again for a check errors holds"),
 )
 
 

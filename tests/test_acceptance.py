@@ -26,7 +26,6 @@ from qiradar.detector import (
     detection_counts,
     helstrom_measurement,
     measurement_error,
-    outcome_error,
 )
 from qiradar.linkbudget import (
     photon_energy,
@@ -38,6 +37,7 @@ from qiradar.linkbudget import (
 )
 from qiradar.metrics import fidelity, helstrom_error, trace_distance
 from qiradar.qstate import eigendecompose_hermitian, partial_trace
+from qiradar.report import outcome_error
 
 HALF = (0.5, 0.5)
 

@@ -9,11 +9,11 @@ from qiradar import detector, metrics, qstate
 from qiradar import report as report_module
 from qiradar.cli import main, run_scenario
 from qiradar.closed_form import born_pair
-from qiradar.detector import RocPoint, TrialOutcome, outcome_error, split_trials
-from qiradar.errors import DegenerateInput, NumericalDomain, ValidationError
+from qiradar.errors import MAX_TRIALS, DegenerateInput, NumericalDomain, ValidationError
 from qiradar.linkbudget import LinkBudgetResult
-from qiradar.report import ROC_CSV_HEADER, emit_report, report_to_dict, roc_csv
-from qiradar.scenario import MAX_TRIALS, Scenario, parse_scenario
+from qiradar.report import (ROC_CSV_HEADER, RocPoint, TrialOutcome, emit_report, outcome_error,
+                            report_to_dict, roc_csv, split_trials)
+from qiradar.scenario import Scenario, parse_scenario
 
 ANCHOR_DOC = (
     "phase_rad = 3.141592653589793\n"
@@ -62,6 +62,12 @@ class TestRunScenario:
         assert report.monte_carlo is None
         assert report.roc is None
         assert report.link_budget is None
+
+    @pytest.mark.parametrize("scenario, kind", [("x", "str"), (None, "NoneType"),
+                                                (ANCHOR_DOC, "str"), ({"phase_rad": 1.0}, "dict")])
+    def test_what_is_not_a_scenario_raises_a_typed_error(self, scenario, kind):
+        with pytest.raises(DegenerateInput, match=f"^scenario must be a Scenario, got {kind}$"):
+            run_scenario(scenario)
 
     def test_detector_half_runs_on_the_closed_form(self, monkeypatch):
         # F, P_e, the ROC and the Monte Carlo Born probabilities come from

@@ -32,7 +32,8 @@ from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import run_scenario
 from qiradar.closed_form import born_pair, born_pairs
 from qiradar.detector import TIE_ATOL, born_probability, helstrom_measurement, roc_sweep
-from qiradar.metrics import clamp_unit, distinguishability, helstrom_error
+from qiradar.errors import clamp_unit
+from qiradar.metrics import distinguishability, helstrom_error
 from qiradar.scenario import Scenario
 
 ATOL = GENERIC_ATOL

@@ -9,21 +9,18 @@ from qiradar import detector
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.closed_form import TIE_ATOL
 from qiradar.detector import (
-    MAX_TRIALS,
     BinaryMeasurement,
-    RocPoint,
-    TrialOutcome,
     born_probability,
     detection_counts,
     helstrom_measurement,
     measurement_error,
-    outcome_error,
     roc_sweep,
 )
-from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
-from qiradar.metrics import clamp_unit, helstrom_error
+from qiradar.errors import (MAX_TRIALS, DegenerateInput, DimensionMismatch, NumericalDomain,
+                            _check_thresholds, clamp_unit)
+from qiradar.metrics import helstrom_error
 from qiradar.qstate import DensityOperator, eigendecompose_hermitian
-from qiradar.report import _Curve
+from qiradar.report import RocPoint, TrialOutcome, _Curve, outcome_error
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]), (2,))
 KET1 = DensityOperator(np.diag([0.0, 1.0]), (2,))
@@ -357,10 +354,10 @@ class TestRocSweep:
     def test_threshold_gate_takes_each_list_as_before(self):
         # A list of floats with a finite sum passes in one C-level check; any other
         # list goes entry by entry, with the same values and the same messages.
-        assert detector._check_thresholds((1e308, 1e308)) == [1e308, 1e308]  # sum overflows
-        [zero] = detector._check_thresholds([-0.0])
+        assert _check_thresholds((1e308, 1e308)) == [1e308, 1e308]  # sum overflows
+        [zero] = _check_thresholds([-0.0])
         assert math.copysign(1.0, zero) == -1.0
-        values = detector._check_thresholds([0.5, np.float64(2.0), 3])
+        values = _check_thresholds([0.5, np.float64(2.0), 3])
         assert values == [0.5, 2.0, 3.0] and {type(v) for v in values} == {float}
         for bad, message in (([0.5, math.nan], "threshold must be finite, got nan"),
                              ([math.inf, -math.inf], "threshold must be finite, got inf"),
@@ -369,7 +366,7 @@ class TestRocSweep:
                              ([1e308, -1e308], "thresholds must be >= 0, got -1e+308"),
                              ([1e308, 1e308, -1.0], "thresholds must be >= 0, got -1.0")):
             with pytest.raises(DegenerateInput, match=re.escape(message)):
-                detector._check_thresholds(bad)
+                _check_thresholds(bad)
 
     def test_non_iterable_thresholds_rejected(self):
         for bad in (5, 0.5, None, "123", b"12"):

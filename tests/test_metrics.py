@@ -7,12 +7,10 @@ import scipy.linalg
 
 from conftest import pure_pair, random_density, random_pure, random_unitary
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
-from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
+from qiradar.errors import (CLAMP_WINDOW, DegenerateInput, DimensionMismatch, NumericalDomain,
+                            check_priors, clamp_unit)
 from qiradar.metrics import (
-    CLAMP_WINDOW,
     DistinguishabilityReport,
-    check_priors,
-    clamp_unit,
     distinguishability,
     fidelity,
     helstrom_error,

@@ -33,9 +33,8 @@ from qiradar import metrics
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import run_scenario
 from qiradar.closed_form import born_pair
-from qiradar.errors import NumericalDomain, ParseError, ValidationError
+from qiradar.errors import NumericalDomain, ParseError, ValidationError, clamp_unit
 from qiradar.linkbudget import LinkBudgetInputs
-from qiradar.metrics import clamp_unit
 from qiradar.report import emit_report, report_to_dict, roc_csv
 from qiradar.scenario import KNOWN_KEYS, Scenario, parse_scenario
 

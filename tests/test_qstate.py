@@ -15,11 +15,6 @@ from qiradar.qstate import (
     sqrt_psd,
 )
 
-def rebuild(w, v):
-    """V diag(λ) V† per stack member: the oracle for an eigendecomposition."""
-    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def manual_reduced_state(rho, keep_second):
     """Independent partial-trace oracle for a 2x2-subsystem operator: direct
     summation over the traced-out basis, no reshape tricks."""
@@ -209,38 +204,12 @@ class TestEigendecomposeHermitian:
         with pytest.raises(NumericalDomain):
             eigendecompose_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_stack_matches_each_member_bit_for_bit(self):
-        rng = np.random.default_rng(77)
-        g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-        stack = (g + g.conj().swapaxes(-1, -2)).reshape(2, 3, 4, 4)
-        w, v = eigendecompose_hermitian(stack)
-        assert w.shape == (2, 3, 4)
-        assert v.shape == (2, 3, 4, 4)
-        for index in np.ndindex(2, 3):
-            w_alone, v_alone = eigendecompose_hermitian(stack[index])
-            assert np.array_equal(w[index], w_alone)
-            assert np.array_equal(v[index], v_alone)
-            assert np.all(np.diff(w_alone) <= 0.0)
-
-    def test_stack_with_one_non_hermitian_member_rejected(self):
-        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
-        with pytest.raises(NumericalDomain):
-            eigendecompose_hermitian(stack)
-
-    def test_stack_reconstruction_roundtrip(self):
-        rng = np.random.default_rng(4343)
-        g = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-        stack = g + g.conj().swapaxes(-1, -2)
-        rebuilt = rebuild(*eigendecompose_hermitian(stack))
-        np.testing.assert_allclose(rebuilt, stack, atol=1e-8)
-        for index, member in enumerate(rebuilt):
-            assert np.array_equal(member, rebuild(*eigendecompose_hermitian(stack[index])))
-
-    def test_empty_stack_gives_empty_spectrum(self):
-        w, v = eigendecompose_hermitian(np.zeros((0, 4, 4)))
-        assert w.shape == (0, 4)
-        assert v.shape == (0, 4, 4)
-        assert rebuild(w, v).shape == (0, 4, 4)
+    @pytest.mark.parametrize("check", [eigendecompose_hermitian, _checked_hermitian])
+    def test_stack_rejected(self, check):
+        # One d×d matrix at a time: a stack of Hermitian matrices is not one.
+        for shape in ((3, 2, 2), (0, 4, 4), (2, 3, 4, 4)):
+            with pytest.raises(DimensionMismatch, match="must be square"):
+                check(np.zeros(shape, dtype=complex))
 
     def test_residual_above_state_atol_rejected(self):
         # The one hermiticity tolerance: 2e-9 is past STATE_ATOL = 1e-9.
@@ -269,18 +238,17 @@ class TestCheckedHermitian:
         return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
 
     def test_combinations_of_stored_states_come_back_bit_for_bit(self):
-        # What the pipeline decomposes: the model's states, their differences at the
-        # priors and ROC stacks, and perturbed random states. Each equals its adjoint,
+        # What the generic tests decompose: the model's states, their differences at the
+        # priors and ROC thresholds, and perturbed random states. Each equals its adjoint,
         # is returned as it is, and holds the same bits as (A + A†)/2.
         rng = np.random.default_rng(31)
         pairs = [(hypothesis_h0(p), hypothesis_h1(TargetParams(phi, eta, p)))
                  for eta in (0.0, 0.35, 1.0) for p in (0.0, 1e-7, 0.5) for phi in (0.0, 1.0, 4.0)]
         pairs += [(random_density(rng, 4), random_density(rng, 4)) for _ in range(10)]
-        ts = np.array([0.0, 0.4, 1.0, 8.0, 1e6])
         for rho0, rho1 in pairs:
             for mat in (rho0.matrix, rho1.matrix, rho0.matrix - rho1.matrix,
                         0.3 * rho1.matrix - 0.7 * rho0.matrix,
-                        rho1.matrix - ts[:, None, None] * rho0.matrix):
+                        *(rho1.matrix - t * rho0.matrix for t in (0.0, 0.4, 1.0, 8.0, 1e6))):
                 assert _checked_hermitian(mat) is mat
                 assert mat.tobytes() == self.hermitian_part(mat).tobytes()
 

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
-from qiradar.detector import _check_seed, detection_counts, roc_sweep
-from qiradar.errors import DegenerateInput, ParseError, ValidationError, _check_integer
+from qiradar.detector import detection_counts, roc_sweep
+from qiradar.errors import (MAX_TRIALS, DegenerateInput, ParseError, ValidationError,
+                            _check_integer, _check_seed, check_priors)
 from qiradar.linkbudget import (LinkBudgetInputs, dbm_to_watts, occupancy_to_excitation,
                                 thermal_occupancy, watts_to_dbm)
-from qiradar.metrics import check_priors
 from qiradar.qstate import bell_phi_plus
-from qiradar.scenario import KNOWN_KEYS, MAX_TRIALS, Scenario, parse_scenario
+from qiradar.scenario import KNOWN_KEYS, Scenario, parse_scenario
 
 BASE = (
     "phase_rad = 3.141592653589793\n"
@@ -258,6 +258,13 @@ MALFORMED_DOCUMENTS = [
 def test_malformed_documents_raise_typed_errors(document):
     with pytest.raises((ParseError, ValidationError)):
         parse_scenario(document)
+
+
+@pytest.mark.parametrize("text, kind", [(None, "NoneType"), (b"phase_rad = 1", "bytes"),
+                                        (["phase_rad = 1"], "list")])
+def test_parse_scenario_rejects_what_is_not_text(text, kind):
+    with pytest.raises(DegenerateInput, match=f"^text must be a str, got {kind}$"):
+        parse_scenario(text)
 
 
 def test_known_keys_cover_grammar():
