@@ -12,8 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import channel, closed_form, detector, linkbudget, metrics
-from .errors import (DegenerateInput, ParseError, QIRadarError, ValidationError, check_priors,
-                     clamp_unit)
+from .errors import DegenerateInput, ParseError, QIRadarError, ValidationError, clamp_unit
 from .report import DetectionReport, _Curve, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
 
@@ -44,7 +43,7 @@ def _run(scenario: Scenario) -> DetectionReport:
     )
     rho0 = channel.hypothesis_h0(scenario.noise_excitation)
     rho1 = channel.hypothesis_h1(params)
-    priors = check_priors((scenario.prior_h0, scenario.prior_h1))
+    priors = (scenario.prior_h0, scenario.prior_h1)  # Scenario has checked them
     # D comes from the generic eigensolve; F, P_e and the detector half's Born probabilities
     # from the closed form, which the generic metrics, helstrom_measurement and roc_sweep check.
     eta, p = params.reflectivity_eta, params.noise_excitation_p

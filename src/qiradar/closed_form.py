@@ -8,7 +8,7 @@ So w₁ρ₁ − w₀ρ₀ is s·a on |01⟩, s·b on |10⟩ and the block [[c +
 m ± r, m = c + s/4 and r = √(d² + c²) with d = s(a − b)/2, its determinant is s·q with
 q = c/2 + s·a·b, and its projector onto m + r is (M − (m − r)I)/2r. φ drops out of every
 trace. Along a non-descending w₀, s, m and q never rise as computed, so once all three are < 0
-every later point is (0, 0) to the last bit: born_pairs stops there and fills in the zeros.
+every later point is (0, 0) to the last bit: born_pairs stops there, returning what it computed.
 """
 
 import math
@@ -26,8 +26,9 @@ def _model(eta: float, p: float) -> tuple[float, ...]:
 
 
 def born_pairs(eta: float, p: float, w0s, w1: float = 1.0) -> tuple[list[float], list[float]]:
-    """The columns ([Tr Pρ₀ …], [Tr Pρ₁ …]) over the sequence w0s, P the projector onto
-    the eigenvalues > TIE_ATOL of w₁ρ₁ − w₀ρ₀; the (η, p, w₁) constants are formed once.
+    """The columns ([Tr Pρ₀ …], [Tr Pρ₁ …]) over w0s up to the zero tail, each later point
+    (0.0, 0.0), P the projector onto the eigenvalues > TIE_ATOL of w₁ρ₁ − w₀ρ₀; the (η, p, w₁)
+    constants are formed once.
 
     w₀ is a ROC threshold t at w₁ = 1, or π₀ at w₁ = π₁ for the Helstrom test. w0s must
     be non-descending. Inputs are taken as given; TargetParams, check_priors and
@@ -67,13 +68,12 @@ def born_pairs(eta: float, p: float, w0s, w1: float = 1.0) -> tuple[list[float],
             p_h0, p_h1 = p_h0 + b, p_h1 + fb
         p_h0s.append(p_h0)
         p_h1s.append(p_h1)
-    tail = [0.0] * (len(w0s) - len(p_h0s))
-    return p_h0s + tail, p_h1s + tail
+    return p_h0s, p_h1s
 
 
 def born_pair(eta: float, p: float, w0: float, w1: float) -> tuple[float, float]:
-    """born_pairs of the one weight pair (w₀, w₁)."""
-    return next(zip(*born_pairs(eta, p, (w0,), w1)))
+    """born_pairs of the one weight pair (w₀, w₁); an empty prefix is (0.0, 0.0)."""
+    return next(zip(*born_pairs(eta, p, (w0,), w1)), (0.0, 0.0))
 
 
 def fidelity(eta: float, p: float) -> float:

@@ -80,9 +80,13 @@ CLAMP_WINDOW = (2 * MAX_DIMENSION - 1 + MAX_DIMENSION**1.5 / 2) * STATE_ATOL
 
 def clamp_unit(value: float, what: str) -> float:
     """Snap values within CLAMP_WINDOW of [0, 1] back onto the interval."""
-    if -CLAMP_WINDOW <= value < 0.0:
+    return _clamp(value, what, CLAMP_WINDOW)
+
+
+def _clamp(value: float, what: str, window: float) -> float:
+    if -window <= value < 0.0:
         return 0.0
-    if 1.0 < value <= 1.0 + CLAMP_WINDOW:
+    if 1.0 < value <= 1.0 + window:
         return 1.0
     if not (0.0 <= value <= 1.0):  # NaN fails too
         raise NumericalDomain(f"{what} = {value:.12g} lies outside [0, 1] beyond roundoff")

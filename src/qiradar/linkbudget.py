@@ -102,8 +102,10 @@ def thermal_occupancy(f: float, t: float) -> float:
     (a bath frozen for any practical purpose) are floored to exactly 0; one
     beyond the float range raises NumericalDomain.
     """
-    f = _require_positive("frequency", f)
-    t = _require_positive("temperature", t)
+    return _occupancy(_require_positive("frequency", f), _require_positive("temperature", t))
+
+
+def _occupancy(f: float, t: float) -> float:  # thermal_occupancy of gated inputs
     kt = BOLTZMANN_KB * t
     if kt > 0.0:
         x = PLANCK_H * f / kt

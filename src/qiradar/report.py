@@ -18,15 +18,16 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from itertools import filterfalse, repeat
+from itertools import filterfalse, repeat, zip_longest
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import MAX_TRIALS, DegenerateInput, _check_integer, _check_seed, _real, clamp_unit
+from .errors import MAX_TRIALS, DegenerateInput, _check_integer, _check_seed, _clamp, _real
 from .linkbudget import LinkBudgetResult
 from .scenario import Scenario
 
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
+CURVE_WINDOW = 2.0**-50  # the pipeline curve's clamp: 4 ulp; its kernel leaves [0, 1] by ≤ 1 ulp
 
 HYPOTHESIS_H0 = "H0"
 HYPOTHESIS_H1 = "H1"
@@ -116,7 +117,9 @@ class DetectionReport:
             object.__setattr__(self, name, tuple(value))
         roc = None if self.roc is None else _checked_curve(self.roc, in_report=True)
         object.__setattr__(self, "roc", roc)
-        if _bits(roc and map(attrgetter("threshold"), roc)) != _bits(self.scenario.roc_thresholds):
+        # A pipeline curve holds the scenario's own threshold tuple; any other is compared by bits.
+        column = roc and (roc._source or [map(attrgetter("threshold"), roc)])[0]
+        if column is not (want := self.scenario.roc_thresholds) and _bits(column) != _bits(want):
             raise DegenerateInput("roc must have one point at each of scenario.roc_thresholds, "
                                   "in order, and be None when there are none")
         mc = self.monte_carlo
@@ -146,19 +149,26 @@ class _Curve(tuple):
     """Checked ROC points, with each column's repr text built once: the structured
     report's echo and points and the CSV join the same strings."""
 
+    _source = None  # of_columns' threshold and probability columns; None when hand-built
+
     @classmethod
     def of_columns(cls, thresholds, p_fa, p_d) -> _Curve:
-        """A curve of checked thresholds; a probability column outside [0, 1] is clamped."""
-        checked = []
+        """Checked thresholds and born_pairs' prefix columns, clamped within CURVE_WINDOW."""
+        thresholds, checked = tuple(thresholds), []
         for values, what in zip((p_fa, p_d), ("false-alarm probability", "detection probability")):
-            if not (0.0 <= min(values) and max(values) <= 1.0 and not math.isnan(sum(values))):
-                values = [clamp_unit(v, what) for v in values]
+            if not (0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0
+                    and not math.isnan(sum(values))):
+                values = [_clamp(v, what, CURVE_WINDOW) for v in values]
             checked.append(values)
-        return cls(map(tuple.__new__, repeat(RocPoint), zip(thresholds, *checked)))  # _make
+        points = zip_longest(thresholds, *checked, fillvalue=0.0)  # (t, 0.0, 0.0) past the prefix
+        curve = cls(map(tuple.__new__, repeat(RocPoint), points))  # _make
+        curve._source = (thresholds, *checked)
+        return curve
 
     @cached_property
     def columns(self) -> tuple[list[str], ...]:
-        return tuple(list(map(repr, column)) for column in zip(*self))
+        return tuple(list(map(repr, column)) + ["0.0"] * (len(self) - len(column))
+                     for column in self._source or zip(*self))  # "0.0" per point past a prefix
 
 
 def _checked_curve(points, in_report: bool = False) -> _Curve:

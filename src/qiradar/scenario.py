@@ -42,7 +42,7 @@ from functools import cached_property
 from .errors import (MAX_TRIALS, DegenerateInput, NumericalDomain, ParseError, ValidationError,
                      _check_integer, _check_seed, _check_thresholds, _excitation, _real,
                      _reflectivity, _require_positive, check_priors)
-from .linkbudget import LinkBudgetInputs, occupancy_to_excitation, thermal_occupancy
+from .linkbudget import LinkBudgetInputs, _occupancy, occupancy_to_excitation
 
 _LINK_PREFIX = "link_budget."
 _LINK_KEYS = frozenset(_LINK_PREFIX + f.name for f in fields(LinkBudgetInputs))
@@ -113,7 +113,7 @@ class Scenario:
         None when noise_excitation was given directly."""
         if self.frequency_hz is None:
             return None
-        return thermal_occupancy(self.frequency_hz, self.temperature_k)
+        return _occupancy(self.frequency_hz, self.temperature_k)  # both passed _check_noise
 
     def _check_noise(self) -> None:
         given = self.noise_excitation
@@ -198,13 +198,6 @@ def _typed_value(key: str, text: str, line_no: int):
     return tuple(_number(key, tok, line_no) for tok in tokens)
 
 
-def _link_budget(values: dict[str, float]) -> LinkBudgetInputs:
-    """LinkBudgetInputs from the link_budget.* entries; a rejected value is
-    reported under its dotted key."""
-    return LinkBudgetInputs(**{name: _checked(_LINK_PREFIX + name, _require_positive, name, value)
-                               for name, value in values.items()})
-
-
 def parse_scenario(text: str) -> Scenario:
     """Turn a scenario document into typed values and build the Scenario
     from them, which validates itself."""
@@ -229,5 +222,10 @@ def parse_scenario(text: str) -> Scenario:
         else:
             values[key] = value
     if link:
-        values["link_budget"] = _link_budget(dict(sorted(link.items())))
+        try:  # LinkBudgetInputs gates each value; name the first rejected key by its dotted form
+            values["link_budget"] = LinkBudgetInputs(**link)
+        except DegenerateInput:
+            for name, value in sorted(link.items()):
+                _checked(_LINK_PREFIX + name, _require_positive, name, value)
+            raise
     return Scenario(**values)

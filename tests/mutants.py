@@ -70,6 +70,15 @@ MUTANTS = (
            "a point at 0.0 matches a scenario threshold of -0.0"),
     Mutant("report.py", " and not math.isnan(sum(values))", "",
            "a NaN probability column skips the clamp"),
+    Mutant("report.py", '+ ["0.0"] * (len(self)', '+ ["0"] * (len(self)',
+           "the curve's zero tail is written as another text than its points' repr"),
+    Mutant("report.py", "if column is not (want", "if roc is None and column is not (want",
+           "a curve's threshold column is never compared with the scenario's"),
+    Mutant("report.py", "            if not (0.0 <= min(values, default=0.0)",
+           "            if False and not (0.0 <= min(values, default=0.0)",
+           "the computed prefix skips the range check and the clamp"),
+    Mutant("report.py", "CURVE_WINDOW = 2.0**-50", "CURVE_WINDOW = 2.0**-20",
+           "the curve snaps a kernel excursion of 1e-12 instead of raising"),
     Mutant("metrics.py", "FVG_ATOL = 1e-7", "FVG_ATOL = 1e-6",
            "the Fuchs-van de Graaff slack is 10x wider"),
     Mutant("errors.py", "MAX_DIMENSION**1.5 / 2) * STATE_ATOL",
@@ -78,6 +87,9 @@ MUTANTS = (
            "the Helstrom error may exceed 1/2 by 1e-6"),
     Mutant("errors.py", "abs(p0 + p1 - 1.0) <= PRIOR_ATOL", "p0 + p1 - 1.0 <= PRIOR_ATOL",
            "priors that sum to less than 1 are accepted"),
+    Mutant("scenario.py", "for name, value in sorted(link.items()):",
+           "for name, value in link.items():",
+           "of two rejected link values, the first in document order is named, not in key order"),
     Mutant("scenario.py", "from .linkbudget import ",
            "from .metrics import check_priors\nfrom .linkbudget import ",
            "the scenario imports the linear-algebra layer again for a check errors holds"),

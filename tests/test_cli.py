@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qiradar import detector, metrics, qstate
+from qiradar import channel, cli, closed_form, detector, errors, linkbudget, metrics, qstate
+from qiradar import scenario as scenario_module
 from qiradar import report as report_module
 from qiradar.cli import main, run_scenario
 from qiradar.closed_form import born_pair
@@ -332,6 +333,62 @@ class TestReportSerialization:
             assert_one_rendering(replace(report, link_budget=LinkBudgetResult(snr=snr),
                                          warnings=['"roc_thresholds": null', '"roc": null']))
 
+    def test_pipeline_report_moved_onto_other_thresholds_raises(self):
+        # A pipeline curve keeps the scenario's own threshold tuple; moved onto another
+        # scenario it is compared by its bits, so equal thresholds pass and others raise.
+        report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1, 4\n")
+        assert report.roc._source[0] is report.scenario.roc_thresholds
+        same = replace(report.scenario, roc_thresholds=[0.0, 1.0, 4.0])
+        assert same.roc_thresholds is not report.scenario.roc_thresholds
+        assert emit_report(replace(report, scenario=same), "structured") == emit_report(report,
+                                                                                       "structured")
+        for other in ((0.0, 1.0, 5.0), (-0.0, 1.0, 4.0), (0.0, 1.0), (0.0, 1.0, 4.0, 4.0)):
+            with pytest.raises(DegenerateInput, match="one point at each of scenario.roc"):
+                replace(report, scenario=replace(report.scenario, roc_thresholds=other))
+
+    @pytest.mark.parametrize("eta, p, thresholds, computed", [
+        (0.5, 0.5, "2.6, 3, 1e308", 0),           # every threshold past t₊: an empty prefix
+        (0.5, 0.0, "0, 1, 8, 1e308", 4),          # p = 0: there is no tail
+        (0.5, 0.5, "2.5, 2.5, 8", 2),             # computed zeros from index 0, then the tail
+        (0.5, 0.5, "-0, 0, 0, 1, 2.6, 2.6", 4),   # −0.0 and repeated thresholds
+        (*EDGE_ETA_P, "-0, 0, 0, 1, 1e308", 4),   # a clamped P_D of 1 + 2⁻⁵² at t = 0
+    ])
+    def test_pipeline_curve_renders_as_its_points(self, eta, p, thresholds, computed):
+        # of_columns formats the computed prefix and writes "0.0" for each point past it;
+        # the same points as a hand-built curve are formatted one by one.
+        report = run_doc(f"phase_rad = 1\nreflectivity = {eta!r}\nnoise_excitation = {p!r}\n"
+                         f"roc_thresholds = {thresholds}\n")
+        assert [len(column) for column in report.roc._source] == [len(report.roc), computed,
+                                                                 computed]
+        rebuilt = replace(report, roc=list(report.roc))
+        assert rebuilt.roc._source is None
+        for fmt in ("structured", "table"):
+            assert emit_report(report, fmt) == emit_report(rebuilt, fmt)
+        assert roc_csv(report.roc) == roc_csv(rebuilt.roc) == roc_csv(list(report.roc))
+        assert report.roc.columns == rebuilt.roc.columns
+        assert_one_rendering(report)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_a_kernel_past_the_curve_window_raises(self, monkeypatch, column):
+        # The closed form leaves [0, 1] by at most 1 ulp; the curve snaps 4 ulp, no more.
+        def kernel(value):
+            def born_pairs(eta, p, w0s, w1=1.0):
+                columns = [[0.5] * len(w0s), [0.5] * len(w0s)]
+                columns[column][0] = value
+                return tuple(columns)
+            return born_pairs
+
+        doc = ANCHOR_DOC + "roc_thresholds = 0, 1\n"
+        what = ("false-alarm", "detection")[column]
+        for value, snapped in ((1.0 + 2**-50, 1.0), (-(2**-50), 0.0)):
+            monkeypatch.setattr(closed_form, "born_pairs", kernel(value))
+            assert run_doc(doc).roc[0][1 + column] == snapped
+        for value, text in ((1.0 + 1e-12, "1"), (1.0 + 2**-49, "1"), (-1e-12, "-1e-12"),
+                            (math.nan, "nan")):  # the message prints 12 digits
+            monkeypatch.setattr(closed_form, "born_pairs", kernel(value))
+            with pytest.raises(NumericalDomain, match=f"{what} probability = {text} lies outside"):
+                run_doc(doc)
+
     def test_pipeline_curve_is_checked_once(self, monkeypatch):
         # run_scenario builds the report's checked curve from checked thresholds and
         # clamped probabilities, so _valid_point does not run on it again.
@@ -432,6 +489,22 @@ def scenario_file(tmp_path):
         return str(path)
 
     return write
+
+
+def test_priors_are_checked_by_the_scenario_and_the_metrics_only(monkeypatch):
+    # Scenario checks the pair and run_scenario takes it as checked;
+    # DistinguishabilityReport checks what it is given.
+    calls = []
+    for module in (channel, cli, closed_form, detector, errors, linkbudget, metrics, qstate,
+                   report_module, scenario_module):
+        if hasattr(module, "check_priors"):
+            def counted(priors, module=module, check=module.check_priors):
+                calls.append(module.__name__)
+                return check(priors)
+            monkeypatch.setattr(module, "check_priors", counted)
+    report = run_doc(FULL_DOC + "prior_h0 = 0.3\nprior_h1 = 0.7\n")
+    assert report.monte_carlo is not None and report.roc is not None
+    assert calls == ["qiradar.scenario", "qiradar.metrics"]
 
 
 class TestCommandLine:

@@ -232,24 +232,49 @@ def test_pipeline_roc_is_born_pair_bit_for_bit():
             assert roc.tobytes() == np.array(expected).tobytes(), (eta, p, point.__name__)
 
 
+class Counted(list):
+    """A list that counts the items its iterators have handed out."""
+
+    taken = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.taken += 1
+            yield item
+
+
+def padded(columns, n):
+    """born_pairs' prefix columns as n points, (0.0, 0.0) past the prefix."""
+    p_fa, p_d = columns
+    assert len(p_fa) == len(p_d) <= n
+    return list(zip(p_fa, p_d)) + [(0.0, 0.0)] * (n - len(p_fa))
+
+
 def test_sweep_stops_at_the_first_tail_point():
     # η = p = 1/2: the crossings are 1 − η = 0.5 and t₊ = 2.5, where q = c/2 + s·a·b is
     # exactly 0. The first threshold past t₊ is the first tail point: born_pairs takes
-    # it from the list and no further one, and fills the rest with (0, 0).
-    class Counted(list):
-        taken = 0
-
-        def __iter__(self):
-            for item in super().__iter__():
-                self.taken += 1
-                yield item
-
+    # it from the list and no further one, and returns the five points before it.
     assert max(Model(0.5, 0.5, 0.0).crossings()) == 2.5
     ts = Counted([0.0, 0.5, 1.0, 2.0, 2.5, math.nextafter(2.5, 3.0), 3.0, 8.0, 1e308])
     p_fa, p_d = born_pairs(0.5, 0.5, ts)
     assert ts.taken == 6
-    assert list(zip(p_fa, p_d)) == [unstopped_born_pair(0.5, 0.5, t, 1.0) for t in ts]
-    assert p_fa[3] > 0.0 and p_d[3] > 0.0 and p_fa[4:] == p_d[4:] == [0.0] * 5
+    assert len(p_fa) == len(p_d) == 5
+    assert padded((p_fa, p_d), len(ts)) == [unstopped_born_pair(0.5, 0.5, t, 1.0) for t in ts]
+    assert p_fa[3] > 0.0 and p_d[3] > 0.0 and p_fa[4] == p_d[4] == 0.0
+
+
+@pytest.mark.parametrize("eta, p, ts, computed", [
+    (0.5, 0.5, [2.6, 3.0, 1e308], 0),              # every threshold past t₊: an empty prefix
+    (0.5, 0.0, [0.0, 1.0, 8.0, 1e308], 4),         # p = 0: q = c/2 ≥ 0, so there is no tail
+    (0.5, 0.5, [0.0, 0.0, 2.6, 2.6, 2.6], 2),      # repeated thresholds either side of t₊
+    (0.5, 0.5, [-0.0, 0.5, 2.5, 3.0], 3),          # −0.0 is 0 to the kernel
+])
+def test_sweep_prefix_pads_to_the_unstopped_pairs(eta, p, ts, computed):
+    ts = Counted(ts)
+    columns = born_pairs(eta, p, ts)
+    assert len(columns[0]) == computed and ts.taken == min(computed + 1, len(ts))
+    assert padded(columns, len(ts)) == [unstopped_born_pair(eta, p, t, 1.0) for t in ts]
+    assert born_pair(eta, p, ts[-1], 1.0) == unstopped_born_pair(eta, p, ts[-1], 1.0)
 
 
 ULP_1 = 2.0**-52

@@ -13,6 +13,8 @@ from qiradar.errors import (MAX_TRIALS, DegenerateInput, ParseError, ValidationE
 from qiradar.linkbudget import (LinkBudgetInputs, dbm_to_watts, occupancy_to_excitation,
                                 thermal_occupancy, watts_to_dbm)
 from qiradar.qstate import bell_phi_plus
+from qiradar import linkbudget
+from qiradar import scenario as scenario_module
 from qiradar.scenario import KNOWN_KEYS, Scenario, parse_scenario
 
 BASE = (
@@ -288,6 +290,47 @@ def test_value_may_contain_a_separator():
         parse_scenario("phase_rad: 1=2\nreflectivity = 0.5\nnoise_excitation = 0\n")
     assert err.value.line == 1
     assert "'phase_rad' is not a number" in str(err.value)
+
+
+THERMAL_DOC = "phase_rad = 1\nreflectivity = 0.5\nfrequency_hz = 1e10\ntemperature_k = 290\n"
+LINK_DOC = ("link_budget.power_w = 1e-16\nlink_budget.noise_power_w = 1e-15\n"
+            "link_budget.frequency_hz = 1e10\n")
+
+
+@pytest.mark.parametrize("document, gates", [(BASE + LINK_DOC, 3), (THERMAL_DOC, 2),
+                                             (THERMAL_DOC + LINK_DOC, 5)],
+                         ids=["link", "thermal", "both"])
+def test_each_positive_value_passes_one_gate(monkeypatch, document, gates):
+    calls = []
+    for module in (linkbudget, scenario_module):
+        def counted(name, value, check=module._require_positive):
+            calls.append(name)
+            return check(name, value)
+        monkeypatch.setattr(module, "_require_positive", counted)
+    parse_scenario(document)
+    assert len(calls) == gates
+
+
+@pytest.mark.parametrize("document, field, message", [
+    (THERMAL_DOC.replace("1e10", "0"), "frequency_hz", "frequency_hz must be positive, got 0.0"),
+    (THERMAL_DOC.replace("290", "-1"), "temperature_k", "temperature_k must be positive, got -1.0"),
+    (THERMAL_DOC.replace("1e10", "inf").replace("290", "0"), "frequency_hz",
+     "frequency_hz must be finite, got inf"),
+    # LinkBudgetInputs gates power_w first; the document's keys are checked in sorted order.
+    (BASE + "link_budget.power_w = 0\nlink_budget.amplitude_pass = -2\n",
+     "link_budget.amplitude_pass", "amplitude_pass must be positive, got -2.0"),
+])
+def test_a_rejected_positive_value_names_its_field(document, field, message):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(document)
+    assert (err.value.field, str(err.value)) == (field, message)
+
+
+def test_thermal_inputs_are_stored_as_floats():
+    scenario = Scenario(phase_rad=1, reflectivity=0.5, frequency_hz=10**10,
+                        temperature_k=Fraction(580, 2))
+    assert (type(scenario.frequency_hz), type(scenario.temperature_k)) == (float, float)
+    assert scenario == parse_scenario(THERMAL_DOC)
 
 
 def test_trials_above_maximum_rejected():
