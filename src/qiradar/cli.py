@@ -1,7 +1,8 @@
 """Command-line front end: parse a scenario, run the pipeline, emit reports.
 
 Exit codes: 0 success, 2 parse/validation failure (including an unreadable
-scenario file), 3 numerical failure while running a valid scenario.
+scenario file or an unwritable --out or --roc-out path), 3 numerical failure while
+running a valid scenario.
 """
 
 from __future__ import annotations
@@ -140,13 +141,16 @@ def main(argv=None) -> int:
         return 3
 
     output = emit_report(report, args.format)
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(output)
-
-    if args.roc_out:
-        Path(args.roc_out).write_text(roc_csv(report.roc), encoding="utf-8")
+    try:  # a failed --roc-out write comes after the report has gone out
+        if args.out:
+            Path(args.out).write_text(output, encoding="utf-8")
+        if args.roc_out:
+            Path(args.roc_out).write_text(roc_csv(report.roc), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

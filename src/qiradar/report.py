@@ -5,9 +5,9 @@ sort_keys=True)`` and a newline: sorted field names and full
 shortest-round-trip float precision, so two runs of the same scenario and seed
 are byte-identical, every numeric survives a parse round trip exactly (NaN
 and ±inf, which JSON cannot carry, raise DegenerateInput), and reports
-concatenate into JSON Lines. A report formats each ROC number once: the structured
-line's roc_thresholds echo and points and roc_csv share that text. The table format
-renders the same document for reading: its fields in document order, 6 significant digits.
+concatenate into JSON Lines. A report's ROC, only ever the curve run_scenario built, formats
+each number once: the structured line's roc_thresholds echo and points and roc_csv share
+that text. The table format renders the document for reading, fields in order, 6 digits.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from itertools import filterfalse, repeat, zip_longest
-from operator import attrgetter
+from itertools import repeat, zip_longest
 from typing import NamedTuple
 
 from .errors import MAX_TRIALS, DegenerateInput, _check_integer, _check_seed, _clamp, _real
@@ -86,10 +84,10 @@ class DetectionReport:
     The effective phase and the three metrics pass the real-number gate. monte_carlo
     is the scenario's (H0, H1) outcome pair as draw_counts makes it: None when
     scenario.trials is 0, else of scenario.seed with split_trials' counts. The report
-    derives its error rate and seed from it. roc has a point at each of
-    scenario.roc_thresholds, sign and all (None without them), holding floats: the
-    threshold and two probabilities. Sequences are stored as tuples; a wrong type
-    raises DegenerateInput.
+    derives its error rate and seed from it. roc is the curve run_scenario built at
+    scenario.roc_thresholds, sign and all, or None without them; no other curve is
+    accepted, so dataclasses.replace can move a report but not rebuild its ROC.
+    Sequences are stored as tuples; a wrong type raises DegenerateInput.
     """
 
     scenario: Scenario
@@ -115,10 +113,8 @@ class DetectionReport:
             if not (isinstance(value, (list, tuple)) and all(map(kind.__instancecheck__, value))):
                 raise DegenerateInput(f"{name} must be a list or tuple of {kind.__name__}")
             object.__setattr__(self, name, tuple(value))
-        roc = None if self.roc is None else _checked_curve(self.roc, in_report=True)
-        object.__setattr__(self, "roc", roc)
-        # A pipeline curve holds the scenario's own threshold tuple; any other is compared by bits.
-        column = roc and (roc._source or [map(attrgetter("threshold"), roc)])[0]
+        # The curve holds its scenario's threshold tuple; moved by replace, it is compared by bits.
+        column = None if self.roc is None else _pipeline_curve(self.roc, "roc")._source[0]
         if column is not (want := self.scenario.roc_thresholds) and _bits(column) != _bits(want):
             raise DegenerateInput("roc must have one point at each of scenario.roc_thresholds, "
                                   "in order, and be None when there are none")
@@ -137,19 +133,9 @@ def _bits(values) -> bytes | None:  # IEEE 754 bytes tell -0.0 from 0.0; None st
     return None if values is None else array("d", values).tobytes()
 
 
-def _valid_point(p) -> bool:
-    """A RocPoint of a threshold in [0, inf) and two probabilities, each exactly a float
-    as the sweep stores it (np.float64, a float subclass, has another repr)."""
-    return (isinstance(p, RocPoint) and type(t := p.threshold) is float
-            and type(fa := p.p_false_alarm) is float and type(d := p.p_detection) is float
-            and 0.0 <= t < math.inf and 0.0 <= fa <= 1.0 and 0.0 <= d <= 1.0)
-
-
 class _Curve(tuple):
-    """Checked ROC points, with each column's repr text built once: the structured
-    report's echo and points and the CSV join the same strings."""
-
-    _source = None  # of_columns' threshold and probability columns; None when hand-built
+    """The pipeline's ROC points, made only by of_columns, with each column's repr text
+    built once: the structured report's echo and points and the CSV join the same strings."""
 
     @classmethod
     def of_columns(cls, thresholds, p_fa, p_d) -> _Curve:
@@ -162,31 +148,20 @@ class _Curve(tuple):
             checked.append(values)
         points = zip_longest(thresholds, *checked, fillvalue=0.0)  # (t, 0.0, 0.0) past the prefix
         curve = cls(map(tuple.__new__, repeat(RocPoint), points))  # _make
-        curve._source = (thresholds, *checked)
+        curve._source = (thresholds, *checked)  # the threshold column and the computed prefix
         return curve
 
     @cached_property
     def columns(self) -> tuple[list[str], ...]:
         return tuple(list(map(repr, column)) + ["0.0"] * (len(self) - len(column))
-                     for column in self._source or zip(*self))  # "0.0" per point past a prefix
+                     for column in self._source)  # "0.0" per point past the prefix
 
 
-def _checked_curve(points, in_report: bool = False) -> _Curve:
-    """points as a _Curve, which passes through as it is. Anything else must be an
-    iterable of valid points (a list or tuple of them in a report)."""
-    if type(points) is _Curve:
+def _pipeline_curve(points, name: str) -> _Curve:
+    """points if of_columns built them; any other value raises DegenerateInput."""
+    if type(points) is _Curve and hasattr(points, "_source"):
         return points
-    culprit = points  # names points itself if it is not iterable
-    if not in_report or isinstance(points, (list, tuple)):
-        with suppress(TypeError):
-            curve = _Curve(points)
-            if (culprit := next(filterfalse(_valid_point, curve), curve)) is curve:
-                return curve
-    if in_report:
-        raise DegenerateInput("roc must be a list or tuple of RocPoint: "
-                              "float thresholds >= 0 and probabilities")
-    raise DegenerateInput(f"points must be valid RocPoints, got {type(culprit).__name__} "
-                          f"{culprit!r}")
+    raise DegenerateInput(f"{name} must be a curve run_scenario built, got {type(points).__name__}")
 
 
 @lru_cache(maxsize=None)
@@ -302,6 +277,6 @@ def emit_report(report: DetectionReport, format: str = "table") -> str:
 
 
 def roc_csv(points) -> str:
-    """Comma-separated ROC rows under the standard header, full precision."""
-    rows = map(",".join, zip(*_checked_curve(points).columns))
+    """A report's ROC as comma-separated rows under the standard header, full precision."""
+    rows = map(",".join, zip(*_pipeline_curve(points, "points").columns))
     return "\n".join((ROC_CSV_HEADER, *rows)) + "\n"

@@ -64,8 +64,14 @@ MUTANTS = (
            "the points are spliced at the first look-alike, not the report's roc"),
     Mutant("report.py", "sort_keys=True, allow_nan=False", "allow_nan=False",
            "the structured report's keys are unsorted"),
-    Mutant("report.py", "type(t := p.threshold) is float", "isinstance(t := p.threshold, float)",
-           "an np.float64 threshold is accepted into a report"),
+    Mutant("report.py", '_pipeline_curve(self.roc, "roc")._source[0]',
+           'getattr(self.roc, "_source", [self.scenario.roc_thresholds])[0]',
+           "a report accepts a roc of any type, not only the curve run_scenario built"),
+    Mutant("report.py", 'zip(*_pipeline_curve(points, "points").columns)',
+           "(map(repr, point) for point in points)",
+           "roc_csv formats any iterable of points, not only the curve run_scenario built"),
+    Mutant("report.py", 'type(points) is _Curve and hasattr(points, "_source")',
+           "type(points) is _Curve", "a _Curve that of_columns did not build is taken as one"),
     Mutant("report.py", 'else array("d", values).tobytes()', "else tuple(values)",
            "a point at 0.0 matches a scenario threshold of -0.0"),
     Mutant("report.py", " and not math.isnan(sum(values))", "",

@@ -45,13 +45,13 @@ def run_doc(doc: str):
 
 
 def assert_one_rendering(report):
-    """The structured line is json.dumps of the document, and a report's checked
-    curve gives the same bytes as its points handed over unchecked."""
+    """The structured line is json.dumps of the document, and the CSV is each point's
+    floats by repr under the header."""
     text = emit_report(report, "structured")
     assert text == json.dumps(report_to_dict(report), sort_keys=True) + "\n"
-    assert roc_csv(report.roc) == roc_csv(list(report.roc))
+    rows = [",".join(map(repr, point)) for point in report.roc]
+    assert roc_csv(report.roc) == "\n".join([ROC_CSV_HEADER, *rows]) + "\n"
     assert emit_report(replace(report, roc=report.roc), "structured") == text
-    assert emit_report(replace(report, roc=list(report.roc)), "structured") == text
 
 
 class TestRunScenario:
@@ -245,52 +245,56 @@ class TestReportSerialization:
         with pytest.raises(DegenerateInput, match="not valid JSON"):
             emit_report(report, "structured")
 
-    @pytest.mark.parametrize("point", [
-        RocPoint(math.nan, 0.5, 0.5),
-        RocPoint(math.inf, 0.0, 0.0),
-        RocPoint(-1.0, 1.0, 1.0),
-        RocPoint(-0.5, 0.0, 0.0),
-        RocPoint(0.5, math.nan, 0.5),
-        RocPoint(0.5, 0.5, math.inf),
-        RocPoint(0.5, 1.0 + 2**-52, 0.5),
-        RocPoint(0.5, 0.5, -5e-324),
-        RocPoint(1, 0.5, 0.5),                  # an int is not what the sweep stores
-        RocPoint(0.5, True, 0.5),
-        RocPoint(0.5, 0.5, np.float32(0.5)),    # json cannot encode it
-        RocPoint(np.float64(0.5), 0.5, 0.5),    # the CSV would print np.float64(0.5)
-        RocPoint("1", 0.5, 0.5),
-        RocPoint(None, 0.5, 0.5),
-    ])
-    def test_roc_points_are_checked_in_the_report_and_the_csv(self, point):
+    @pytest.mark.parametrize("roc", [
+        lambda r: list(r.roc),
+        lambda r: tuple(r.roc),
+        lambda r: r.roc[:1],
+        lambda r: r.roc[::-1],
+        lambda r: r.roc + r.roc[-1:],
+        lambda r: (r.roc[0]._replace(threshold=-0.0), r.roc[1]),
+        lambda r: r.roc[:1] + (RocPoint(math.nan, 0.5, 0.5),),
+        lambda r: [tuple(point) for point in r.roc],  # equal to the points, not RocPoints
+        lambda r: report_module._Curve(r.roc),  # the curve's type, not built by of_columns
+        lambda r: (),
+        lambda r: [1, 2],
+        lambda r: "0,1",
+        lambda r: 5,
+    ], ids=["list", "tuple", "short", "reversed", "long", "signed-zero-point", "nan-point",
+            "plain-tuples", "hand-built-curve", "empty", "ints", "str", "int"])
+    def test_only_the_pipeline_curve_is_accepted(self, roc):
+        # A report's ROC, and roc_csv's input, is the curve run_scenario built: any other
+        # value is rejected whole, whatever its points hold.
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
-        with pytest.raises(DegenerateInput, match="roc must be a list or tuple of RocPoint: float"):
-            replace(report, roc=report.roc + (point,))
-        with pytest.raises(DegenerateInput, match="points must be valid RocPoints, got RocPoint"):
-            roc_csv(report.roc + (point,))
+        assert type(report.roc) is report_module._Curve
+        value = roc(report)
+        kind = type(value).__name__
+        with pytest.raises(DegenerateInput, match=f"^roc must be a curve run_scenario built, "
+                                                  f"got {kind}$"):
+            replace(report, roc=value)
+        with pytest.raises(DegenerateInput, match=f"^points must be a curve run_scenario built, "
+                                                  f"got {kind}$"):
+            roc_csv(value)
 
     def test_roc_points_on_their_bounds_are_accepted(self):
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1e308\n")
-        edges = (RocPoint(0.0, 0.0, 1.0), RocPoint(1e308, 1.0, 0.0))
-        rebuilt = replace(report, roc=edges)
-        assert json.loads(emit_report(rebuilt, "structured"))["roc"][1]["threshold"] == 1e308
-        assert roc_csv(edges).splitlines()[1:] == ["0.0,0.0,1.0", "1e+308,1.0,0.0"]
-        assert "nan" not in emit_report(rebuilt) and "inf" not in emit_report(rebuilt)
+        assert json.loads(emit_report(report, "structured"))["roc"][1]["threshold"] == 1e308
+        assert roc_csv(report.roc).splitlines()[1:] == ["0.0,0.25,1.0", "1e+308,0.0,0.0"]
+        assert "nan" not in emit_report(report) and "inf" not in emit_report(report)
 
     @pytest.mark.parametrize("fields", [
-        lambda r: {"roc": r.roc[::-1]},
-        lambda r: {"roc": r.roc[:1]},
-        lambda r: {"roc": r.roc + r.roc[-1:]},
+        lambda r: {"roc": run_doc(ANCHOR_DOC + "roc_thresholds = 0\n").roc},
+        lambda r: {"roc": run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1, 1\n").roc},
         lambda r: {"roc": None},
-        lambda r: {"roc": (RocPoint(0.0, 1.0, 1.0), RocPoint(2.0, 0.0, 0.0))},
+        lambda r: {"roc": run_doc(ANCHOR_DOC + "roc_thresholds = 0, 2\n").roc},
         lambda r: {"scenario": replace(r.scenario, roc_thresholds=(0.0, 2.0))},
         lambda r: {"scenario": replace(r.scenario, roc_thresholds=None)},
-        lambda r: {"roc": ()},
         # The echo prints the curve's text, so a threshold must match to the sign.
-        lambda r: {"roc": (r.roc[0]._replace(threshold=-0.0), r.roc[1])},
+        lambda r: {"roc": run_doc(ANCHOR_DOC + "roc_thresholds = -0, 1\n").roc},
         lambda r: {"scenario": replace(r.scenario, roc_thresholds=(-0.0, 1.0))},
-    ], ids=["reversed", "short", "long", "dropped", "moved", "other-scenario", "no-thresholds",
-            "empty", "signed-zero-point", "signed-zero-scenario"])
+    ], ids=["short", "long", "dropped", "moved", "other-scenario", "no-thresholds",
+            "signed-zero-point", "signed-zero-scenario"])
     def test_roc_matches_its_scenarios_thresholds(self, fields):
+        # A pipeline curve of other thresholds, or a scenario replaced under the curve.
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
         with pytest.raises(DegenerateInput, match="one point at each of scenario.roc_thresholds"):
             replace(report, **fields(report))
@@ -307,23 +311,25 @@ class TestReportSerialization:
         assert text.count('"threshold": -0.0') == 1
         assert_one_rendering(report)
 
-    def test_roc_edge_values_render_once_in_hand_built_reports(self):
+    def test_roc_edge_values_render_once_from_a_patched_kernel(self, monkeypatch):
+        # Columns holding 5e-324, exact 0 and 1, and 1 + 2⁻⁵², which the curve clamps
+        # to 1; the threshold 1e308 lies past them, in the zero tail.
+        def born_pairs(eta, p, w0s, w1=1.0):
+            return [0.0, 5e-324, 1.0 + 2**-52, 1.0], [1.0, 1.0, 1.0 + 2**-52, 0.0]
+
+        monkeypatch.setattr(closed_form, "born_pairs", born_pairs)
         report = run_doc(EDGE_ROC_DOC)
-        [clamped] = report_module._Curve.of_columns((0.0,), (1.0 + 2**-52,), (1.0 + 2**-52,))
-        edges = [RocPoint(-0.0, 0.0, 1.0), RocPoint(0.0, 5e-324, 1.0), clamped,
-                 RocPoint(1.0, 1.0, 0.0), RocPoint(1e308, 0.0, 0.0)]
-        rebuilt = replace(report, roc=edges)
-        assert roc_csv(rebuilt.roc).splitlines()[1:] == [
+        assert roc_csv(report.roc).splitlines()[1:] == [
             "-0.0,0.0,1.0", "0.0,5e-324,1.0", "0.0,1.0,1.0", "1.0,1.0,0.0", "1e+308,0.0,0.0"]
-        assert_one_rendering(rebuilt)
-        # Text that looks like the ROC key, where a hand-built report can hold it.
+        assert_one_rendering(report)
+        # Text that looks like the ROC key, where a replaced record can hold it.
         for snr in ({"roc": None}, '"roc": null'):
-            assert_one_rendering(replace(rebuilt, link_budget=LinkBudgetResult(snr=snr),
+            assert_one_rendering(replace(report, link_budget=LinkBudgetResult(snr=snr),
                                          warnings=['"roc": null']))
         # The CSV renders an unemitted report's curve first; the structured line reuses it.
-        fresh = replace(report, roc=tuple(edges))
-        assert roc_csv(fresh.roc) == roc_csv(rebuilt.roc)
-        assert emit_report(fresh, "structured") == emit_report(rebuilt, "structured")
+        fresh = run_doc(EDGE_ROC_DOC)
+        assert roc_csv(fresh.roc) == roc_csv(report.roc)
+        assert emit_report(fresh, "structured") == emit_report(report, "structured")
 
     def test_threshold_echo_splice_ignores_look_alike_text(self):
         # The echo's text is spliced in at the last '"roc_thresholds": null'; a
@@ -354,18 +360,13 @@ class TestReportSerialization:
         (*EDGE_ETA_P, "-0, 0, 0, 1, 1e308", 4),   # a clamped P_D of 1 + 2⁻⁵² at t = 0
     ])
     def test_pipeline_curve_renders_as_its_points(self, eta, p, thresholds, computed):
-        # of_columns formats the computed prefix and writes "0.0" for each point past it;
-        # the same points as a hand-built curve are formatted one by one.
+        # of_columns formats the computed prefix and writes "0.0" for each point past it:
+        # the same text as each point's floats by repr.
         report = run_doc(f"phase_rad = 1\nreflectivity = {eta!r}\nnoise_excitation = {p!r}\n"
                          f"roc_thresholds = {thresholds}\n")
         assert [len(column) for column in report.roc._source] == [len(report.roc), computed,
                                                                  computed]
-        rebuilt = replace(report, roc=list(report.roc))
-        assert rebuilt.roc._source is None
-        for fmt in ("structured", "table"):
-            assert emit_report(report, fmt) == emit_report(rebuilt, fmt)
-        assert roc_csv(report.roc) == roc_csv(rebuilt.roc) == roc_csv(list(report.roc))
-        assert report.roc.columns == rebuilt.roc.columns
+        assert report.roc.columns == tuple(list(map(repr, column)) for column in zip(*report.roc))
         assert_one_rendering(report)
 
     @pytest.mark.parametrize("column", [0, 1])
@@ -390,32 +391,41 @@ class TestReportSerialization:
                 run_doc(doc)
 
     def test_pipeline_curve_is_checked_once(self, monkeypatch):
-        # run_scenario builds the report's checked curve from checked thresholds and
-        # clamped probabilities, so _valid_point does not run on it again.
-        def forbidden(point):
-            raise AssertionError("the pipeline's curve was checked twice")
+        # run_scenario range-checks and clamps the curve once, in of_columns; moving the
+        # report and rendering it, in every format and as CSV, never builds it again.
+        built = []
+        of_columns = report_module._Curve.of_columns
 
-        monkeypatch.setattr(report_module, "_valid_point", forbidden)
+        def counted(thresholds, p_fa, p_d):
+            built.append(thresholds)
+            return of_columns(thresholds, p_fa, p_d)
+
+        monkeypatch.setattr(report_module._Curve, "of_columns", counted)
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
-        assert type(report.roc) is report_module._Curve
-        assert roc_csv(report.roc).count("\n") == 3
+        assert type(report.roc) is report_module._Curve and len(built) == 1
+        moved = replace(report, roc=report.roc)
+        assert moved.roc is report.roc
+        for fmt in ("structured", "table"):
+            emit_report(moved, fmt)
+        assert roc_csv(moved.roc).count("\n") == 3 and len(built) == 1
 
     def test_a_plain_tuple_is_not_a_roc_point(self):
-        # RocPoint is a NamedTuple and compares equal to a plain tuple of its floats.
-        point = (0.5, 0.5, 0.5)
-        assert RocPoint(*point) == point and not report_module._valid_point(point)
+        # RocPoint is a NamedTuple and compares equal to a plain tuple of its floats, so
+        # a curve's points copied out compare equal to it and are still refused.
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0.5\n")
-        with pytest.raises(DegenerateInput, match="roc must be a list or tuple of RocPoint"):
-            replace(report, roc=[point])
-        with pytest.raises(DegenerateInput, match="points must be valid RocPoints, got tuple"):
-            roc_csv([point])
+        [point] = report.roc
+        assert tuple(point) == point and [tuple(point)] == list(report.roc)
+        with pytest.raises(DegenerateInput, match="roc must be a curve run_scenario built"):
+            replace(report, roc=[tuple(point)])
+        with pytest.raises(DegenerateInput, match="points must be a curve run_scenario built"):
+            roc_csv([tuple(point)])
 
     @pytest.mark.parametrize("fields, match", [
         (lambda r: {"monte_carlo": (1, 2)}, "monte_carlo must be a list or tuple of TrialOutcome"),
         (lambda r: {"monte_carlo": r.monte_carlo[::-1]}, r"\(H0, H1\) outcome pair"),
         (lambda r: {"monte_carlo": (r.monte_carlo[0], replace(r.monte_carlo[1], seed=8))},
          "pair of one seed"),
-        (lambda r: {"roc": [1, 2]}, "roc must be a list or tuple of RocPoint"),
+        (lambda r: {"roc": [1, 2]}, "roc must be a curve run_scenario built, got list"),
         (lambda r: {"link_budget": 5}, "link_budget cannot be 5"),
         (lambda r: {"scenario": None}, "scenario cannot be None"),
         (lambda r: {"warnings": "saturates"}, "warnings must be a list or tuple of str"),
@@ -448,9 +458,8 @@ class TestReportSerialization:
 
     def test_report_stores_its_sequences_as_tuples(self):
         report = run_doc(FULL_DOC)
-        rebuilt = replace(report, roc=list(report.roc), monte_carlo=list(report.monte_carlo),
-                          warnings=["a warning"])
-        assert (rebuilt.roc, rebuilt.monte_carlo) == (report.roc, report.monte_carlo)
+        rebuilt = replace(report, monte_carlo=list(report.monte_carlo), warnings=["a warning"])
+        assert rebuilt.monte_carlo == report.monte_carlo and rebuilt.roc is report.roc
         assert rebuilt.warnings == ("a warning",)
         assert emit_report(replace(rebuilt, warnings=())) == emit_report(report)
 
@@ -458,7 +467,7 @@ class TestReportSerialization:
         (lambda: emit_report(None), "NoneType"),
         (lambda: report_to_dict(None), "NoneType"),
         (lambda: roc_csv(None), "NoneType"),
-        (lambda: roc_csv([1, 2]), "int"),
+        (lambda: roc_csv([1, 2]), "points must be a curve run_scenario built, got list"),
         (lambda: outcome_error(*NO_TRIALS), "no trials"),
         # A report without trials holds no outcome pair, so outcome_error never sees one.
         (lambda: report_to_dict(replace(run_doc(ANCHOR_DOC), monte_carlo=NO_TRIALS)),
@@ -586,6 +595,23 @@ class TestCommandLine:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["absent/report.txt", "."],
+                             ids=["no-directory", "a-directory"])
+    def test_unwritable_out_exits_2(self, scenario_file, tmp_path, capsys, name):
+        target = tmp_path / name
+        assert main(["run", scenario_file(ANCHOR_DOC), "--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write output file: ")
+        assert str(target) in err and err.count("\n") == 1
+
+    def test_unwritable_roc_out_exits_2_after_the_report(self, scenario_file, tmp_path, capsys):
+        target = tmp_path / "absent" / "roc.csv"
+        doc = ANCHOR_DOC + "roc_thresholds = 0, 1\n"
+        assert main(["run", scenario_file(doc), "--roc-out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("scenario\n") and err.startswith("error: cannot write output file: ")
+        assert str(target) in err and err.count("\n") == 1
 
     def test_roc_out_without_thresholds_exits_2(self, scenario_file, tmp_path, capsys):
         code = main(["run", scenario_file(ANCHOR_DOC),
