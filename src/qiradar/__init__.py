@@ -4,7 +4,7 @@ Builds the two hypothesis states of a quantum-illumination detection
 protocol, computes their distinguishability metrics (trace distance,
 fidelity, Helstrom error), realizes the optimal binary measurement with
 reproducible Monte Carlo trials and ROC sweeps, and evaluates the
-closed-form link-budget, thermal-noise and EMI calculators.
+closed-form link budget with its thermal-noise and EMI figures.
 """
 
 from .channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
@@ -27,18 +27,9 @@ from .errors import (
 from .linkbudget import (
     LinkBudgetInputs,
     LinkBudgetResult,
-    dbm_to_watts,
     evaluate_link_budget,
-    isolation_factor,
     occupancy_to_excitation,
-    photon_energy,
-    photon_rate,
-    range_multiplier,
-    shielding_effectiveness,
-    snr,
-    stopband_attenuation,
     thermal_occupancy,
-    watts_to_dbm,
 )
 from .metrics import (
     DistinguishabilityReport,

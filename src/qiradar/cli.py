@@ -23,9 +23,9 @@ def run_scenario(scenario: Scenario) -> DetectionReport:
 
     Builds both hypothesis states at the effective phase (phase_rad minus
     env_phase_rad), computes the three distinguishability metrics (D from the
-    states, F and P_e in closed form), then runs
-    Monte Carlo trials, the ROC sweep and the link-budget calculators when
-    the scenario asks for them. Deterministic for a fixed seed.
+    states, F and P_e in closed form), then runs Monte Carlo trials, the ROC
+    sweep and the link budget when the scenario asks for them. Deterministic
+    for a fixed seed.
     """
     if not isinstance(scenario, Scenario):
         raise DegenerateInput(f"scenario must be a Scenario, got {type(scenario).__name__}")

@@ -1,23 +1,27 @@
-"""Closed-form link-budget, noise and EMI calculators.
+"""Closed-form link budget: dBm levels, photon budget, thermal noise and EMI figures.
 
-All functions are scalar, pure and use the exact 2019 SI constants
-h = 6.62607015e-34 J·s and k_B = 1.380649e-23 J/K. Every "log" in a dB
-formula is log₁₀, consistent with the 1 mW dBm reference:
+``LinkBudgetInputs`` is the one gate: each value it holds is a positive finite
+float, and ``evaluate_link_budget`` computes every output it can from those
+values without checking them again. The exact 2019 SI constants
+h = 6.62607015e-34 J·s and k_B = 1.380649e-23 J/K are used, and every "log" in
+a dB formula is log₁₀, consistent with the 1 mW dBm reference:
 
     power (dBm)              10·log₁₀(P / 1 mW)
     photon energy            E = h·f
     photon rate              P / (h·f)
     thermal occupancy        n̄ = 1 / (e^{h·f / k_B·T} − 1)
     SNR                      P_signal / P_noise
-    range multiplier         (sensitivity improvement)^(1/4)
     shielding effectiveness  SE = 20·log₁₀(d / λ)
     isolation factor         I = N_ext / N_isolated
     stopband attenuation     SA = 20·log₁₀(A_stop / A_pass)
 
-SE and SA are evaluated verbatim even in regimes where the sign is
-physically questionable (d < λ gives negative "effectiveness",
-A_stop < A_pass gives negative attenuation); ``evaluate_link_budget``
-annotates those regimes with warnings instead of altering the formulas.
+An output beyond the float range, or a photon energy that underflows to 0,
+raises NumericalDomain. SE and SA are evaluated verbatim even in regimes where
+the sign is physically questionable (d < λ gives negative "effectiveness",
+A_stop < A_pass gives negative attenuation); the evaluator annotates those
+regimes with warnings instead of altering the formulas. ``thermal_occupancy``
+and ``occupancy_to_excitation`` are the public bridge from a thermal
+background to a Scenario's noise excitation.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ SATURATION_NBAR = 10.0      # above this the qubit noise map p = n̄/(1+n̄) sat
 
 def _ratio(num: float, den: float, what: str) -> float:
     """num / den; a quotient beyond the float range raises NumericalDomain,
-    so no calculator returns inf (which no JSON report can carry)."""
+    so no output is inf (which no JSON report can carry)."""
     ratio = num / den
     if ratio == math.inf:
         raise NumericalDomain(f"{what} ratio overflows the float range")
@@ -52,36 +56,6 @@ def _db20(num: float, den: float, what: str) -> float:
     if ratio == 0.0:
         raise NumericalDomain(f"{what} ratio underflows to 0")
     return 20.0 * math.log10(ratio)
-
-
-def watts_to_dbm(p: float) -> float:
-    """Power in dB relative to 1 mW: 10·log₁₀(P / 1 mW)."""
-    p = _require_positive("power", p)
-    return 10.0 * math.log10(_ratio(p, MILLIWATT, "power to 1 mW"))
-
-
-def dbm_to_watts(x: float) -> float:
-    """Inverse dBm conversion, 1 mW · 10^(x/10)."""
-    x = _real("dBm value", x)
-    try:
-        return MILLIWATT * 10.0 ** (x / 10.0)
-    except OverflowError:
-        raise NumericalDomain(f"{x!r} dBm overflows the float range in watts") from None
-
-
-def photon_energy(f: float) -> float:
-    """Energy h·f of one photon at frequency f (hertz in, joules out)."""
-    f = _require_positive("frequency", f)
-    return PLANCK_H * f
-
-
-def photon_rate(p: float, f: float) -> float:
-    """Photons per second carried by power p at frequency f: P / (h·f)."""
-    p = _require_positive("power", p)
-    energy = photon_energy(f)
-    if energy == 0.0:
-        raise NumericalDomain(f"photon energy at frequency {f!r} underflows to 0")
-    return _ratio(p, energy, "power to photon energy")
 
 
 def _occupancy_series(x: float) -> float:
@@ -136,52 +110,10 @@ def occupancy_to_excitation(nbar: float) -> float:
     return nbar / (1.0 + nbar)
 
 
-def snr(p_signal: float, p_noise: float) -> float:
-    """Signal-to-noise power ratio P_signal / P_noise."""
-    p_signal = _require_positive("signal power", p_signal)
-    p_noise = _require_positive("noise power", p_noise)
-    return _ratio(p_signal, p_noise, "signal to noise power")
-
-
-def range_multiplier(sensitivity_improvement: float) -> float:
-    """Detection-range gain from a sensitivity gain: ratio^(1/4).
-
-    Received power falls as 1/R⁴ for a round trip, so detecting 100× weaker
-    signals stretches the range by 100^(1/4) ≈ 3.16.
-    """
-    ratio = _require_positive("sensitivity improvement", sensitivity_improvement)
-    return ratio ** 0.25
-
-
-def shielding_effectiveness(d: float, lam: float) -> float:
-    """SE = 20·log₁₀(d/λ) in dB for shield thickness d and wavelength λ.
-
-    Negative for d < λ; reported verbatim and flagged by the evaluator.
-    """
-    d = _require_positive("shield thickness", d)
-    lam = _require_positive("wavelength", lam)
-    return _db20(d, lam, "shield thickness to wavelength")
-
-
-def isolation_factor(n_ext: float, n_isolated: float) -> float:
-    """Isolation ratio I = N_ext / N_isolated."""
-    n_ext = _require_positive("external noise", n_ext)
-    n_isolated = _require_positive("isolated noise", n_isolated)
-    return _ratio(n_ext, n_isolated, "external to isolated noise")
-
-
-def stopband_attenuation(a_stop: float, a_pass: float) -> float:
-    """SA = 20·log₁₀(A_stop / A_pass) in dB; negative when the stopband
-    amplitude is the smaller one (sign convention reported verbatim)."""
-    a_stop = _require_positive("stopband amplitude", a_stop)
-    a_pass = _require_positive("passband amplitude", a_pass)
-    return _db20(a_stop, a_pass, "stopband to passband amplitude")
-
-
 @dataclass(frozen=True)
 class LinkBudgetInputs:
-    """Physical inputs for the calculators; every field is optional and, when
-    given, must be strictly positive."""
+    """Physical inputs of the link budget; every field is optional and, when
+    given, must be a positive finite real, stored as float."""
 
     power_w: float | None = None
     frequency_hz: float | None = None
@@ -220,23 +152,25 @@ class LinkBudgetResult:
 
 
 def evaluate_link_budget(inputs: LinkBudgetInputs) -> LinkBudgetResult:
-    """Run every calculator whose inputs are present."""
+    """Compute every output whose inputs are present."""
     if not isinstance(inputs, LinkBudgetInputs):
         raise DegenerateInput(f"inputs must be LinkBudgetInputs, got {type(inputs).__name__}")
-    i = inputs
+    i = inputs  # every value is gated: positive, finite and a float
     warnings: list[str] = []
     values: dict[str, float] = {}
 
-    if i.power_w is not None:
-        values["power_dbm"] = watts_to_dbm(i.power_w)
-    if i.noise_power_w is not None:
-        values["noise_power_dbm"] = watts_to_dbm(i.noise_power_w)
+    for name, watts in (("power_dbm", i.power_w), ("noise_power_dbm", i.noise_power_w)):
+        if watts is not None:
+            values[name] = 10.0 * math.log10(_ratio(watts, MILLIWATT, "power to 1 mW"))
     if i.frequency_hz is not None:
-        values["photon_energy_j"] = photon_energy(i.frequency_hz)
-    if i.power_w is not None and i.frequency_hz is not None:
-        values["photon_rate_per_s"] = photon_rate(i.power_w, i.frequency_hz)
+        energy = PLANCK_H * i.frequency_hz
+        if energy == 0.0:
+            raise NumericalDomain(f"photon energy at frequency {i.frequency_hz!r} underflows to 0")
+        values["photon_energy_j"] = energy
+        if i.power_w is not None:
+            values["photon_rate_per_s"] = _ratio(i.power_w, energy, "power to photon energy")
     if i.frequency_hz is not None and i.temperature_k is not None:
-        nbar = thermal_occupancy(i.frequency_hz, i.temperature_k)
+        nbar = _occupancy(i.frequency_hz, i.temperature_k)
         values["thermal_occupancy"] = nbar
         values["noise_excitation"] = occupancy_to_excitation(nbar)
         if nbar > SATURATION_NBAR:
@@ -245,20 +179,21 @@ def evaluate_link_budget(inputs: LinkBudgetInputs) -> LinkBudgetResult:
                 f"saturates (excitation {values['noise_excitation']:.6g} is pinned near 1)"
             )
     if i.power_w is not None and i.noise_power_w is not None:
-        values["snr"] = snr(i.power_w, i.noise_power_w)
+        values["snr"] = _ratio(i.power_w, i.noise_power_w, "signal to noise power")
     if i.shield_thickness_m is not None and i.wavelength_m is not None:
-        values["shielding_effectiveness_db"] = shielding_effectiveness(
-            i.shield_thickness_m, i.wavelength_m
-        )
+        values["shielding_effectiveness_db"] = _db20(
+            i.shield_thickness_m, i.wavelength_m, "shield thickness to wavelength")
         if i.shield_thickness_m < i.wavelength_m:
             warnings.append(
                 "shielding effectiveness is negative in the sub-wavelength regime "
                 "(shield thickness below wavelength); formula reported verbatim"
             )
     if i.noise_ext is not None and i.noise_isolated is not None:
-        values["isolation_factor"] = isolation_factor(i.noise_ext, i.noise_isolated)
+        values["isolation_factor"] = _ratio(i.noise_ext, i.noise_isolated,
+                                            "external to isolated noise")
     if i.amplitude_stop is not None and i.amplitude_pass is not None:
-        values["stopband_attenuation_db"] = stopband_attenuation(i.amplitude_stop, i.amplitude_pass)
+        values["stopband_attenuation_db"] = _db20(
+            i.amplitude_stop, i.amplitude_pass, "stopband to passband amplitude")
         if i.amplitude_stop < i.amplitude_pass:
             warnings.append(
                 "stopband attenuation is negative (stopband amplitude below passband); "

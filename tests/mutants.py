@@ -99,6 +99,17 @@ MUTANTS = (
     Mutant("scenario.py", "from .linkbudget import ",
            "from .metrics import check_priors\nfrom .linkbudget import ",
            "the scenario imports the linear-algebra layer again for a check errors holds"),
+    Mutant("linkbudget.py", "_ratio(i.power_w, i.noise_power_w, ",
+           "_ratio(i.noise_power_w, i.power_w, ", "the SNR is noise over signal"),
+    Mutant("linkbudget.py", "        if energy == 0.0:\n", "        if False:\n",
+           "a photon energy that underflows to 0 is reported, or divides the photon rate by 0"),
+    Mutant("linkbudget.py", "for spec in fields(self):", "for spec in fields(self)[:-1]:",
+           "LinkBudgetInputs leaves its last field ungated"),
+    Mutant("linkbudget.py", "10.0 * math.log10(_ratio(watts, ", "20.0 * math.log10(_ratio(watts, ",
+           "a power level in dBm is 20·log₁₀ instead of 10·log₁₀"),
+    Mutant("linkbudget.py", "if i.shield_thickness_m < i.wavelength_m:",
+           "if i.shield_thickness_m > i.wavelength_m:",
+           "the sub-wavelength warning flags the thick shield instead of the thin one"),
 )
 
 

@@ -27,14 +27,7 @@ from qiradar.detector import (
     helstrom_measurement,
     measurement_error,
 )
-from qiradar.linkbudget import (
-    photon_energy,
-    photon_rate,
-    range_multiplier,
-    snr,
-    thermal_occupancy,
-    watts_to_dbm,
-)
+from qiradar.linkbudget import LinkBudgetInputs, evaluate_link_budget, thermal_occupancy
 from qiradar.metrics import fidelity, helstrom_error, trace_distance
 from qiradar.qstate import eigendecompose_hermitian, partial_trace
 from qiradar.report import outcome_error
@@ -65,20 +58,20 @@ def _exactly(value: float, target: float) -> bool:
 
 def test_link_budget_golden_values():
     failures = []
-    if watts_to_dbm(1e-13) != -100.0:
-        failures.append(f"watts_to_dbm(1e-13) = {watts_to_dbm(1e-13)!r}, want -100.0 exactly")
-    energy = photon_energy(1e10)
+    result = evaluate_link_budget(
+        LinkBudgetInputs(power_w=1e-16, noise_power_w=1e-15, frequency_hz=1e10))
+    dbm = evaluate_link_budget(LinkBudgetInputs(power_w=1e-13)).power_dbm
+    if dbm != -100.0:
+        failures.append(f"power_dbm at 1e-13 W = {dbm!r}, want -100.0 exactly")
+    energy = result.photon_energy_j
     if abs(energy - 6.63e-24) > 0.01 * 6.63e-24:
-        failures.append(f"photon_energy(1e10) = {energy!r}, want 6.63e-24 within 1%")
-    rate = photon_rate(1e-16, 1e10)
+        failures.append(f"photon_energy_j at 1e10 Hz = {energy!r}, want 6.63e-24 within 1%")
+    rate = result.photon_rate_per_s
     if abs(rate - 1.5e7) > 0.01 * 1.5e7:
-        failures.append(f"photon_rate(1e-16, 1e10) = {rate!r}, want 1.5e7 within 1%")
-    ratio = snr(1e-16, 1e-15)
+        failures.append(f"photon_rate_per_s at 1e-16 W, 1e10 Hz = {rate!r}, want 1.5e7 within 1%")
+    ratio = result.snr
     if not _exactly(ratio, 0.1):
-        failures.append(f"snr(1e-16, 1e-15) = {ratio!r}, want 0.1 exactly")
-    gain = range_multiplier(100.0)
-    if abs(gain - 3.16) > 0.001 * 3.16:
-        failures.append(f"range_multiplier(100) = {gain!r}, want 3.16 within 0.1%")
+        failures.append(f"snr of 1e-16 W over 1e-15 W = {ratio!r}, want 0.1 exactly")
     _finish("link-budget golden values", failures)
 
 

@@ -627,6 +627,17 @@ class TestCommandLine:
         assert main(["run", scenario_file(ANCHOR_DOC)]) == 3
         assert "synthetic numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, code, message", [
+        ("link_budget.power_w = 0", 2, "power_w must be positive"),
+        ("link_budget.frequency_hz = 5e-324", 3, "photon energy at frequency 5e-324 underflows"),
+    ], ids=["zero-power", "underflowing-photon-energy"])
+    def test_link_budget_failures_keep_their_exit_codes(self, scenario_file, capsys, line, code,
+                                                        message):
+        assert main(["run", scenario_file(f"{ANCHOR_DOC}{line}\n")]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_bad_flag_values_exit_2(self, scenario_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", scenario_file(ANCHOR_DOC), "--seed", "-1"])

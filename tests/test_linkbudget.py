@@ -7,20 +7,12 @@ import pytest
 from qiradar.errors import DegenerateInput, NumericalDomain
 from qiradar.linkbudget import (
     BOLTZMANN_KB,
+    MILLIWATT,
     PLANCK_H,
     LinkBudgetInputs,
-    dbm_to_watts,
     evaluate_link_budget,
-    isolation_factor,
     occupancy_to_excitation,
-    photon_energy,
-    photon_rate,
-    range_multiplier,
-    shielding_effectiveness,
-    snr,
-    stopband_attenuation,
     thermal_occupancy,
-    watts_to_dbm,
 )
 
 # Frozen reference: mpmath 50-digit evaluation of 1/(exp(h*1e10/(kB*290)) - 1)
@@ -28,48 +20,49 @@ from qiradar.linkbudget import (
 OCCUPANCY_REF_10GHZ_290K = 603.76209248577703892140149893
 
 
+def budget(**values):
+    """The link budget of the given LinkBudgetInputs fields."""
+    return evaluate_link_budget(LinkBudgetInputs(**values))
+
+
 class TestDbmConversions:
     def test_golden_values_are_exact(self):
-        assert watts_to_dbm(1e-13) == -100.0
-        assert watts_to_dbm(1e-16) == -130.0
-        assert watts_to_dbm(1e-3) == 0.0
+        assert budget(power_w=1e-13).power_dbm == -100.0
+        assert budget(power_w=1e-16).power_dbm == -130.0
+        assert budget(noise_power_w=1e-3).noise_power_dbm == 0.0
 
     def test_round_trip(self):
+        # The inverse, 1 mW · 10^(x/10), recovers the power.
         rng = np.random.default_rng(7)
         for _ in range(200):
             power = 10.0 ** rng.uniform(-18, 2)
-            back = dbm_to_watts(watts_to_dbm(power))
+            back = MILLIWATT * 10.0 ** (budget(power_w=power).power_dbm / 10.0)
             assert abs(back - power) <= 1e-12 * power
 
     def test_ten_db_steps(self):
-        assert watts_to_dbm(1.0) == 30.0
-        assert dbm_to_watts(-30.0) == pytest.approx(1e-6, rel=1e-12)
+        result = budget(power_w=1.0, noise_power_w=1e-6)
+        assert (result.power_dbm, result.noise_power_dbm) == (30.0, -30.0)
 
     def test_rejects_nonpositive_power(self):
-        with pytest.raises(DegenerateInput):
-            watts_to_dbm(0.0)
-        with pytest.raises(DegenerateInput):
-            watts_to_dbm(-1e-15)
-        with pytest.raises(DegenerateInput):
-            dbm_to_watts(math.inf)
-
-    def test_overflow_raises_numerical_domain(self):
-        assert dbm_to_watts(3080.0) == pytest.approx(1e305, rel=1e-12)
-        for x in (3090.0, 1e4, 1.7976931348623157e308):
-            with pytest.raises(NumericalDomain, match=re.escape(repr(x))):
-                dbm_to_watts(x)
+        with pytest.raises(DegenerateInput, match="power_w must be positive"):
+            LinkBudgetInputs(power_w=0.0)
+        with pytest.raises(DegenerateInput, match="noise_power_w must be positive"):
+            LinkBudgetInputs(noise_power_w=-1e-15)
+        with pytest.raises(DegenerateInput, match="power_w must be finite"):
+            LinkBudgetInputs(power_w=math.inf)
 
 
 class TestPhotonBudget:
     def test_energy_at_10_ghz(self):
-        value = photon_energy(1e10)
+        value = budget(frequency_hz=1e10).photon_energy_j
         assert abs(value - 6.62607015e-24) <= 1e-12 * value
 
     def test_energy_scales_linearly(self):
-        assert photon_energy(2e10) == pytest.approx(2.0 * photon_energy(1e10), rel=1e-15)
+        assert budget(frequency_hz=2e10).photon_energy_j == pytest.approx(
+            2.0 * budget(frequency_hz=1e10).photon_energy_j, rel=1e-15)
 
     def test_rate_at_reference_point(self):
-        value = photon_rate(1e-16, 1e10)
+        value = budget(power_w=1e-16, frequency_hz=1e10).photon_rate_per_s
         assert abs(value - 15_091_901.79642152) <= 1e-9 * value
         # Rounded headline figure: about 1.5e7 photons per second.
         assert abs(value - 1.5e7) <= 0.0062 * 1.5e7
@@ -79,14 +72,21 @@ class TestPhotonBudget:
         for _ in range(100):
             power = 10.0 ** rng.uniform(-18, -6)
             freq = 10.0 ** rng.uniform(6, 12)
-            assert photon_rate(power, freq) * photon_energy(freq) == pytest.approx(
+            result = budget(power_w=power, frequency_hz=freq)
+            assert result.photon_rate_per_s * result.photon_energy_j == pytest.approx(
                 power, rel=1e-12)
 
     def test_rejects_nonpositive_arguments(self):
-        with pytest.raises(DegenerateInput):
-            photon_energy(0.0)
-        with pytest.raises(DegenerateInput):
-            photon_rate(1e-16, -1e10)
+        with pytest.raises(DegenerateInput, match="frequency_hz must be positive"):
+            LinkBudgetInputs(frequency_hz=0.0)
+        with pytest.raises(DegenerateInput, match="frequency_hz must be positive"):
+            LinkBudgetInputs(power_w=1e-16, frequency_hz=-1e10)
+
+    def test_underflowing_energy_raises_without_a_power(self):
+        # h·f of a positive frequency rounds to 0, which is no photon energy to report.
+        with pytest.raises(NumericalDomain,
+                           match=r"^photon energy at frequency 5e-324 underflows to 0$"):
+            budget(frequency_hz=5e-324)
 
 
 class TestThermalOccupancy:
@@ -153,61 +153,55 @@ class TestOccupancyToExcitation:
             occupancy_to_excitation(math.nan)
 
 
-class TestSnrAndRange:
+class TestSnr:
     def test_reference_ratio(self):
-        value = snr(1e-16, 1e-15)
+        value = budget(power_w=1e-16, noise_power_w=1e-15).snr
         target = 0.1
         assert value == target or abs(value - target) <= math.ulp(target)
 
     def test_unit_and_double(self):
-        assert snr(1e-15, 1e-15) == 1.0
-        assert snr(2e-15, 1e-15) == 2.0
-
-    def test_range_multiplier_fourth_root(self):
-        assert range_multiplier(100.0) == 3.1622776601683795
-        assert range_multiplier(16.0) == 2.0
-        assert range_multiplier(1.0) == 1.0
-
-    def test_range_multiplier_is_multiplicative(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            a = 10.0 ** rng.uniform(-3, 3)
-            b = 10.0 ** rng.uniform(-3, 3)
-            assert range_multiplier(a * b) == pytest.approx(
-                range_multiplier(a) * range_multiplier(b), rel=1e-12)
+        assert budget(power_w=1e-15, noise_power_w=1e-15).snr == 1.0
+        assert budget(power_w=2e-15, noise_power_w=1e-15).snr == 2.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DegenerateInput):
-            snr(0.0, 1e-15)
-        with pytest.raises(DegenerateInput):
-            snr(1e-16, 0.0)
-        with pytest.raises(DegenerateInput):
-            range_multiplier(-2.0)
+        with pytest.raises(DegenerateInput, match="power_w must be positive"):
+            LinkBudgetInputs(power_w=0.0, noise_power_w=1e-15)
+        with pytest.raises(DegenerateInput, match="noise_power_w must be positive"):
+            LinkBudgetInputs(power_w=1e-16, noise_power_w=0.0)
 
 
 class TestShieldingFigures:
     def test_shielding_effectiveness(self):
-        assert shielding_effectiveness(0.03, 0.03) == 0.0
-        assert shielding_effectiveness(0.3, 0.03) == pytest.approx(20.0, abs=1e-12)
-        assert shielding_effectiveness(0.0003, 0.03) == pytest.approx(-40.0, abs=1e-12)
+        def se(d, lam):
+            return budget(shield_thickness_m=d, wavelength_m=lam).shielding_effectiveness_db
+
+        assert se(0.03, 0.03) == 0.0
+        assert se(0.3, 0.03) == pytest.approx(20.0, abs=1e-12)
+        assert se(0.0003, 0.03) == pytest.approx(-40.0, abs=1e-12)
 
     def test_isolation_factor(self):
-        assert isolation_factor(5e-3, 2.5e-4) == 20.0
-        assert isolation_factor(1e-3, 1e-3) == 1.0
-        assert isolation_factor(1.0, 100.0) == pytest.approx(0.01, rel=1e-12)
+        def isolation(n_ext, n_isolated):
+            return budget(noise_ext=n_ext, noise_isolated=n_isolated).isolation_factor
+
+        assert isolation(5e-3, 2.5e-4) == 20.0
+        assert isolation(1e-3, 1e-3) == 1.0
+        assert isolation(1.0, 100.0) == pytest.approx(0.01, rel=1e-12)
 
     def test_stopband_attenuation(self):
-        assert stopband_attenuation(10.0, 1.0) == 20.0
-        assert stopband_attenuation(1.0, 1.0) == 0.0
-        assert stopband_attenuation(0.01, 1.0) == -40.0
+        def sa(a_stop, a_pass):
+            return budget(amplitude_stop=a_stop, amplitude_pass=a_pass).stopband_attenuation_db
+
+        assert sa(10.0, 1.0) == 20.0
+        assert sa(1.0, 1.0) == 0.0
+        assert sa(0.01, 1.0) == -40.0
 
     def test_rejections(self):
-        with pytest.raises(DegenerateInput):
-            shielding_effectiveness(0.0, 0.03)
-        with pytest.raises(DegenerateInput):
-            isolation_factor(1e-3, 0.0)
-        with pytest.raises(DegenerateInput):
-            stopband_attenuation(-10.0, 1.0)
+        with pytest.raises(DegenerateInput, match="shield_thickness_m must be positive"):
+            LinkBudgetInputs(shield_thickness_m=0.0, wavelength_m=0.03)
+        with pytest.raises(DegenerateInput, match="noise_isolated must be positive"):
+            LinkBudgetInputs(noise_ext=1e-3, noise_isolated=0.0)
+        with pytest.raises(DegenerateInput, match="amplitude_stop must be positive"):
+            LinkBudgetInputs(amplitude_stop=-10.0, amplitude_pass=1.0)
 
 
 class TestLinkBudgetInputs:
@@ -280,23 +274,27 @@ class TestEvaluateLinkBudget:
 
 
 def test_results_beyond_the_float_range_raise_numerical_domain():
-    with pytest.raises(NumericalDomain):
+    with pytest.raises(NumericalDomain, match="thermal occupancy overflows"):
         thermal_occupancy(5e-324, 1e10)  # h·f/(k_B·T) underflows to 0
-    with pytest.raises(NumericalDomain):
-        photon_rate(1.0, 5e-324)  # h·f underflows to 0
-    with pytest.raises(NumericalDomain):
-        shielding_effectiveness(5e-324, 1e300)
-    with pytest.raises(NumericalDomain):
-        stopband_attenuation(5e-324, 1e300)
+    with pytest.raises(NumericalDomain, match="photon energy at frequency 5e-324 underflows"):
+        budget(power_w=1.0, frequency_hz=5e-324)  # h·f underflows to 0
+    with pytest.raises(NumericalDomain, match="shield thickness to wavelength ratio underflows"):
+        budget(shield_thickness_m=5e-324, wavelength_m=1e300)
+    with pytest.raises(NumericalDomain, match="stopband to passband amplitude ratio underflows"):
+        budget(amplitude_stop=5e-324, amplitude_pass=1e300)
     assert thermal_occupancy(1.0, 5e-324) == 0.0  # k_B·T underflows: a frozen bath
     # Quotients of positive finite inputs that overflow to inf, which no JSON
     # report can carry.
-    for calculator, args in ((watts_to_dbm, (1e306,)), (photon_rate, (1e300, 1e10)),
-                             (snr, (1e300, 1e-300)), (isolation_factor, (1e300, 1e-300)),
-                             (shielding_effectiveness, (1e300, 1e-300)),
-                             (stopband_attenuation, (1e300, 1e-300))):
-        with pytest.raises(NumericalDomain, match="overflows"):
-            calculator(*args)
-    with pytest.raises(NumericalDomain, match="signal to noise"):
-        evaluate_link_budget(LinkBudgetInputs(power_w=1e300, noise_power_w=1e-300))
-    assert snr(1e300, 1e-8) == 1e308  # large but finite passes
+    for values, what in (({"power_w": 1e306}, "power to 1 mW"),
+                         ({"noise_power_w": 1e306}, "power to 1 mW"),
+                         ({"power_w": 1e300, "frequency_hz": 1e10}, "power to photon energy"),
+                         ({"power_w": 1e300, "noise_power_w": 1e-300}, "signal to noise power"),
+                         ({"noise_ext": 1e300, "noise_isolated": 1e-300},
+                          "external to isolated noise"),
+                         ({"shield_thickness_m": 1e300, "wavelength_m": 1e-300},
+                          "shield thickness to wavelength"),
+                         ({"amplitude_stop": 1e300, "amplitude_pass": 1e-300},
+                          "stopband to passband amplitude")):
+        with pytest.raises(NumericalDomain, match=f"^{what} ratio overflows the float range$"):
+            budget(**values)
+    assert budget(power_w=1e300, noise_power_w=1e-8).snr == 1e308  # large but finite passes

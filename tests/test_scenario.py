@@ -10,8 +10,8 @@ from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hyp
 from qiradar.detector import detection_counts, roc_sweep
 from qiradar.errors import (MAX_TRIALS, DegenerateInput, ParseError, ValidationError,
                             _check_integer, _check_seed, check_priors)
-from qiradar.linkbudget import (LinkBudgetInputs, dbm_to_watts, occupancy_to_excitation,
-                                thermal_occupancy, watts_to_dbm)
+from qiradar.cli import run_scenario
+from qiradar.linkbudget import LinkBudgetInputs, occupancy_to_excitation, thermal_occupancy
 from qiradar.qstate import bell_phi_plus
 from qiradar import linkbudget
 from qiradar import scenario as scenario_module
@@ -297,17 +297,22 @@ LINK_DOC = ("link_budget.power_w = 1e-16\nlink_budget.noise_power_w = 1e-15\n"
             "link_budget.frequency_hz = 1e10\n")
 
 
+TEN_KEY_DOC = BASE + "".join(f"link_budget.{spec.name} = 0.5\n"
+                             for spec in fields(LinkBudgetInputs))
+
+
 @pytest.mark.parametrize("document, gates", [(BASE + LINK_DOC, 3), (THERMAL_DOC, 2),
-                                             (THERMAL_DOC + LINK_DOC, 5)],
-                         ids=["link", "thermal", "both"])
+                                             (THERMAL_DOC + LINK_DOC, 5), (TEN_KEY_DOC, 10)],
+                         ids=["link", "thermal", "both", "ten-keys"])
 def test_each_positive_value_passes_one_gate(monkeypatch, document, gates):
+    # Parse and run together: the evaluator computes from the values LinkBudgetInputs gated.
     calls = []
     for module in (linkbudget, scenario_module):
         def counted(name, value, check=module._require_positive):
             calls.append(name)
             return check(name, value)
         monkeypatch.setattr(module, "_require_positive", counted)
-    parse_scenario(document)
+    run_scenario(parse_scenario(document))
     assert len(calls) == gates
 
 
@@ -477,13 +482,11 @@ NUMBER_ENTRY_POINTS = {  # name -> (call with one number, matching Scenario fiel
     "apply_signal_phase": (lambda v: apply_signal_phase(bell_phi_plus(), v), "env_phase_rad"),
     "TargetParams.reflectivity_eta": (lambda v: TargetParams(0.0, v, 0.1), "reflectivity"),
     "TargetParams.noise_excitation_p": (lambda v: TargetParams(0.0, 0.5, v), "noise_excitation"),
-    "LinkBudgetInputs.frequency_hz": (lambda v: LinkBudgetInputs(frequency_hz=v), "frequency_hz"),
-    "LinkBudgetInputs.temperature_k": (lambda v: LinkBudgetInputs(temperature_k=v),
-                                       "temperature_k"),
-    "LinkBudgetInputs.power_w": (lambda v: LinkBudgetInputs(power_w=v), None),
+    # Every link-budget value, of which the thermal pair is also a Scenario field.
+    **{f"LinkBudgetInputs.{name}": (lambda v, name=name: LinkBudgetInputs(**{name: v}),
+                                    name if name in THERMAL else None)
+       for name in (spec.name for spec in fields(LinkBudgetInputs))},
     "thermal_occupancy": (lambda v: thermal_occupancy(1e10, v), None),
-    "watts_to_dbm": (watts_to_dbm, None),
-    "dbm_to_watts": (dbm_to_watts, None),
     "occupancy_to_excitation": (occupancy_to_excitation, None),
     "check_priors[0]": (lambda v: check_priors((v, 0.0)), "prior_h0"),
     "check_priors[1]": (lambda v: check_priors((0.0, v)), "prior_h1"),
