@@ -12,8 +12,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import channel, closed_form, detector, linkbudget, metrics
+from . import channel, closed_form, linkbudget, metrics
 from .errors import DegenerateInput, ParseError, QIRadarError, ValidationError, clamp_unit
+from .montecarlo import draw_counts
 from .report import DetectionReport, _Curve, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
 
@@ -57,8 +58,8 @@ def _run(scenario: Scenario) -> DetectionReport:
 
     monte_carlo = None
     if scenario.trials > 0:
-        monte_carlo = detector.draw_counts(closed_form.born_pair(eta, p, *priors), priors[0],
-                                           scenario.trials, scenario.seed)
+        monte_carlo = draw_counts(closed_form.born_pair(eta, p, *priors), priors[0],
+                                  scenario.trials, scenario.seed)
 
     roc = None
     if (thresholds := scenario.roc_thresholds) is not None:  # Scenario has checked them

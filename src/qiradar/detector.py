@@ -5,16 +5,8 @@ eigenspace of π₁ρ₁ − π₀ρ₀. Eigenvalues within 1e-10 of zero side w
 the conservative "no target" call; the tie assignment does not change the
 error probability. roc_sweep runs the same test on ρ₁ − t·ρ₀ at each threshold
 t; these generic tests are the reference for the pipeline's closed_form.
-
-Reproducible Monte Carlo
-------------------------
-The trials under one hypothesis are independent Bernoulli(p) outcomes, p the
-Born probability of the H1 projector, so their decide-H1 count is one
-Binomial(trials, p) draw. For hypothesis tag ``t`` (0 for H0, 1 for H1)
-under seed ``s`` it is ``Generator(PCG64(SeedSequence((s, t)))).binomial(trials, p)``,
-so counts depend only on (seed, trials) and cost the same at any trial count.
-draw_counts makes the draws from two given Born probabilities: detection_counts
-passes the generic measurement's, the pipeline closed_form.born_pair's.
+detection_counts runs the Helstrom test under both true states: montecarlo.draw_counts
+draws its decide-H1 counts from the two Born probabilities of its H1 projector.
 """
 
 from __future__ import annotations
@@ -24,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import TIE_ATOL
-from .errors import (MAX_TRIALS, DimensionMismatch, NumericalDomain, _check_integer, _check_seed,
-                     _check_thresholds, check_priors, clamp_unit)
+from .errors import DimensionMismatch, NumericalDomain, _check_thresholds, check_priors, clamp_unit
 from .metrics import _require_same_dims
+from .montecarlo import draw_counts
 from .qstate import DensityOperator, _checked_hermitian, eigendecompose_hermitian
-from .report import HYPOTHESIS_H0, HYPOTHESIS_H1, RocPoint, TrialOutcome, split_trials
+from .report import RocPoint, TrialOutcome
 
 PROJECTOR_ATOL = 1e-8  # idempotency tolerance; hermiticity uses STATE_ATOL
-
-_STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}
 
 
 @dataclass(frozen=True)
@@ -100,21 +90,6 @@ def measurement_error(m: BinaryMeasurement, rho0: DensityOperator, rho1: Density
     false_alarm = born_probability(m, rho0)
     detection = born_probability(m, rho1)
     return p0 * false_alarm + p1 * (1.0 - detection)
-
-
-def draw_counts(born, prior_h0: float, trials: int, seed: int) -> tuple[TrialOutcome, TrialOutcome]:
-    """The (H0, H1) outcome pair of a test that decides H1 with probability born[k]
-    under hypothesis k: split_trials' counts (a side with none counts zero), each
-    count one binomial draw from the stream (seed, tag)."""
-    trials = _check_integer("trials", trials, 1, MAX_TRIALS)
-    seed = _check_seed(seed)
-    outcomes = []
-    for hypothesis, n, p in zip((HYPOTHESIS_H0, HYPOTHESIS_H1), split_trials(prior_h0, trials), born):
-        stream = np.random.SeedSequence((seed, _STREAM_TAG[hypothesis]))
-        decide_h1 = int(np.random.Generator(np.random.PCG64(stream)).binomial(
-            n, clamp_unit(p, "Born probability")))
-        outcomes.append(TrialOutcome(decide_h1, n - decide_h1, n, hypothesis, seed))
-    return tuple(outcomes)
 
 
 def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trials: int,

@@ -106,11 +106,15 @@ def check_priors(priors) -> tuple[float, float]:
     return p0, p1
 
 
+def _unit_interval(name: str, value) -> float:
+    value = _real(name, value)
+    if not (0.0 <= value <= 1.0):
+        raise DegenerateInput(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
 def _reflectivity(eta: float) -> float:
-    eta = _real("reflectivity", eta)
-    if not (0.0 <= eta <= 1.0):
-        raise DegenerateInput(f"reflectivity must lie in [0, 1], got {eta!r}")
-    return eta
+    return _unit_interval("reflectivity", eta)
 
 
 def _excitation(p: float) -> float:

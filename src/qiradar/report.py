@@ -208,9 +208,9 @@ def _document(report: DetectionReport) -> dict:
         "roc": None,
         "link_budget": _fields(report.link_budget, "warnings"),  # warnings are top-level
         "warnings": list(report.warnings),
-        # mc_stream 2: one binomial draw per hypothesis; structured 2: one line; numerics 3:
-        # F, P_e, the ROC and the Monte Carlo Born probabilities from the closed form
-        "versions": {"mc_stream": 2, "numerics": 3, "structured": 2},
+        # mc_stream 3: one stdlib binomial draw per hypothesis; structured 2: one line;
+        # numerics 3: F, P_e, the ROC and the Monte Carlo Born probabilities in closed form
+        "versions": {"mc_stream": 3, "numerics": 3, "structured": 2},
     }
 
 

@@ -54,9 +54,28 @@ MUTANTS = (
            "an eigenvalue of exactly TIE_ATOL decides H1 in the generic test"),
     Mutant("report.py", "n_h0 = math.floor(prior_h0 * trials)",
            "n_h0 = round(prior_h0 * trials)", "the trial allocation rounds instead of flooring"),
-    Mutant("detector.py", "_STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}",
+    Mutant("montecarlo.py", "_STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}",
            "_STREAM_TAG = {HYPOTHESIS_H0: 1, HYPOTHESIS_H1: 0}",
            "the Monte Carlo stream tags are swapped"),
+    Mutant("montecarlo.py", "random.Random(2 * seed + _STREAM_TAG", "random.Random(seed + _STREAM_TAG",
+           "the seed mix is s + t, so seed s under H1 draws as seed s + 1 under H0"),
+    Mutant("montecarlo.py", "if p > 0.5:", "if p >= 0.5:",
+           "a Born probability of exactly 1/2 is drawn mirrored"),
+    Mutant("montecarlo.py", "f *= a / x - r", "f *= a / x",
+           "the inversion recurrence f(x)/f(x - 1) loses its - p/(1 - p) term"),
+    Mutant("montecarlo.py", "if v <= 0.86 * v_r:", "if v <= v_r:",
+           "BTRD's quick acceptance covers the hat's whole centre, with no rejection test"),
+    Mutant("montecarlo.py", "            if v <= f:\n", "            if v <= 1.0:\n",
+           "BTRD's acceptance near the mode ignores f(k)/f(m) above the mode"),
+    Mutant("montecarlo.py", "if v < t - rho:", "if v < t + rho:",
+           "BTRD's squeeze accepts the whole band that only the final test can decide"),
+    Mutant("montecarlo.py", "if v > t + rho:", "if v > t - rho:",
+           "BTRD's squeeze rejects the whole band that only the final test can decide"),
+    Mutant("montecarlo.py", "(k + 0.5) * math.log(nk * r", "k * math.log(nk * r",
+           "BTRD's final test takes k·ln(nk·r/(k + 1)) for (k + 1/2)·ln(nk·r/(k + 1))"),
+    Mutant("montecarlo.py", "- _stirling_tail(k) - _stirling_tail(n - k))",
+           "+ _stirling_tail(k) + _stirling_tail(n - k))",
+           "BTRD's final test adds the Stirling corrections of k and n - k"),
     Mutant("report.py", """text.rpartition('"roc_thresholds": null')""",
            """text.partition('"roc_thresholds": null')""",
            "the threshold echo is spliced at the first look-alike, not the scenario's"),

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qiradar import channel, cli, closed_form, detector, errors, linkbudget, metrics, qstate
+from qiradar import (channel, cli, closed_form, detector, errors, linkbudget, metrics, montecarlo,
+                     qstate)
 from qiradar import scenario as scenario_module
 from qiradar import report as report_module
 from qiradar.cli import main, run_scenario
@@ -437,13 +438,13 @@ class TestReportSerialization:
             replace(report, **fields(report))
 
     @pytest.mark.parametrize("trials, prior_h0, monte_carlo", [
-        (100, 0.5, detector.draw_counts((0.3, 0.7), 0.5, 10, 99)),  # other seed and trials
-        (100, 0.5, detector.draw_counts((0.3, 0.7), 0.5, 100, 99)),  # other seed
-        (100, 0.5, detector.draw_counts((0.3, 0.7), 0.5, 99, 5)),   # other trials
-        (10, 0.3, detector.draw_counts((0.3, 0.7), 0.4, 10, 5)),    # other split: 4 + 6
-        (10, 0.3, detector.draw_counts((0.3, 0.7), 0.2, 10, 5)),    # other split: 2 + 8
+        (100, 0.5, montecarlo.draw_counts((0.3, 0.7), 0.5, 10, 99)),  # other seed and trials
+        (100, 0.5, montecarlo.draw_counts((0.3, 0.7), 0.5, 100, 99)),  # other seed
+        (100, 0.5, montecarlo.draw_counts((0.3, 0.7), 0.5, 99, 5)),   # other trials
+        (10, 0.3, montecarlo.draw_counts((0.3, 0.7), 0.4, 10, 5)),    # other split: 4 + 6
+        (10, 0.3, montecarlo.draw_counts((0.3, 0.7), 0.2, 10, 5)),    # other split: 2 + 8
         (100, 0.5, None),
-        (0, 0.5, detector.draw_counts((0.3, 0.7), 0.5, 100, 5)),
+        (0, 0.5, montecarlo.draw_counts((0.3, 0.7), 0.5, 100, 5)),
         (0, 0.5, NO_TRIALS),
     ], ids=["seed-and-trials", "seed", "trials", "split-up", "split-down", "missing",
             "without-trials", "empty-without-trials"])

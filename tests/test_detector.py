@@ -1,11 +1,11 @@
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 
 from conftest import pure_pair, random_density, random_unitary
-from qiradar import detector
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.closed_form import TIE_ATOL
 from qiradar.detector import (
@@ -19,6 +19,7 @@ from qiradar.detector import (
 from qiradar.errors import (MAX_TRIALS, DegenerateInput, DimensionMismatch, NumericalDomain,
                             _check_thresholds, clamp_unit)
 from qiradar.metrics import helstrom_error
+from qiradar.montecarlo import draw_counts
 from qiradar.qstate import DensityOperator, eigendecompose_hermitian
 from qiradar.report import RocPoint, TrialOutcome, _Curve, outcome_error
 
@@ -34,6 +35,25 @@ def _sweep_pairs():
 
 
 SWEEP_PAIRS = _sweep_pairs()  # the model's pair at η 0.6, p 0.2, then five random pairs
+
+
+def documented_count(p, n, seed, tag):
+    """README "Determinism", inversion branch: the decide-H1 count of n trials at Born
+    probability p under seed and tag, for n*min(p, 1 - p) < 10."""
+    if p > 0.5:
+        return n - documented_count(1.0 - p, n, seed, tag)
+    assert n * p < 10
+    uniforms = random.Random(2 * seed + tag).random
+    r = p / (1.0 - p)
+    a = (n + 1) * r
+    while True:
+        u, x, f = uniforms(), 0, math.exp(n * math.log1p(-p))
+        while u > f and f > 0.0 and x < n:
+            u -= f
+            x += 1
+            f *= a / x - r
+        if u <= f:
+            return x
 
 
 def identity_measurement(dim):
@@ -170,21 +190,17 @@ class TestTrialCounts:
         certain = (born_probability(identity_measurement(4), rho),
                    born_probability(never_measurement(4), rho))
         for prior_h0, side in ((1.0, 0), (0.0, 1)):  # every trial under one hypothesis
-            always, never = (detector.draw_counts((p, p), prior_h0, trials, 1)[side]
+            always, never = (draw_counts((p, p), prior_h0, trials, 1)[side]
                              for p in certain)
             assert always.decide_h1_count == always.trials == trials
             assert never.decide_h1_count == 0 and never.trials == trials
 
-    @pytest.mark.parametrize("trials", [1, 2**20 + 1, MAX_TRIALS])
+    @pytest.mark.parametrize("trials", [1, 21])
     def test_counts_follow_the_documented_stream(self, trials):
-        # The stream contract (README "Determinism"): the decide-H1 count of
-        # n trials under tag t and seed s is one draw
-        # Generator(PCG64(SeedSequence((s, t)))).binomial(n, p), p the Born
-        # probability of the Helstrom H1 projector.
-        def stream_count(p, n, seed, tag):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, tag))))
-            return int(rng.binomial(n, p))
-
+        # The stream contract (README "Determinism"): the decide-H1 count of n trials
+        # under tag t and seed s, p the Born probability of the Helstrom H1 projector,
+        # recomputed here by inversion from the uniforms of random.Random(2s + t); at
+        # these n, n*min(p, 1 - p) < 10. BTRD's counts are pinned in test_montecarlo.py.
         rho0 = hypothesis_h0(0.3)
         rho1 = hypothesis_h1(TargetParams(1.0, 0.6, 0.3))
         m = helstrom_measurement(rho0, rho1, HALF)
@@ -192,27 +208,35 @@ class TestTrialCounts:
         n_h0 = trials // 2
         for seed in (5150, 2**64 - 1):
             for tag, prior_h0 in ((0, 1.0), (1, 0.0)):  # every trial under hypothesis tag
-                out = detector.draw_counts((p[0], p[1]), prior_h0, trials, seed)[tag]
-                assert out.decide_h1_count == stream_count(p[tag], trials, seed, tag)
+                out = draw_counts((p[0], p[1]), prior_h0, trials, seed)[tag]
+                assert out.decide_h1_count == documented_count(p[tag], trials, seed, tag)
             out0, out1 = detection_counts(rho0, rho1, HALF, trials, seed)
             assert (out0.trials, out1.trials) == (n_h0, trials - n_h0)
-            assert out0.decide_h1_count == stream_count(p[0], n_h0, seed, 0)
-            assert out1.decide_h1_count == stream_count(p[1], trials - n_h0, seed, 1)
+            assert out0.decide_h1_count == documented_count(p[0], n_h0, seed, 0)
+            assert out1.decide_h1_count == documented_count(p[1], trials - n_h0, seed, 1)
+
+    def test_tiny_probabilities_at_max_trials_follow_the_documented_stream(self):
+        # q**n as exp(n*log1p(-p)): n*p = 1.5 at n = 5*10**8 a side, and its mirror at 1 - p.
+        for p in (3e-9, 1.0 - 3e-9):
+            for seed in (0, 5150, 2**64 - 1):
+                out0, out1 = draw_counts((p, p), 0.5, MAX_TRIALS, seed)
+                assert out0.decide_h1_count == documented_count(p, out0.trials, seed, 0)
+                assert out1.decide_h1_count == documented_count(p, out1.trials, seed, 1)
 
     def test_draw_counts_clamps_roundoff_past_the_unit_interval(self):
-        # The closed form can return 1 + 2^-52 (or a tiny negative), which numpy's
-        # binomial would refuse with a ValueError; clamp_unit snaps it first.
-        h0, h1 = detector.draw_counts((1.0 + 2**-52, -2**-60), 0.5, 10, 1)
+        # The closed form can return 1 + 2^-52 (or a tiny negative); clamp_unit snaps it
+        # onto [0, 1] before the draw.
+        h0, h1 = draw_counts((1.0 + 2**-52, -2**-60), 0.5, 10, 1)
         assert (h0.decide_h1_count, h1.decide_h1_count) == (5, 0)
         with pytest.raises(NumericalDomain, match="Born probability"):
-            detector.draw_counts((0.5, 1.0 + 1e-6), 0.5, 10, 1)
+            draw_counts((0.5, 1.0 + 1e-6), 0.5, 10, 1)
 
     def test_binomial_consistency(self):
         rho0, rho1 = pure_pair(math.pi / 2)
         m = helstrom_measurement(rho0, rho1, HALF)
         trials = 1_000_000
         p = born_probability(m, rho1)
-        _, out = detector.draw_counts((0.0, p), 0.0, trials, 20240817)
+        _, out = draw_counts((0.0, p), 0.0, trials, 20240817)
         sigma = math.sqrt(p * (1.0 - p) / trials)
         assert abs(out.decide_h1_count / trials - p) <= 4.0 * sigma
 

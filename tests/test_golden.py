@@ -3,9 +3,9 @@
 The files under ``tests/golden/`` are the CLI output for ``scenarios/``: the
 structured and table reports of example.cfg and thermal.cfg, and the ROC CSVs
 of example.cfg and dense.cfg. example.cfg runs 100000 Monte Carlo trials, so its
-golden also pins the exact decision counts of Monte Carlo stream version 2
-(one binomial draw per hypothesis), the version every report names in its
-``versions`` block.
+golden also pins the exact decision counts of Monte Carlo stream version 3
+(one standard-library binomial draw per hypothesis), the version every report
+names in its ``versions`` block.
 dense.roc.csv pins dense.cfg's 1000-threshold ROC, whose grid hits the triply
 degenerate eigenvalue crossing of ρ₁ − tρ₀ at t = 0.4 exactly, and
 dense.structured.json the one-line structured report of the same scenario,
@@ -19,9 +19,12 @@ Born probabilities from the closed form, and since 3 its fidelity and Helstrom
 error too. The generic eigensolver path must still reproduce every golden ROC
 point within 1e-13, every golden Monte Carlo count exactly, the trace distance
 to the bit and F and P_e within its documented tolerances, which stands in for
-keeping the files of the earlier versions.
+keeping the files of the earlier versions. Stream version 3 changed the
+structured goldens only in ``versions.mc_stream`` and in the Monte Carlo draws that
+moved, which a test checks field by field against the version 2 files' digests.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -136,3 +139,34 @@ def test_generic_path_reproduces_the_golden_detector_numbers(name):
         assert [{"decide_h0_count": o.decide_h0_count, "decide_h1_count": o.decide_h1_count,
                  "trials": o.trials, "true_hypothesis": o.true_hypothesis}
                 for o in outcomes] == [mc["h0"], mc["h1"]]
+
+
+# Each structured golden as Monte Carlo stream version 2 wrote it: its sha256 and the
+# fields, besides versions.mc_stream, whose values stream version 3 changed. Only
+# example's H0 draw moved: edge's draws are certain (no H0 trials and P_D = 1), and dense
+# and thermal run no trials.
+STREAM_V2 = {
+    "dense": ("0fc2c6c219c2b9feaf2c87e67ead2852273590c3cbb0fc02377e45d1f8cb34cb", {}),
+    "edge": ("f39c06526bb2fcea5207368ada7f4bb2f8c6728570081aac7812f086bc953d55", {}),
+    "example": ("7a40326bc7abbf8b989f665f6084ae24ad870aa10145924f793efc93bd6786a6", {
+        ("monte_carlo", "empirical_error"): 0.12598,
+        ("monte_carlo", "h0", "decide_h0_count"): 37402,
+        ("monte_carlo", "h0", "decide_h1_count"): 12598,
+    }),
+    "thermal": ("607c8b432942b60089a158fdde3004afa6c74e517e19f42c6190e9f49e63377a", {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_V2))
+def test_stream_v3_changed_only_the_monte_carlo_draws(name):
+    digest, v2_fields = STREAM_V2[name]
+    doc = json.loads((GOLDEN / f"{name}.structured.json").read_text(encoding="utf-8"))
+    assert doc["versions"]["mc_stream"] == 3
+    for *parents, key in [("versions", "mc_stream"), *v2_fields]:
+        record = doc
+        for parent in parents:
+            record = record[parent]
+        assert key in record
+        record[key] = v2_fields.get((*parents, key), 2)
+    v2_text = json.dumps(doc, sort_keys=True) + "\n"
+    assert hashlib.sha256(v2_text.encode("utf-8")).hexdigest() == digest

@@ -1,13 +1,17 @@
 """Layering: the path from a scenario to its report holds no linear algebra.
 
-The scenario, its closed-form numbers, the link budget, the report and the number gates
-they share live in modules that import neither numpy nor a module that does. This test
-reads the import statements of the package under test with ast, the package __init__
-excluded (it re-exports the whole library), and follows every chain of imports between
-its modules.
+The scenario, its closed-form numbers, the Monte Carlo draw, the link budget, the report
+and the number gates they share live in modules that import neither numpy nor a module
+that does. This test reads the import statements of the package under test with ast, the
+package __init__ excluded (it re-exports the whole library), and follows every chain of
+imports between its modules. A Monte Carlo run, checked in a fresh interpreter, loads no
+numpy.random.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,7 @@ import pytest
 import qiradar
 
 PACKAGE = Path(qiradar.__file__).parent
-NUMPY_FREE = ("scenario", "report", "linkbudget", "errors", "closed_form")
+NUMPY_FREE = ("scenario", "report", "linkbudget", "errors", "closed_form", "montecarlo")
 # The generic linear-algebra layer and the CLI over it; __init__ imports all of them.
 LINEAR_ALGEBRA = ("qstate", "channel", "metrics", "detector", "cli", "__init__")
 
@@ -66,7 +70,7 @@ def reachable(starts) -> dict[str, list[str]]:
 def test_the_import_reader_sees_the_linear_algebra_layer():
     # Guards the two checks below against a reader that finds no imports at all.
     assert imports("qstate")[1] >= {"numpy", "math"}
-    assert imports("cli")[0] >= {"channel", "closed_form", "detector", "linkbudget", "metrics"}
+    assert imports("cli")[0] >= {"channel", "closed_form", "linkbudget", "metrics", "montecarlo"}
     assert reachable(["cli"]).get("qstate") is not None
     assert sorted(path.stem for path in PACKAGE.glob("*.py")) == sorted(
         {*NUMPY_FREE, *LINEAR_ALGEBRA, "__main__"})
@@ -81,3 +85,18 @@ def test_numpy_free_modules_reach_no_linear_algebra():
 @pytest.mark.parametrize("module", NUMPY_FREE)
 def test_numpy_free_modules_import_no_numpy(module):
     assert "numpy" not in imports(module)[1]
+
+
+def test_a_monte_carlo_run_loads_no_numpy_random():
+    # The stream draws from the standard library's random, so the numpy submodule that a
+    # process loads only on first use never loads.
+    code = ("import sys; from qiradar import parse_scenario, run_scenario; "
+            "r = run_scenario(parse_scenario('phase_rad = 1\\nreflectivity = 0.5\\n"
+            "noise_excitation = 0.1\\ntrials = 20000\\n')); "
+            "assert sum(o.trials for o in r.monte_carlo) == 20000; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True)
+    assert result.stdout == "[]\n"
