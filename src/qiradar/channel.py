@@ -88,7 +88,7 @@ def hypothesis_h1(params: TargetParams) -> DensityOperator:
     """
     amps = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
     amps[2:] *= cmath.exp(1j * params.phase_phi)  # as apply_signal_phase(bell_phi_plus(), φ)
-    pure = np.outer(amps, amps.conj())
+    pure = amps[:, None] * amps.conj()  # |ψ′⟩⟨ψ′|
     eta = params.reflectivity_eta
     rho0 = _h0_matrix(params.noise_excitation_p)
     return DensityOperator(eta * pure + (1.0 - eta) * rho0, (2, 2))

@@ -1,13 +1,14 @@
 """Command-line front end: parse a scenario, run the pipeline, emit reports.
 
 Exit codes: 0 success, 2 parse/validation failure (including an unreadable
-scenario file or an unwritable --out or --roc-out path), 3 numerical failure while
-running a valid scenario.
+scenario file, an unwritable --out or --roc-out path or a stdout that takes no
+report), 3 numerical failure while running a valid scenario.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -110,6 +111,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush the report to stdout, so a full or closed stdout fails here.
+
+    On failure the unwritten bytes stay in stdout's buffer, and the flush at
+    interpreter exit would fail on them again (an "Exception ignored" message and
+    exit status 120). Pointing stdout's descriptor at os.devnull lets that flush succeed.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # a stdout with no descriptor
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
+
+
 def main(argv=None) -> int:
     arg_parser = build_arg_parser()
     args = arg_parser.parse_args(argv)
@@ -142,11 +165,11 @@ def main(argv=None) -> int:
         return 3
 
     output = emit_report(report, args.format)
-    if not args.out:
-        sys.stdout.write(output)
     try:  # a failed --roc-out write comes after the report has gone out
         if args.out:
             Path(args.out).write_text(output, encoding="utf-8")
+        else:
+            _write_stdout(output)
         if args.roc_out:
             Path(args.roc_out).write_text(roc_csv(report.roc), encoding="utf-8")
     except OSError as exc:

@@ -60,6 +60,8 @@ def _real(name: str, value) -> float:
 
 
 def _check_integer(name: str, value, low: int, high: int) -> int:
+    if type(value) is int and low <= value <= high:  # the common case, without isinstance
+        return value
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and low <= value <= high):
         raise DegenerateInput(f"{name} must be an integer in [{low}, {high}], got {value!r}")

@@ -127,10 +127,13 @@ class LinkBudgetInputs:
     noise_isolated: float | None = None
 
     def __post_init__(self):
-        for spec in fields(self):
-            value = getattr(self, spec.name)
+        for name in _INPUT_FIELDS:
+            value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, spec.name, _require_positive(spec.name, value))
+                object.__setattr__(self, name, _require_positive(name, value))
+
+
+_INPUT_FIELDS = tuple(spec.name for spec in fields(LinkBudgetInputs))
 
 
 @dataclass(frozen=True)

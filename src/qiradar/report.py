@@ -27,6 +27,9 @@ from .scenario import Scenario
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
 CURVE_WINDOW = 2.0**-50  # the pipeline curve's clamp: 4 ulp; its kernel leaves [0, 1] by ≤ 1 ulp
 
+# The structured line's encoder, built once; json.dumps with these options builds one per call.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
 HYPOTHESIS_H0 = "H0"
 HYPOTHESIS_H1 = "H1"
 
@@ -256,7 +259,7 @@ def emit_report(report: DetectionReport, format: str = "table") -> str:
     """Render a report as 'structured' (JSON) or 'table' text."""
     if format == "structured":
         try:
-            text = json.dumps(_document(report), sort_keys=True, allow_nan=False)
+            text = _encode(_document(report))
         except ValueError as exc:  # NaN or ±inf, which only a hand-built record can hold
             raise DegenerateInput(f"report is not valid JSON: {exc}") from None
         if report.roc is not None:

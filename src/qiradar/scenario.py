@@ -37,32 +37,23 @@ import math
 import operator
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 from .errors import (MAX_TRIALS, DegenerateInput, NumericalDomain, ParseError, ValidationError,
                      _check_integer, _check_seed, _check_thresholds, _excitation, _real,
                      _reflectivity, _require_positive, check_priors)
-from .linkbudget import LinkBudgetInputs, _occupancy, occupancy_to_excitation
+from .linkbudget import _INPUT_FIELDS, LinkBudgetInputs, _occupancy, occupancy_to_excitation
 
 _LINK_PREFIX = "link_budget."
-_LINK_KEYS = frozenset(_LINK_PREFIX + f.name for f in fields(LinkBudgetInputs))
+_LINK_KEYS = frozenset(_LINK_PREFIX + name for name in _INPUT_FIELDS)
 _INT_KEYS = frozenset({"trials", "seed"})
 
-_set = object.__setattr__  # fills in the fields of a frozen Scenario
+_set = object.__setattr__  # fills in the attributes of a frozen Scenario
 
 
 def _require(ok: bool, field: str, message: str, *args) -> None:
     """Raise ValidationError(message.format(*args)) naming ``field`` unless ok."""
     if not ok:
         raise ValidationError(message.format(*args), field=field)
-
-
-def _checked(field: str, check, *args):
-    """check(*args), its DegenerateInput raised as ValidationError naming ``field``."""
-    try:
-        return check(*args)
-    except DegenerateInput as exc:
-        raise ValidationError(str(exc), field=field) from None
 
 
 @dataclass(frozen=True)
@@ -73,7 +64,9 @@ class Scenario:
     is held to the same rules. Numbers are stored as float (int for trials
     and seed), roc_thresholds as a tuple. With the frequency_hz/temperature_k
     pair, noise_excitation is derived, and a given value must equal it. The
-    priors are given both or neither (then 0.5 each).
+    priors are given both or neither (then 0.5 each). ``thermal_occupancy``,
+    which is not a field, holds the mean photon number n̄ at
+    frequency_hz/temperature_k, or None when noise_excitation was given directly.
     """
 
     phase_rad: float
@@ -92,69 +85,70 @@ class Scenario:
     def __post_init__(self):
         for name in ("phase_rad", "reflectivity"):
             _require(getattr(self, name) is not None, name, "{} is required", name)
-        _set(self, "phase_rad", _checked("phase_rad", _real, "phase", self.phase_rad))
-        _set(self, "reflectivity", _checked("reflectivity", _reflectivity, self.reflectivity))
-        self._check_noise()
-        _set(self, "env_phase_rad", _checked("env_phase_rad", _real, "phase", self.env_phase_rad))
-        _require(math.isfinite(self.phase_rad - self.env_phase_rad), "env_phase_rad",
-                 "phase_rad - env_phase_rad must be finite")
-        self._check_priors()
-        _set(self, "trials",
-             _checked("trials", _check_integer, "trials", self.trials, 0, MAX_TRIALS))
-        _set(self, "seed", _checked("seed", _check_seed, self.seed))
-        if self.roc_thresholds is not None:
-            self._check_thresholds()
+        field = "phase_rad"  # the field being gated, which names a DegenerateInput of its gate
+        try:
+            _set(self, field, _real("phase", self.phase_rad))
+            field = "reflectivity"
+            _set(self, field, _reflectivity(self.reflectivity))
+            field = "noise_excitation"
+            given, nbar = self.noise_excitation, None
+            if self.frequency_hz is None and self.temperature_k is None:
+                _require(given is not None, field, "either noise_excitation or both frequency_hz "
+                         "and temperature_k are required")
+                _set(self, field, _excitation(given))
+            else:
+                _require(self.frequency_hz is not None and self.temperature_k is not None, field,
+                         "frequency_hz and temperature_k must be given together")
+                field = "frequency_hz"
+                _set(self, field, _require_positive(field, self.frequency_hz))
+                field = "temperature_k"
+                _set(self, field, _require_positive(field, self.temperature_k))
+                try:
+                    nbar = _occupancy(self.frequency_hz, self.temperature_k)
+                    derived = occupancy_to_excitation(nbar)
+                except NumericalDomain:  # the occupancy overflows
+                    derived = 1.0
+                _require(derived < 1.0, "temperature_k",
+                         "thermal occupancy at frequency_hz/temperature_k is too large for the "
+                         "two-level noise model (derived excitation rounds to 1)")
+                field = "noise_excitation"
+                _require(given is None or _excitation(given) == derived, field,
+                         "noise_excitation {!r} contradicts the value {!r} derived from "
+                         "frequency_hz/temperature_k; give one or the other", given, derived)
+                _set(self, field, derived)
+            _set(self, "thermal_occupancy", nbar)
+            field = "env_phase_rad"
+            _set(self, field, _real("phase", self.env_phase_rad))
+            _require(math.isfinite(self.phase_rad - self.env_phase_rad), field,
+                     "phase_rad - env_phase_rad must be finite")
+            # Silently completing a lone prior would hide a typo.
+            _require((self.prior_h0 is None) == (self.prior_h1 is None), "prior_h0",
+                     "prior_h0 and prior_h1 must be given together")
+            p0 = p1 = 0.5
+            if self.prior_h0 is not None:
+                field = "prior_h0"
+                p0 = _real(field, self.prior_h0)
+                field = "prior_h1"
+                p1 = _real(field, self.prior_h1)
+                field = "prior_h0"
+                p0, p1 = check_priors((p0, p1))
+            _set(self, "prior_h0", p0)
+            _set(self, "prior_h1", p1)
+            field = "trials"
+            _set(self, field, _check_integer(field, self.trials, 0, MAX_TRIALS))
+            field = "seed"
+            _set(self, field, _check_seed(self.seed))
+            if self.roc_thresholds is not None:
+                field = "roc_thresholds"
+                thresholds = tuple(_check_thresholds(self.roc_thresholds))
+                _require(len(thresholds) > 0, field, "roc_thresholds must not be empty")
+                _require(all(map(operator.le, thresholds, thresholds[1:])), field,
+                         "roc_thresholds must be in ascending order")
+                _set(self, field, thresholds)
+        except DegenerateInput as exc:
+            raise ValidationError(str(exc), field=field) from None
         _require(self.link_budget is None or isinstance(self.link_budget, LinkBudgetInputs),
                  "link_budget", "link_budget must be LinkBudgetInputs, got {!r}", self.link_budget)
-
-    @cached_property
-    def thermal_occupancy(self) -> float | None:
-        """Mean photon number n̄ at frequency_hz/temperature_k, computed once;
-        None when noise_excitation was given directly."""
-        if self.frequency_hz is None:
-            return None
-        return _occupancy(self.frequency_hz, self.temperature_k)  # both passed _check_noise
-
-    def _check_noise(self) -> None:
-        given = self.noise_excitation
-        if self.frequency_hz is None and self.temperature_k is None:
-            _require(given is not None, "noise_excitation",
-                     "either noise_excitation or both frequency_hz and temperature_k are required")
-            _set(self, "noise_excitation", _checked("noise_excitation", _excitation, given))
-            return
-        _require(self.frequency_hz is not None and self.temperature_k is not None,
-                 "noise_excitation", "frequency_hz and temperature_k must be given together")
-        for name in ("frequency_hz", "temperature_k"):
-            _set(self, name, _checked(name, _require_positive, name, getattr(self, name)))
-        try:
-            derived = occupancy_to_excitation(self.thermal_occupancy)
-        except NumericalDomain:  # the occupancy overflows
-            derived = 1.0
-        _require(derived < 1.0, "temperature_k",
-                 "thermal occupancy at frequency_hz/temperature_k is too large for the "
-                 "two-level noise model (derived excitation rounds to 1)")
-        _require(given is None or _checked("noise_excitation", _excitation, given) == derived,
-                 "noise_excitation", "noise_excitation {!r} contradicts the value {!r} "
-                 "derived from frequency_hz/temperature_k; give one or the other", given, derived)
-        _set(self, "noise_excitation", derived)
-
-    def _check_priors(self) -> None:
-        # Silently completing a lone prior would hide a typo.
-        _require((self.prior_h0 is None) == (self.prior_h1 is None), "prior_h0",
-                 "prior_h0 and prior_h1 must be given together")
-        priors = (0.5, 0.5) if self.prior_h0 is None else tuple(
-            _checked(name, _real, name, getattr(self, name)) for name in ("prior_h0", "prior_h1"))
-        p0, p1 = _checked("prior_h0", check_priors, priors)
-        _set(self, "prior_h0", p0)
-        _set(self, "prior_h1", p1)
-
-    def _check_thresholds(self) -> None:
-        name = "roc_thresholds"
-        thresholds = tuple(_checked(name, _check_thresholds, self.roc_thresholds))
-        _require(len(thresholds) > 0, name, "roc_thresholds must not be empty")
-        _require(all(map(operator.le, thresholds, thresholds[1:])), name,
-                 "roc_thresholds must be in ascending order")
-        _set(self, name, thresholds)
 
 
 # A document names each Scenario field but link_budget, which it gives as dotted keys.
@@ -226,6 +220,9 @@ def parse_scenario(text: str) -> Scenario:
             values["link_budget"] = LinkBudgetInputs(**link)
         except DegenerateInput:
             for name, value in sorted(link.items()):
-                _checked(_LINK_PREFIX + name, _require_positive, name, value)
+                try:
+                    _require_positive(name, value)
+                except DegenerateInput as exc:
+                    raise ValidationError(str(exc), field=_LINK_PREFIX + name) from None
             raise
     return Scenario(**values)

@@ -110,6 +110,12 @@ MUTANTS = (
            "MAX_DIMENSION**1.5 / 2) * STATE_ATOL * 10", "the clamp window is 10x wider"),
     Mutant("metrics.py", "pe <= 0.5 + 1e-12", "pe <= 0.5 + 1e-6",
            "the Helstrom error may exceed 1/2 by 1e-6"),
+    Mutant("errors.py", "if type(value) is int and low <= value <= high:",
+           "if type(value) is int:", "an exact int skips the integer gate's range check"),
+    Mutant("scenario.py", '            field = "seed"\n', "",
+           "a bad seed is reported under the trials field"),
+    Mutant("cli.py", "            os.dup2(devnull, fd)\n", "",
+           "a full stdout keeps the report's bytes, and the flush at exit fails on them again"),
     Mutant("errors.py", "abs(p0 + p1 - 1.0) <= PRIOR_ATOL", "p0 + p1 - 1.0 <= PRIOR_ATOL",
            "priors that sum to less than 1 are accepted"),
     Mutant("scenario.py", "for name, value in sorted(link.items()):",
@@ -122,7 +128,7 @@ MUTANTS = (
            "_ratio(i.noise_power_w, i.power_w, ", "the SNR is noise over signal"),
     Mutant("linkbudget.py", "        if energy == 0.0:\n", "        if False:\n",
            "a photon energy that underflows to 0 is reported, or divides the photon rate by 0"),
-    Mutant("linkbudget.py", "for spec in fields(self):", "for spec in fields(self)[:-1]:",
+    Mutant("linkbudget.py", "for name in _INPUT_FIELDS:", "for name in _INPUT_FIELDS[:-1]:",
            "LinkBudgetInputs leaves its last field ungated"),
     Mutant("linkbudget.py", "10.0 * math.log10(_ratio(watts, ", "20.0 * math.log10(_ratio(watts, ",
            "a power level in dBm is 20·log₁₀ instead of 10·log₁₀"),

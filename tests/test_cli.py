@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -605,6 +609,37 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: cannot write output file: ")
         assert str(target) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_unwritable_stdout_exits_2(self, scenario_file, capsys, monkeypatch, failing):
+        class FullStdout:  # as /dev/full: a write or the flush after it fails
+            def write(self, text):
+                if failing == "write":
+                    raise OSError(28, "No space left on device")
+                return len(text)
+
+            def flush(self):
+                if failing == "flush":
+                    raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["run", scenario_file(ANCHOR_DOC)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot write output file: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exits_2_in_a_process(self, scenario_file):
+        # A buffered stdout keeps the bytes a failed flush left, and the flush at
+        # interpreter exit must not fail on them again (exit status 120).
+        package_root = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = path
+        command = [sys.executable, "-m", "qiradar", "run", scenario_file(ANCHOR_DOC)]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(command, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert done.returncode == 2
+        assert done.stderr == "error: cannot write output file: [Errno 28] No space left on device\n"
 
     def test_unwritable_roc_out_exits_2_after_the_report(self, scenario_file, tmp_path, capsys):
         target = tmp_path / "absent" / "roc.csv"

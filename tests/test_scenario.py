@@ -8,7 +8,7 @@ import pytest
 
 from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
 from qiradar.detector import detection_counts, roc_sweep
-from qiradar.errors import (MAX_TRIALS, DegenerateInput, ParseError, ValidationError,
+from qiradar.errors import (MAX_SEED, MAX_TRIALS, DegenerateInput, ParseError, ValidationError,
                             _check_integer, _check_seed, check_priors)
 from qiradar.cli import run_scenario
 from qiradar.linkbudget import LinkBudgetInputs, occupancy_to_excitation, thermal_occupancy
@@ -407,6 +407,24 @@ class TestDirectConstruction:
         assert abs(scenario.thermal_occupancy - 603.7620924857771) <= 1e-9
         assert Scenario(**DIRECT).thermal_occupancy is None
 
+    def test_thermal_occupancy_follows_replace(self):
+        thermal = Scenario(phase_rad=0.5, reflectivity=0.6, **THERMAL)
+        colder = replace(thermal, temperature_k=4.0, noise_excitation=None)
+        assert colder.thermal_occupancy == thermal_occupancy(1e10, 4.0)
+        assert thermal.thermal_occupancy == thermal_occupancy(1e10, 290.0)
+        direct = replace(thermal, frequency_hz=None, temperature_k=None, noise_excitation=0.25)
+        assert direct.thermal_occupancy is None
+
+    @pytest.mark.parametrize("frequency_hz, temperature_k", [(5e-324, 1e10), (1.0, 5e6)],
+                             ids=["occupancy-overflows", "excitation-rounds-to-1"])
+    def test_a_saturated_thermal_pair_is_rejected(self, frequency_hz, temperature_k):
+        with pytest.raises(ValidationError) as err:
+            Scenario(**{**DIRECT, "noise_excitation": None, "frequency_hz": frequency_hz,
+                        "temperature_k": temperature_k})
+        assert err.value.field == "temperature_k"
+        assert str(err.value) == ("thermal occupancy at frequency_hz/temperature_k is too large "
+                                  "for the two-level noise model (derived excitation rounds to 1)")
+
     def test_replace_revalidates(self):
         parsed = parse_with("trials = 10\n")
         assert replace(parsed, seed=7).seed == 7
@@ -431,6 +449,10 @@ class TestDirectConstruction:
         assert Scenario(**DIRECT, link_budget=inputs).link_budget is inputs
 
 
+class _Int(int):  # an int subclass, which the integer gate's fast path leaves out
+    pass
+
+
 # Each range rule lives in its domain module; Scenario reports the domain
 # check's own text under the field's name.
 DOMAIN_CHECKS = {
@@ -449,6 +471,7 @@ DOMAIN_CHECKS = {
     ("frequency_hz", 0.0), ("temperature_k", -1.0),
     ("trials", MAX_TRIALS + 1), ("trials", 1.5), ("seed", 2**64),
     ("link_budget.noise_power_w", 0.0),
+    ("trials", -1), ("seed", -1), ("trials", np.int64(MAX_TRIALS + 1)), ("seed", _Int(2**64)),
 ])
 def test_scenario_reports_the_domain_check(field, value):
     with pytest.raises(DegenerateInput) as domain:
@@ -494,8 +517,9 @@ NUMBER_ENTRY_POINTS = {  # name -> (call with one number, matching Scenario fiel
     "detection_counts.seed": (lambda v: detection_counts(R0, R1, (0.5, 0.5), 1, v), "seed"),
 }
 REAL_ENTRY_POINTS = [name for name in NUMBER_ENTRY_POINTS if name != "detection_counts.seed"]
-NOT_NUMBERS = {"str": "0.5", "bytes": b"1", "bool": True, "Decimal": Decimal("0.5"),
-               "None": None, "nan": math.nan, "inf": math.inf, "10**400": 10**400}
+NOT_NUMBERS = {"str": "0.5", "bytes": b"1", "bool": True, "False": False,
+               "Decimal": Decimal("0.5"), "None": None, "nan": math.nan, "inf": math.inf,
+               "10**400": 10**400}
 # For these fields None means "not given", which has rules of its own.
 OPTIONAL_OR_REQUIRED = {"phase_rad", "reflectivity", "noise_excitation", "frequency_hz",
                         "temperature_k", "prior_h0", "prior_h1"}
@@ -543,9 +567,11 @@ def test_every_entry_point_accepts_reals(entry, real):
         assert stored == number and type(stored) is float
 
 
-@pytest.mark.parametrize("value", [1, np.int64(1)], ids=["int", "int64"])
+@pytest.mark.parametrize("value", [1, np.int64(1), 0, MAX_SEED, _Int(1), _Int(MAX_SEED)],
+                         ids=["int", "int64", "low", "high", "int-subclass", "int-subclass-high"])
 def test_integer_gate_accepts_integers(value):
     NUMBER_ENTRY_POINTS["detection_counts.seed"][0](value)
-    assert type(scenario_with("seed", value).seed) is int
+    seed = scenario_with("seed", value).seed
+    assert seed == value and type(seed) is int
     with pytest.raises(DegenerateInput):
         _check_seed(Fraction(value))
