@@ -54,7 +54,6 @@ def _run(scenario: Scenario) -> DetectionReport:
         trace_distance=metrics.trace_distance(rho0, rho1),
         fidelity=clamp_unit(closed_form.fidelity(eta, p), "fidelity"),
         helstrom_error=clamp_unit(closed_form.helstrom_error(eta, p, priors), "Helstrom error"),
-        priors=priors,
     )
 
     monte_carlo = None

@@ -98,7 +98,7 @@ def detection_counts(rho0: DensityOperator, rho1: DensityOperator, priors, trial
     Born probabilities."""
     m = helstrom_measurement(rho0, rho1, priors)  # checks the dimensions and the priors
     born = (born_probability(m, rho0), born_probability(m, rho1))
-    return draw_counts(born, check_priors(priors)[0], trials, seed)
+    return draw_counts(born, priors[0], trials, seed)
 
 
 def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[RocPoint]:

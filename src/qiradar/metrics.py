@@ -69,7 +69,6 @@ class DistinguishabilityReport:
     trace_distance: float
     fidelity: float
     helstrom_error: float
-    priors: tuple[float, float]
 
     def __post_init__(self):
         d = _real("trace_distance", self.trace_distance)
@@ -83,8 +82,7 @@ class DistinguishabilityReport:
             raise NumericalDomain(
                 f"Fuchs-van de Graaff sandwich violated: D={d!r}, F={f!r}"
             )
-        for name, value in (("trace_distance", d), ("fidelity", f), ("helstrom_error", pe),
-                            ("priors", check_priors(self.priors))):
+        for name, value in (("trace_distance", d), ("fidelity", f), ("helstrom_error", pe)):
             object.__setattr__(self, name, value)
 
 
@@ -95,5 +93,4 @@ def distinguishability(a: DensityOperator, b: DensityOperator,
         trace_distance=trace_distance(a, b),
         fidelity=fidelity(a, b),
         helstrom_error=helstrom_error(a, b, priors),
-        priors=tuple(priors),
     )

@@ -1,9 +1,14 @@
 """Shared random-object builders and references for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import qiradar
 from qiradar.channel import apply_signal_phase
 from qiradar.closed_form import TIE_ATOL
 from qiradar.metrics import FVG_ATOL
@@ -16,6 +21,17 @@ def generic_fidelity_atol(eta, p):
     """The generic fidelity's tolerance against the closed form: sqrt_psd of a
     rank-deficient product at η near 1 or small p amplifies roundoff."""
     return GENERIC_ATOL if 0.05 <= p <= 0.95 and eta <= 0.99 else FVG_ATOL
+
+
+def python_m_qiradar(argv, **kwargs):
+    """subprocess.run of `python -m qiradar *argv` in a fresh interpreter that imports the
+    package these tests import, installed or not. PYTHONUNBUFFERED is unset, so stdout is
+    buffered as in a run from a shell."""
+    package_root = str(Path(qiradar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    return subprocess.run([sys.executable, "-m", "qiradar", *argv], env=env, **kwargs)
 
 
 def random_density(rng, dim, dims=None):

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import python_m_qiradar
 
 from qiradar import (channel, cli, closed_form, detector, errors, linkbudget, metrics, montecarlo,
                      qstate)
@@ -20,6 +21,8 @@ from qiradar.linkbudget import LinkBudgetResult
 from qiradar.report import (ROC_CSV_HEADER, RocPoint, TrialOutcome, emit_report, outcome_error,
                             report_to_dict, roc_csv, split_trials)
 from qiradar.scenario import Scenario, parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 ANCHOR_DOC = (
     "phase_rad = 3.141592653589793\n"
@@ -505,9 +508,8 @@ def scenario_file(tmp_path):
     return write
 
 
-def test_priors_are_checked_by_the_scenario_and_the_metrics_only(monkeypatch):
-    # Scenario checks the pair and run_scenario takes it as checked;
-    # DistinguishabilityReport checks what it is given.
+def test_priors_are_checked_by_the_scenario_only(monkeypatch):
+    # Scenario checks the pair and run_scenario takes it as checked.
     calls = []
     for module in (channel, cli, closed_form, detector, errors, linkbudget, metrics, qstate,
                    report_module, scenario_module):
@@ -518,7 +520,7 @@ def test_priors_are_checked_by_the_scenario_and_the_metrics_only(monkeypatch):
             monkeypatch.setattr(module, "check_priors", counted)
     report = run_doc(FULL_DOC + "prior_h0 = 0.3\nprior_h1 = 0.7\n")
     assert report.monte_carlo is not None and report.roc is not None
-    assert calls == ["qiradar.scenario", "qiradar.metrics"]
+    assert calls == ["qiradar.scenario"]
 
 
 class TestCommandLine:
@@ -570,7 +572,8 @@ class TestCommandLine:
     def test_validation_error_exits_2(self, scenario_file, capsys):
         doc = "phase_rad = 1\nreflectivity = 2\nnoise_excitation = 0\n"
         assert main(["run", scenario_file(doc)]) == 2
-        assert "reflectivity" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "reflectivity must lie in" in err and err.count("\n") == 1
 
     def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "bom.cfg"
@@ -631,15 +634,21 @@ class TestCommandLine:
     def test_full_stdout_exits_2_in_a_process(self, scenario_file):
         # A buffered stdout keeps the bytes a failed flush left, and the flush at
         # interpreter exit must not fail on them again (exit status 120).
-        package_root = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = path
-        command = [sys.executable, "-m", "qiradar", "run", scenario_file(ANCHOR_DOC)]
         with open("/dev/full", "w") as full:
-            done = subprocess.run(command, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+            done = python_m_qiradar(["run", scenario_file(ANCHOR_DOC)], stdout=full,
+                                    stderr=subprocess.PIPE, text=True)
         assert done.returncode == 2
         assert done.stderr == "error: cannot write output file: [Errno 28] No space left on device\n"
+
+    def test_max_trials_run_takes_its_start_up_only(self):
+        # MAX_TRIALS is one binomial draw per hypothesis, well under a millisecond, so the
+        # process takes its start-up; a per-trial stream would take minutes.
+        argv = ["run", str(SCENARIOS / "example.cfg"), "--trials", str(MAX_TRIALS),
+                "--format", "structured"]
+        done = python_m_qiradar(argv, capture_output=True, text=True, timeout=5)
+        assert done.returncode == 0 and done.stderr == ""
+        mc = json.loads(done.stdout)["monte_carlo"]
+        assert mc["h0"]["trials"] + mc["h1"]["trials"] == MAX_TRIALS == 10**9
 
     def test_unwritable_roc_out_exits_2_after_the_report(self, scenario_file, tmp_path, capsys):
         target = tmp_path / "absent" / "roc.csv"
@@ -666,7 +675,9 @@ class TestCommandLine:
     @pytest.mark.parametrize("line, code, message", [
         ("link_budget.power_w = 0", 2, "power_w must be positive"),
         ("link_budget.frequency_hz = 5e-324", 3, "photon energy at frequency 5e-324 underflows"),
-    ], ids=["zero-power", "underflowing-photon-energy"])
+        ("link_budget.power_w = 1e300\nlink_budget.noise_power_w = 1e-300", 3,
+         "signal to noise power ratio overflows"),
+    ], ids=["zero-power", "underflowing-photon-energy", "overflowing-snr"])
     def test_link_budget_failures_keep_their_exit_codes(self, scenario_file, capsys, line, code,
                                                         message):
         assert main(["run", scenario_file(f"{ANCHOR_DOC}{line}\n")]) == code

@@ -26,10 +26,11 @@ moved, which a test checks field by field against the version 2 files' digests.
 
 import hashlib
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
-from conftest import GENERIC_ATOL, generic_fidelity_atol
+from conftest import GENERIC_ATOL, generic_fidelity_atol, python_m_qiradar
 
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import main
@@ -51,10 +52,30 @@ def test_report_matches_golden(name, fmt, tmp_path):
 
 
 def test_roc_csv_matches_golden(tmp_path):
-    roc = tmp_path / "roc.csv"
+    out, roc = tmp_path / "report", tmp_path / "roc.csv"
     assert main(["run", str(ROOT / "scenarios" / "example.cfg"),
-                 "--out", str(tmp_path / "report"), "--roc-out", str(roc)]) == 0
+                 "--out", str(out), "--roc-out", str(roc)]) == 0
+    assert out.read_bytes() == (GOLDEN / "example.table.txt").read_bytes()
     assert roc.read_bytes() == (GOLDEN / "example.roc.csv").read_bytes()
+
+
+def test_python_m_qiradar_prints_the_thermal_golden():
+    # __main__.py's stdout, byte for byte, in a fresh interpreter.
+    done = python_m_qiradar(["run", str(ROOT / "scenarios" / "thermal.cfg")],
+                            stdout=subprocess.PIPE)
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN / "thermal.table.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["dense", "edge", "example", "thermal"])
+def test_structured_golden_is_one_json_line_of_the_current_versions(name):
+    text = (GOLDEN / f"{name}.structured.json").read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("\n")
+    doc = json.loads(text)
+    assert doc["versions"] == {"mc_stream": 3, "numerics": 3, "structured": 2}
+    # The scenario's threshold echo is spliced from the same text as the points.
+    thresholds = doc["scenario"]["roc_thresholds"] or []
+    assert list(map(repr, thresholds)) == [repr(p["threshold"]) for p in doc["roc"] or []]
 
 
 def test_dense_roc_csv_matches_golden(tmp_path):

@@ -248,35 +248,35 @@ class TestDistinguishabilityReport:
         assert report.trace_distance == trace_distance(a, b)
         assert report.fidelity == fidelity(a, b)
         assert report.helstrom_error == helstrom_error(a, b, (0.5, 0.5))
-        assert report.priors == (0.5, 0.5)
+        assert not hasattr(report, "priors")  # helstrom_error checks them; no reader needs them
 
     def test_sandwich_violation_rejected(self):
         # D = 0.9 with F = 0.9 would break D <= sqrt(1-F) ~ 0.316. The slack is 1e-7:
         # D = 0.5 ± 5e-7 lies past √(1 − 0.75) = 0.5 or below 1 − √0.25 = 0.5.
         for d, f in ((0.9, 0.9), (0.5 + 5e-7, 0.75), (0.5 - 5e-7, 0.25)):
             with pytest.raises(NumericalDomain):
-                DistinguishabilityReport(d, f, 0.05, (0.5, 0.5))
-        DistinguishabilityReport(0.5 + 5e-8, 0.75, 0.05, (0.5, 0.5))
-        DistinguishabilityReport(0.5 - 5e-8, 0.25, 0.05, (0.5, 0.5))
+                DistinguishabilityReport(d, f, 0.05)
+        DistinguishabilityReport(0.5 + 5e-8, 0.75, 0.05)
+        DistinguishabilityReport(0.5 - 5e-8, 0.25, 0.05)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(NumericalDomain):
-            DistinguishabilityReport(1.5, 0.2, 0.1, (0.5, 0.5))
+            DistinguishabilityReport(1.5, 0.2, 0.1)
         with pytest.raises(NumericalDomain):
-            DistinguishabilityReport(0.5, 0.2, 0.7, (0.5, 0.5))
+            DistinguishabilityReport(0.5, 0.2, 0.7)
         with pytest.raises(NumericalDomain):  # P_e may pass ½ by 1e-12 only
-            DistinguishabilityReport(0.5, 0.5, 0.5 + 1e-9, (0.5, 0.5))
-        assert DistinguishabilityReport(0.5, 0.5, 0.5 + 1e-13, (0.5, 0.5)).helstrom_error > 0.5
+            DistinguishabilityReport(0.5, 0.5, 0.5 + 1e-9)
+        assert DistinguishabilityReport(0.5, 0.5, 0.5 + 1e-13).helstrom_error > 0.5
 
     @pytest.mark.parametrize("metrics", [
         ("0.5", 0.5, 0.25), (0.5, None, 0.25), (0.5, 0.5, True), (math.nan, 0.5, 0.25),
     ])
     def test_metrics_pass_the_real_number_gate(self, metrics):
         with pytest.raises(DegenerateInput, match="must be (a real number|finite)"):
-            DistinguishabilityReport(*metrics, (0.5, 0.5))
+            DistinguishabilityReport(*metrics)
 
     def test_metrics_are_stored_as_floats(self):
-        report = DistinguishabilityReport(Fraction(1, 2), np.float32(0.5), 0, (0.5, 0.5))
+        report = DistinguishabilityReport(Fraction(1, 2), np.float32(0.5), 0)
         assert [type(v) for v in (report.trace_distance, report.fidelity,
                                   report.helstrom_error)] == [float] * 3
 
