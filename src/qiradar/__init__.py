@@ -47,7 +47,8 @@ from .qstate import (
     partial_trace,
     sqrt_psd,
 )
-from .report import DetectionReport, RocPoint, TrialOutcome, emit_report, report_to_dict, roc_csv
+from .montecarlo import TrialOutcome
+from .report import DetectionReport, RocPoint, emit_report, report_to_dict, roc_csv
 from .scenario import Scenario, parse_scenario
 from .cli import run_scenario
 

@@ -21,21 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, _excitation, _real, _reflectivity
+from .errors import DimensionMismatch, _excitation, _real, _reduce_phase, _reflectivity
 from .qstate import DensityOperator, PureState
-
-TWO_PI = 2.0 * math.pi
-
-
-def _reduce_phase(phi: float) -> float:
-    """Map any finite angle into [0, 2π)."""
-    reduced = math.fmod(phi, TWO_PI)
-    if reduced < 0.0:
-        reduced += TWO_PI
-    if reduced >= TWO_PI:
-        # fmod of a tiny negative can round back up to exactly 2π.
-        reduced = 0.0
-    return reduced
 
 
 @dataclass(frozen=True)

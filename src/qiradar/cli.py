@@ -13,10 +13,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import channel, closed_form, linkbudget, metrics
-from .errors import DegenerateInput, ParseError, QIRadarError, ValidationError, clamp_unit
-from .montecarlo import draw_counts
-from .report import DetectionReport, _Curve, emit_report, roc_csv
+from . import channel, metrics
+from .errors import DegenerateInput, ParseError, QIRadarError, ValidationError
+from .report import DetectionReport, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
 
 
@@ -24,71 +23,24 @@ def run_scenario(scenario: Scenario) -> DetectionReport:
     """Run the full detection pipeline for one validated scenario.
 
     Builds both hypothesis states at the effective phase (phase_rad minus
-    env_phase_rad), computes the three distinguishability metrics (D from the
-    states, F and P_e in closed form), then runs Monte Carlo trials, the ROC
-    sweep and the link budget when the scenario asks for them. Deterministic
-    for a fixed seed.
+    env_phase_rad) and takes the trace distance D from them. The report
+    DetectionReport(scenario, D) derives the rest: F and P_e in closed form, and the
+    Monte Carlo trials, the ROC sweep and the link budget when the scenario asks for
+    them. DistinguishabilityReport then checks the report's three metrics (ranges and
+    the Fuchs-van de Graaff sandwich). Deterministic for a fixed seed.
     """
     if not isinstance(scenario, Scenario):
         raise DegenerateInput(f"scenario must be a Scenario, got {type(scenario).__name__}")
     try:
-        return _run(scenario)
+        params = channel.TargetParams(scenario.phase_rad - scenario.env_phase_rad,
+                                      scenario.reflectivity, scenario.noise_excitation)
+        report = DetectionReport(scenario, metrics.trace_distance(
+            channel.hypothesis_h0(scenario.noise_excitation), channel.hypothesis_h1(params)))
+        metrics.DistinguishabilityReport(report.trace_distance, report.fidelity,
+                                         report.helstrom_error)
+        return report
     except QIRadarError as exc:
         raise type(exc)(f"while running scenario: {exc}") from exc
-
-
-def _run(scenario: Scenario) -> DetectionReport:
-    warnings: list[str] = []
-    params = channel.TargetParams(
-        phase_phi=scenario.phase_rad - scenario.env_phase_rad,
-        reflectivity_eta=scenario.reflectivity,
-        noise_excitation_p=scenario.noise_excitation,
-    )
-    rho0 = channel.hypothesis_h0(scenario.noise_excitation)
-    rho1 = channel.hypothesis_h1(params)
-    priors = (scenario.prior_h0, scenario.prior_h1)  # Scenario has checked them
-    # D comes from the generic eigensolve; F, P_e and the detector half's Born probabilities
-    # from the closed form, which the generic metrics, helstrom_measurement and roc_sweep check.
-    eta, p = params.reflectivity_eta, params.noise_excitation_p
-    summary = metrics.DistinguishabilityReport(
-        trace_distance=metrics.trace_distance(rho0, rho1),
-        fidelity=clamp_unit(closed_form.fidelity(eta, p), "fidelity"),
-        helstrom_error=clamp_unit(closed_form.helstrom_error(eta, p, priors), "Helstrom error"),
-    )
-
-    monte_carlo = None
-    if scenario.trials > 0:
-        monte_carlo = draw_counts(closed_form.born_pair(eta, p, *priors), priors[0],
-                                  scenario.trials, scenario.seed)
-
-    roc = None
-    if (thresholds := scenario.roc_thresholds) is not None:  # Scenario has checked them
-        roc = _Curve.of_columns(thresholds, *closed_form.born_pairs(eta, p, thresholds))
-
-    link_result = None
-    if scenario.link_budget is not None:
-        link_result = linkbudget.evaluate_link_budget(scenario.link_budget)
-        warnings.extend(link_result.warnings)
-
-    nbar = scenario.thermal_occupancy
-    if nbar is not None and nbar > linkbudget.SATURATION_NBAR:
-        warnings.append(
-            f"noise_excitation {scenario.noise_excitation:.6g} was derived from thermal "
-            f"occupancy {nbar:.6g}; the two-level noise model saturates for occupancies "
-            f"far above 1"
-        )
-
-    return DetectionReport(
-        scenario=scenario,
-        phase_effective_rad=params.phase_phi,
-        trace_distance=summary.trace_distance,
-        fidelity=summary.fidelity,
-        helstrom_error=summary.helstrom_error,
-        monte_carlo=monte_carlo,
-        roc=roc,
-        link_budget=link_result,
-        warnings=tuple(warnings),
-    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -18,9 +18,9 @@ import numpy as np
 from .closed_form import TIE_ATOL
 from .errors import DimensionMismatch, NumericalDomain, _check_thresholds, check_priors, clamp_unit
 from .metrics import _require_same_dims
-from .montecarlo import draw_counts
+from .montecarlo import TrialOutcome, draw_counts
 from .qstate import DensityOperator, _checked_hermitian, eigendecompose_hermitian
-from .report import RocPoint, TrialOutcome
+from .report import RocPoint
 
 PROJECTOR_ATOL = 1e-8  # idempotency tolerance; hermiticity uses STATE_ATOL
 

@@ -108,6 +108,17 @@ def check_priors(priors) -> tuple[float, float]:
     return p0, p1
 
 
+def _reduce_phase(phi: float) -> float:
+    """Map any finite angle into [0, 2π)."""
+    reduced = math.fmod(phi, math.tau)
+    if reduced < 0.0:
+        reduced += math.tau
+    if reduced >= math.tau:
+        # fmod of a tiny negative can round back up to exactly 2π.
+        reduced = 0.0
+    return reduced
+
+
 def _unit_interval(name: str, value) -> float:
     value = _real(name, value)
     if not (0.0 <= value <= 1.0):

@@ -13,17 +13,59 @@ roundoff (f reaches 0, or x reaches n) is replaced by the next uniform. Otherwis
 Hörmann's BTRD, a transformed rejection with a squeeze whose expected number of uniforms
 is bounded in n (W. Hörmann, J. Stat. Comput. Simul. 46, 101-110, 1993).
 detector.detection_counts passes the generic measurement's Born probabilities, the
-pipeline closed_form.born_pair's.
+pipeline closed_form.born_pair's. The outcome records and their error rate live here too.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 from .errors import (MAX_TRIALS, DegenerateInput, _check_integer, _check_seed, _real, _unit_interval,
                      clamp_unit)
-from .report import HYPOTHESIS_H0, HYPOTHESIS_H1, TrialOutcome, split_trials
+
+HYPOTHESIS_H0 = "H0"
+HYPOTHESIS_H1 = "H1"
+
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    """Decision counts from a batch of measurement trials under one true state."""
+
+    decide_h1_count: int
+    decide_h0_count: int
+    trials: int
+    true_hypothesis: str
+    seed: int
+
+    def __post_init__(self):
+        trials = _check_integer("trials", self.trials, 0, MAX_TRIALS)
+        h1 = _check_integer("decide_h1_count", self.decide_h1_count, 0, trials)
+        h0 = _check_integer("decide_h0_count", self.decide_h0_count, 0, trials)
+        if h1 + h0 != trials:
+            raise DegenerateInput(f"counts {h1} + {h0} do not sum to {trials} trials")
+        if not (isinstance(h := self.true_hypothesis, str) and h in (HYPOTHESIS_H0, HYPOTHESIS_H1)):
+            raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {h!r}")
+        for name, value in (("decide_h1_count", h1), ("decide_h0_count", h0),
+                            ("trials", trials), ("seed", _check_seed(self.seed))):
+            object.__setattr__(self, name, value)
+
+
+def split_trials(prior_h0: float, trials: int) -> tuple[int, int]:
+    """The (H0, H1) trial counts of a run: floor(π₀·trials) under H0, the rest under H1."""
+    n_h0 = math.floor(prior_h0 * trials)
+    return n_h0, trials - n_h0
+
+
+def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
+    """Fraction of wrong calls in an (H0, H1) outcome pair: false alarms under
+    H0 plus misses under H1, over all trials, of which there must be some."""
+    trials = outcome_h0.trials + outcome_h1.trials
+    if not trials:
+        raise DegenerateInput("an outcome pair with no trials has no error rate")
+    return (outcome_h0.decide_h1_count + outcome_h1.decide_h0_count) / trials
+
 
 _STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}
 INVERSION_MEAN = 10  # n*min(p, 1 - p) below this draws by inversion, else by BTRD

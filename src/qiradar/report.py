@@ -1,11 +1,12 @@
-"""Detection reports, the records they hold and their serialized forms.
+"""Detection reports and their serialized forms.
 
+A report is a function of its scenario and its trace distance D: it derives every other
+result from the scenario itself, so only D can disagree with the scenario it echoes.
 The structured format is one line, ``json.dumps(report_to_dict(r),
 sort_keys=True)`` and a newline: sorted field names and full
 shortest-round-trip float precision, so two runs of the same scenario and seed
-are byte-identical, every numeric survives a parse round trip exactly (NaN
-and ±inf, which JSON cannot carry, raise DegenerateInput), and reports
-concatenate into JSON Lines. A report's ROC, only ever the curve run_scenario built, formats
+are byte-identical, every numeric survives a parse round trip exactly, and reports
+concatenate into JSON Lines. A report's ROC, only ever the curve the report built, formats
 each number once: the structured line's roc_thresholds echo and points and roc_csv share
 that text. The table format renders the document for reading, fields in order, 6 digits.
 """
@@ -14,14 +15,15 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import repeat, zip_longest
 from typing import NamedTuple
 
-from .errors import MAX_TRIALS, DegenerateInput, _check_integer, _check_seed, _clamp, _real
-from .linkbudget import LinkBudgetResult
+from . import closed_form
+from .errors import DegenerateInput, _clamp, _real, _reduce_phase, clamp_unit
+from .linkbudget import SATURATION_NBAR, LinkBudgetResult, evaluate_link_budget
+from .montecarlo import TrialOutcome, draw_counts, outcome_error
 from .scenario import Scenario
 
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
@@ -30,8 +32,7 @@ CURVE_WINDOW = 2.0**-50  # the pipeline curve's clamp: 4 ulp; its kernel leaves 
 # The structured line's encoder, built once; json.dumps with these options builds one per call.
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
-HYPOTHESIS_H0 = "H0"
-HYPOTHESIS_H1 = "H1"
+_set = object.__setattr__  # fills in the derived fields of a frozen DetectionReport
 
 
 class RocPoint(NamedTuple):
@@ -43,97 +44,51 @@ class RocPoint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """Decision counts from a batch of measurement trials under one true state."""
-
-    decide_h1_count: int
-    decide_h0_count: int
-    trials: int
-    true_hypothesis: str
-    seed: int
-
-    def __post_init__(self):
-        trials = _check_integer("trials", self.trials, 0, MAX_TRIALS)
-        h1 = _check_integer("decide_h1_count", self.decide_h1_count, 0, trials)
-        h0 = _check_integer("decide_h0_count", self.decide_h0_count, 0, trials)
-        if h1 + h0 != trials:
-            raise DegenerateInput(f"counts {h1} + {h0} do not sum to {trials} trials")
-        if not (isinstance(h := self.true_hypothesis, str) and h in (HYPOTHESIS_H0, HYPOTHESIS_H1)):
-            raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {h!r}")
-        for name, value in (("decide_h1_count", h1), ("decide_h0_count", h0),
-                            ("trials", trials), ("seed", _check_seed(self.seed))):
-            object.__setattr__(self, name, value)
-
-
-def split_trials(prior_h0: float, trials: int) -> tuple[int, int]:
-    """The (H0, H1) trial counts of a run: floor(π₀·trials) under H0, the rest under H1."""
-    n_h0 = math.floor(prior_h0 * trials)
-    return n_h0, trials - n_h0
-
-
-def outcome_error(outcome_h0: TrialOutcome, outcome_h1: TrialOutcome) -> float:
-    """Fraction of wrong calls in an (H0, H1) outcome pair: false alarms under
-    H0 plus misses under H1, over all trials, of which there must be some."""
-    trials = outcome_h0.trials + outcome_h1.trials
-    if not trials:
-        raise DegenerateInput("an outcome pair with no trials has no error rate")
-    return (outcome_h0.decide_h1_count + outcome_h1.decide_h0_count) / trials
-
-
-@dataclass(frozen=True)
 class DetectionReport:
-    """Everything computed for one scenario.
+    """Everything computed for one scenario: its trace distance, given, and the rest derived.
 
-    The effective phase and the three metrics pass the real-number gate. monte_carlo
-    is the scenario's (H0, H1) outcome pair as draw_counts makes it: None when
-    scenario.trials is 0, else of scenario.seed with split_trials' counts. The report
-    derives its error rate and seed from it. roc is the curve run_scenario built at
-    scenario.roc_thresholds, sign and all, or None without them; no other curve is
-    accepted, so dataclasses.replace can move a report but not rebuild its ROC.
-    Sequences are stored as tuples; a wrong type raises DegenerateInput.
+    ``DetectionReport(scenario, trace_distance)`` takes D through the real-number gate
+    (run_scenario takes it from the two states) and derives every other field from the
+    scenario: the effective phase (phase_rad − env_phase_rad in [0, 2π)), F and P_e in
+    closed form, the (H0, H1) outcome pair draw_counts makes (None without trials), the
+    ROC curve at scenario.roc_thresholds (None without them), the link budget and the
+    warnings. The derived fields are not arguments: ``dataclasses.replace(report,
+    scenario=s)`` derives them again for s, and replace of one of them raises ValueError.
     """
 
     scenario: Scenario
-    phase_effective_rad: float
     trace_distance: float
-    fidelity: float
-    helstrom_error: float
-    monte_carlo: tuple[TrialOutcome, TrialOutcome] | None = None
-    roc: tuple[RocPoint, ...] | None = None
-    link_budget: LinkBudgetResult | None = None
-    warnings: tuple[str, ...] = ()
+    phase_effective_rad: float = field(init=False)
+    fidelity: float = field(init=False)
+    helstrom_error: float = field(init=False)
+    monte_carlo: tuple[TrialOutcome, TrialOutcome] | None = field(init=False)
+    roc: _Curve | None = field(init=False)
+    link_budget: LinkBudgetResult | None = field(init=False)
+    warnings: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        for name in ("phase_effective_rad", "trace_distance", "fidelity", "helstrom_error"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        for name, kind in (("scenario", Scenario), ("link_budget", (LinkBudgetResult, type(None)))):
-            if not isinstance(getattr(self, name), kind):
-                raise DegenerateInput(f"{name} cannot be {getattr(self, name)!r}")
-        for name, kind in (("monte_carlo", TrialOutcome), ("warnings", str)):
-            value = getattr(self, name)
-            if value is None and name != "warnings":
-                continue
-            if not (isinstance(value, (list, tuple)) and all(map(kind.__instancecheck__, value))):
-                raise DegenerateInput(f"{name} must be a list or tuple of {kind.__name__}")
-            object.__setattr__(self, name, tuple(value))
-        # The curve holds its scenario's threshold tuple; moved by replace, it is compared by bits.
-        column = None if self.roc is None else _pipeline_curve(self.roc, "roc")._source[0]
-        if column is not (want := self.scenario.roc_thresholds) and _bits(column) != _bits(want):
-            raise DegenerateInput("roc must have one point at each of scenario.roc_thresholds, "
-                                  "in order, and be None when there are none")
-        mc = self.monte_carlo
-        if mc is not None and ([o.true_hypothesis for o in mc] != [HYPOTHESIS_H0, HYPOTHESIS_H1]
-                               or mc[0].seed != mc[1].seed):
-            raise DegenerateInput("monte_carlo must be the (H0, H1) outcome pair of one seed")
         s = self.scenario
-        want = (s.seed, split_trials(s.prior_h0, s.trials)) if s.trials else None
-        if (mc and (mc[0].seed, (mc[0].trials, mc[1].trials))) != want:
-            raise DegenerateInput("monte_carlo must be the scenario's: None without trials, "
-                                  "else its seed and its trials split by prior_h0")
-
-
-def _bits(values) -> bytes | None:  # IEEE 754 bytes tell -0.0 from 0.0; None stays None
-    return None if values is None else array("d", values).tobytes()
+        if not isinstance(s, Scenario):
+            raise DegenerateInput(f"scenario must be a Scenario, got {type(s).__name__}")
+        _set(self, "trace_distance", _real("trace_distance", self.trace_distance))
+        eta, p, priors = s.reflectivity, s.noise_excitation, (s.prior_h0, s.prior_h1)
+        _set(self, "phase_effective_rad", _reduce_phase(s.phase_rad - s.env_phase_rad))
+        _set(self, "fidelity", clamp_unit(closed_form.fidelity(eta, p), "fidelity"))
+        _set(self, "helstrom_error",
+             clamp_unit(closed_form.helstrom_error(eta, p, priors), "Helstrom error"))
+        _set(self, "monte_carlo", draw_counts(closed_form.born_pair(eta, p, *priors), s.prior_h0,
+                                              s.trials, s.seed) if s.trials else None)
+        thresholds = s.roc_thresholds
+        _set(self, "roc", None if thresholds is None else _Curve.of_columns(
+            thresholds, *closed_form.born_pairs(eta, p, thresholds)))
+        link = None if s.link_budget is None else evaluate_link_budget(s.link_budget)
+        _set(self, "link_budget", link)
+        warnings = () if link is None else link.warnings
+        if (nbar := s.thermal_occupancy) is not None and nbar > SATURATION_NBAR:
+            warnings += (f"noise_excitation {p:.6g} was derived from thermal occupancy "
+                         f"{nbar:.6g}; the two-level noise model saturates for occupancies "
+                         f"far above 1",)
+        _set(self, "warnings", warnings)
 
 
 class _Curve(tuple):
@@ -258,15 +213,12 @@ def _table_lines(doc: dict) -> list[str]:
 def emit_report(report: DetectionReport, format: str = "table") -> str:
     """Render a report as 'structured' (JSON) or 'table' text."""
     if format == "structured":
-        try:
-            text = _encode(_document(report))
-        except ValueError as exc:  # NaN or ±inf, which only a hand-built record can hold
-            raise DegenerateInput(f"report is not valid JSON: {exc}") from None
+        text = _encode(_document(report))
         if report.roc is not None:
             # json.dumps of the threshold echo and the point dicts, from the curve's cached text.
-            # Keys are sorted and all after the top-level "roc" is checked (a JSON string has no
-            # unescaped quote), so the last '"roc_thresholds": null' is the scenario's and the
-            # last '"roc": null' before it is "roc"; a hand-built LinkBudgetResult comes first.
+            # Each key text occurs once: a JSON string has no unescaped quote, and only the
+            # top level has "roc" and only the scenario "roc_thresholds". rpartition finds them
+            # from the end, past link_budget, metrics and monte_carlo, which sort before them.
             points = ", ".join([f'{{"p_detection": {d}, "p_false_alarm": {fa}, "threshold": {t}}}'
                                 for t, fa, d in zip(*report.roc.columns)])
             echo = ", ".join(report.roc.columns[0])

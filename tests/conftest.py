@@ -23,15 +23,20 @@ def generic_fidelity_atol(eta, p):
     return GENERIC_ATOL if 0.05 <= p <= 0.95 and eta <= 0.99 else FVG_ATOL
 
 
-def python_m_qiradar(argv, **kwargs):
-    """subprocess.run of `python -m qiradar *argv` in a fresh interpreter that imports the
-    package these tests import, installed or not. PYTHONUNBUFFERED is unset, so stdout is
+def python_with_qiradar(args, **kwargs):
+    """subprocess.run of `python *args` in a fresh interpreter that imports the package
+    these tests import, installed or not. PYTHONUNBUFFERED is unset, so stdout is
     buffered as in a run from a shell."""
     package_root = str(Path(qiradar.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = path
-    return subprocess.run([sys.executable, "-m", "qiradar", *argv], env=env, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def python_m_qiradar(argv, **kwargs):
+    """python_with_qiradar of `-m qiradar *argv`."""
+    return python_with_qiradar(["-m", "qiradar", *argv], **kwargs)
 
 
 def random_density(rng, dim, dims=None):

@@ -52,7 +52,7 @@ MUTANTS = (
     Mutant("detector.py", "eigenvectors * (eigenvalues > TIE_ATOL)",
            "eigenvectors * (eigenvalues >= TIE_ATOL)",
            "an eigenvalue of exactly TIE_ATOL decides H1 in the generic test"),
-    Mutant("report.py", "n_h0 = math.floor(prior_h0 * trials)",
+    Mutant("montecarlo.py", "n_h0 = math.floor(prior_h0 * trials)",
            "n_h0 = round(prior_h0 * trials)", "the trial allocation rounds instead of flooring"),
     Mutant("montecarlo.py", "_STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}",
            "_STREAM_TAG = {HYPOTHESIS_H0: 1, HYPOTHESIS_H1: 0}",
@@ -76,34 +76,30 @@ MUTANTS = (
     Mutant("montecarlo.py", "- _stirling_tail(k) - _stirling_tail(n - k))",
            "+ _stirling_tail(k) + _stirling_tail(n - k))",
            "BTRD's final test adds the Stirling corrections of k and n - k"),
-    Mutant("report.py", """text.rpartition('"roc_thresholds": null')""",
-           """text.partition('"roc_thresholds": null')""",
-           "the threshold echo is spliced at the first look-alike, not the scenario's"),
-    Mutant("report.py", """head.rpartition('"roc": null')""", """head.partition('"roc": null')""",
-           "the points are spliced at the first look-alike, not the report's roc"),
     Mutant("report.py", "sort_keys=True, allow_nan=False", "allow_nan=False",
            "the structured report's keys are unsorted"),
-    Mutant("report.py", '_pipeline_curve(self.roc, "roc")._source[0]',
-           'getattr(self.roc, "_source", [self.scenario.roc_thresholds])[0]',
-           "a report accepts a roc of any type, not only the curve run_scenario built"),
     Mutant("report.py", 'zip(*_pipeline_curve(points, "points").columns)',
            "(map(repr, point) for point in points)",
            "roc_csv formats any iterable of points, not only the curve run_scenario built"),
     Mutant("report.py", 'type(points) is _Curve and hasattr(points, "_source")',
            "type(points) is _Curve", "a _Curve that of_columns did not build is taken as one"),
-    Mutant("report.py", 'else array("d", values).tobytes()', "else tuple(values)",
-           "a point at 0.0 matches a scenario threshold of -0.0"),
     Mutant("report.py", " and not math.isnan(sum(values))", "",
            "a NaN probability column skips the clamp"),
     Mutant("report.py", '+ ["0.0"] * (len(self)', '+ ["0"] * (len(self)',
            "the curve's zero tail is written as another text than its points' repr"),
-    Mutant("report.py", "if column is not (want", "if roc is None and column is not (want",
-           "a curve's threshold column is never compared with the scenario's"),
     Mutant("report.py", "            if not (0.0 <= min(values, default=0.0)",
            "            if False and not (0.0 <= min(values, default=0.0)",
            "the computed prefix skips the range check and the clamp"),
     Mutant("report.py", "CURVE_WINDOW = 2.0**-50", "CURVE_WINDOW = 2.0**-20",
            "the curve snaps a kernel excursion of 1e-12 instead of raising"),
+    Mutant("report.py", "*priors), s.prior_h0,", "*priors), s.prior_h1,",
+           "the report's Monte Carlo splits its trials at prior_h1 instead of prior_h0"),
+    Mutant("report.py", "born_pair(eta, p, *priors)", "born_pair(eta, p, *priors[::-1])",
+           "the report's Monte Carlo draws at the Born pair of the swapped priors"),
+    Mutant("report.py", "_reduce_phase(s.phase_rad - s.env_phase_rad)", "_reduce_phase(s.phase_rad)",
+           "the report's effective phase ignores env_phase_rad"),
+    Mutant("report.py", "            warnings += (f", "            warnings = (f",
+           "the thermal-saturation warning replaces the link budget's warnings"),
     Mutant("metrics.py", "FVG_ATOL = 1e-7", "FVG_ATOL = 1e-6",
            "the Fuchs-van de Graaff slack is 10x wider"),
     Mutant("errors.py", "MAX_DIMENSION**1.5 / 2) * STATE_ATOL",

@@ -29,8 +29,8 @@ from qiradar.detector import (
 )
 from qiradar.linkbudget import LinkBudgetInputs, evaluate_link_budget, thermal_occupancy
 from qiradar.metrics import fidelity, helstrom_error, trace_distance
+from qiradar.montecarlo import outcome_error
 from qiradar.qstate import eigendecompose_hermitian, partial_trace
-from qiradar.report import outcome_error
 
 HALF = (0.5, 0.5)
 

@@ -4,22 +4,22 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from conftest import python_m_qiradar
 
-from qiradar import (channel, cli, closed_form, detector, errors, linkbudget, metrics, montecarlo,
-                     qstate)
+from qiradar import channel, cli, closed_form, detector, errors, linkbudget, metrics, qstate
 from qiradar import scenario as scenario_module
 from qiradar import report as report_module
 from qiradar.cli import main, run_scenario
 from qiradar.closed_form import born_pair
 from qiradar.errors import MAX_TRIALS, DegenerateInput, NumericalDomain, ValidationError
-from qiradar.linkbudget import LinkBudgetResult
-from qiradar.report import (ROC_CSV_HEADER, RocPoint, TrialOutcome, emit_report, outcome_error,
-                            report_to_dict, roc_csv, split_trials)
+from qiradar.linkbudget import LinkBudgetInputs
+from qiradar.montecarlo import TrialOutcome, draw_counts, outcome_error, split_trials
+from qiradar.report import (ROC_CSV_HEADER, DetectionReport, RocPoint, emit_report,
+                            report_to_dict, roc_csv)
 from qiradar.scenario import Scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -54,12 +54,12 @@ def run_doc(doc: str):
 
 def assert_one_rendering(report):
     """The structured line is json.dumps of the document, and the CSV is each point's
-    floats by repr under the header."""
+    floats by repr under the header; the report rebuilt by replace emits the same line."""
     text = emit_report(report, "structured")
     assert text == json.dumps(report_to_dict(report), sort_keys=True) + "\n"
     rows = [",".join(map(repr, point)) for point in report.roc]
     assert roc_csv(report.roc) == "\n".join([ROC_CSV_HEADER, *rows]) + "\n"
-    assert emit_report(replace(report, roc=report.roc), "structured") == text
+    assert emit_report(replace(report), "structured") == text
 
 
 class TestRunScenario:
@@ -237,21 +237,16 @@ class TestReportSerialization:
             emit_report(run_doc(ANCHOR_DOC), "yaml")
 
     def test_report_numbers_pass_the_real_number_gate(self):
+        # D is the one given number; the report derives the others from its scenario.
         report = run_doc(ANCHOR_DOC)
         narrow = replace(report, trace_distance=np.float32(0.5))
         assert type(narrow.trace_distance) is float
         assert json.loads(emit_report(narrow, "structured"))["metrics"]["trace_distance"] == 0.5
-        for name in ("phase_effective_rad", "trace_distance", "fidelity", "helstrom_error"):
-            for value in (math.nan, math.inf, "0.5", None):
-                with pytest.raises(DegenerateInput, match=name):
-                    replace(report, **{name: value})
-
-    def test_structured_rejects_what_json_cannot_carry(self):
-        # A LinkBudgetResult takes its numbers as given; the calculators never
-        # return NaN, so only a hand-built one can carry it this far.
-        report = replace(run_doc(ANCHOR_DOC), link_budget=LinkBudgetResult(snr=math.nan))
-        with pytest.raises(DegenerateInput, match="not valid JSON"):
-            emit_report(report, "structured")
+        for value in (math.nan, math.inf, "0.5", None):
+            with pytest.raises(DegenerateInput, match="trace_distance"):
+                replace(report, trace_distance=value)
+            with pytest.raises(DegenerateInput, match="trace_distance"):
+                DetectionReport(report.scenario, value)
 
     @pytest.mark.parametrize("roc", [
         lambda r: list(r.roc),
@@ -270,15 +265,12 @@ class TestReportSerialization:
     ], ids=["list", "tuple", "short", "reversed", "long", "signed-zero-point", "nan-point",
             "plain-tuples", "hand-built-curve", "empty", "ints", "str", "int"])
     def test_only_the_pipeline_curve_is_accepted(self, roc):
-        # A report's ROC, and roc_csv's input, is the curve run_scenario built: any other
-        # value is rejected whole, whatever its points hold.
+        # roc_csv's input is the curve a report built: any other value is rejected whole,
+        # whatever its points hold.
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
         assert type(report.roc) is report_module._Curve
         value = roc(report)
         kind = type(value).__name__
-        with pytest.raises(DegenerateInput, match=f"^roc must be a curve run_scenario built, "
-                                                  f"got {kind}$"):
-            replace(report, roc=value)
         with pytest.raises(DegenerateInput, match=f"^points must be a curve run_scenario built, "
                                                   f"got {kind}$"):
             roc_csv(value)
@@ -302,10 +294,23 @@ class TestReportSerialization:
     ], ids=["short", "long", "dropped", "moved", "other-scenario", "no-thresholds",
             "signed-zero-point", "signed-zero-scenario"])
     def test_roc_matches_its_scenarios_thresholds(self, fields):
-        # A pipeline curve of other thresholds, or a scenario replaced under the curve.
+        # A pipeline curve of other thresholds cannot be given; a scenario replaced under
+        # the curve derives its own, one point at each threshold, to the sign.
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
-        with pytest.raises(DegenerateInput, match="one point at each of scenario.roc_thresholds"):
-            replace(report, **fields(report))
+        given = fields(report)
+        if "roc" in given:
+            with pytest.raises(ValueError, match="field roc is declared with init=False"):
+                replace(report, **given)
+            return
+        moved = replace(report, **given)
+        fresh = run_scenario(moved.scenario)
+        assert moved == fresh and emit_report(moved, "structured") == emit_report(fresh,
+                                                                                  "structured")
+        thresholds = moved.scenario.roc_thresholds
+        if thresholds is None:
+            assert moved.roc is None
+        else:
+            assert [repr(point.threshold) for point in moved.roc] == list(map(repr, thresholds))
 
     def test_roc_edge_values_render_once_through_the_pipeline(self):
         # At t = 0 the closed form's P_D is 1 + 2^-52 for these (η, p), clamped to 1.
@@ -330,35 +335,24 @@ class TestReportSerialization:
         assert roc_csv(report.roc).splitlines()[1:] == [
             "-0.0,0.0,1.0", "0.0,5e-324,1.0", "0.0,1.0,1.0", "1.0,1.0,0.0", "1e+308,0.0,0.0"]
         assert_one_rendering(report)
-        # Text that looks like the ROC key, where a replaced record can hold it.
-        for snr in ({"roc": None}, '"roc": null'):
-            assert_one_rendering(replace(report, link_budget=LinkBudgetResult(snr=snr),
-                                         warnings=['"roc": null']))
         # The CSV renders an unemitted report's curve first; the structured line reuses it.
         fresh = run_doc(EDGE_ROC_DOC)
         assert roc_csv(fresh.roc) == roc_csv(report.roc)
         assert emit_report(fresh, "structured") == emit_report(report, "structured")
 
-    def test_threshold_echo_splice_ignores_look_alike_text(self):
-        # The echo's text is spliced in at the last '"roc_thresholds": null'; a
-        # hand-built LinkBudgetResult comes before it and a warning is escaped.
-        report = run_doc(EDGE_ROC_DOC)
-        for snr in ({"roc_thresholds": None, "roc": None}, '"roc_thresholds": null'):
-            assert_one_rendering(replace(report, link_budget=LinkBudgetResult(snr=snr),
-                                         warnings=['"roc_thresholds": null', '"roc": null']))
-
-    def test_pipeline_report_moved_onto_other_thresholds_raises(self):
-        # A pipeline curve keeps the scenario's own threshold tuple; moved onto another
-        # scenario it is compared by its bits, so equal thresholds pass and others raise.
+    def test_a_report_moved_onto_other_thresholds_is_their_report(self):
+        # replace(report, scenario=…) derives the curve again, at the new scenario's thresholds.
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1, 4\n")
         assert report.roc._source[0] is report.scenario.roc_thresholds
-        same = replace(report.scenario, roc_thresholds=[0.0, 1.0, 4.0])
-        assert same.roc_thresholds is not report.scenario.roc_thresholds
-        assert emit_report(replace(report, scenario=same), "structured") == emit_report(report,
-                                                                                       "structured")
-        for other in ((0.0, 1.0, 5.0), (-0.0, 1.0, 4.0), (0.0, 1.0), (0.0, 1.0, 4.0, 4.0)):
-            with pytest.raises(DegenerateInput, match="one point at each of scenario.roc"):
-                replace(report, scenario=replace(report.scenario, roc_thresholds=other))
+        for other in ((0.0, 1.0, 5.0), (-0.0, 1.0, 4.0), (0.0, 1.0), (0.0, 1.0, 4.0, 4.0), None):
+            scenario = replace(report.scenario, roc_thresholds=other)
+            moved, fresh = replace(report, scenario=scenario), run_scenario(scenario)
+            assert moved == fresh
+            for fmt in ("structured", "table"):
+                assert emit_report(moved, fmt) == emit_report(fresh, fmt)
+            if other is not None:
+                assert moved.roc._source[0] is scenario.roc_thresholds
+                assert roc_csv(moved.roc) == roc_csv(fresh.roc)
 
     @pytest.mark.parametrize("eta, p, thresholds, computed", [
         (0.5, 0.5, "2.6, 3, 1e308", 0),           # every threshold past t₊: an empty prefix
@@ -399,8 +393,8 @@ class TestReportSerialization:
                 run_doc(doc)
 
     def test_pipeline_curve_is_checked_once(self, monkeypatch):
-        # run_scenario range-checks and clamps the curve once, in of_columns; moving the
-        # report and rendering it, in every format and as CSV, never builds it again.
+        # run_scenario range-checks and clamps the curve once, in of_columns; rendering
+        # the report, in every format and as CSV, never builds it again.
         built = []
         of_columns = report_module._Curve.of_columns
 
@@ -411,11 +405,9 @@ class TestReportSerialization:
         monkeypatch.setattr(report_module._Curve, "of_columns", counted)
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0, 1\n")
         assert type(report.roc) is report_module._Curve and len(built) == 1
-        moved = replace(report, roc=report.roc)
-        assert moved.roc is report.roc
         for fmt in ("structured", "table"):
-            emit_report(moved, fmt)
-        assert roc_csv(moved.roc).count("\n") == 3 and len(built) == 1
+            emit_report(report, fmt)
+        assert roc_csv(report.roc).count("\n") == 3 and len(built) == 1
 
     def test_a_plain_tuple_is_not_a_roc_point(self):
         # RocPoint is a NamedTuple and compares equal to a plain tuple of its floats, so
@@ -423,53 +415,108 @@ class TestReportSerialization:
         report = run_doc(ANCHOR_DOC + "roc_thresholds = 0.5\n")
         [point] = report.roc
         assert tuple(point) == point and [tuple(point)] == list(report.roc)
-        with pytest.raises(DegenerateInput, match="roc must be a curve run_scenario built"):
-            replace(report, roc=[tuple(point)])
         with pytest.raises(DegenerateInput, match="points must be a curve run_scenario built"):
             roc_csv([tuple(point)])
 
-    @pytest.mark.parametrize("fields, match", [
-        (lambda r: {"monte_carlo": (1, 2)}, "monte_carlo must be a list or tuple of TrialOutcome"),
-        (lambda r: {"monte_carlo": r.monte_carlo[::-1]}, r"\(H0, H1\) outcome pair"),
+    @pytest.mark.parametrize("fields, error, match", [
+        (lambda r: {"monte_carlo": (1, 2)}, ValueError, "field monte_carlo is declared with init"),
+        (lambda r: {"monte_carlo": r.monte_carlo[::-1]}, ValueError, "field monte_carlo is"),
         (lambda r: {"monte_carlo": (r.monte_carlo[0], replace(r.monte_carlo[1], seed=8))},
-         "pair of one seed"),
-        (lambda r: {"roc": [1, 2]}, "roc must be a curve run_scenario built, got list"),
-        (lambda r: {"link_budget": 5}, "link_budget cannot be 5"),
-        (lambda r: {"scenario": None}, "scenario cannot be None"),
-        (lambda r: {"warnings": "saturates"}, "warnings must be a list or tuple of str"),
+         ValueError, "field monte_carlo is declared with init=False"),
+        (lambda r: {"roc": [1, 2]}, ValueError, "field roc is declared with init=False"),
+        (lambda r: {"link_budget": 5}, ValueError, "field link_budget is declared with init=False"),
+        (lambda r: {"scenario": None}, DegenerateInput, "^scenario must be a Scenario, got None"),
+        (lambda r: {"warnings": "saturates"}, ValueError, "field warnings is declared with init"),
     ], ids=["mc-ints", "mc-swapped", "mc-seeds", "roc-ints", "link_budget", "scenario",
             "warnings-str"])
-    def test_report_checks_its_structure(self, fields, match):
+    def test_report_checks_its_structure(self, fields, error, match):
+        # Only the scenario is checked for its type; a derived field cannot be given at all.
         report = run_doc(FULL_DOC)
-        with pytest.raises(DegenerateInput, match=match):
+        with pytest.raises(error, match=match):
             replace(report, **fields(report))
 
+    @pytest.mark.parametrize("scenario, kind", [(None, "NoneType"), (ANCHOR_DOC, "str")],
+                             ids=["none", "str"])
+    def test_report_checks_its_scenario(self, scenario, kind):
+        report = run_doc(FULL_DOC)
+        with pytest.raises(DegenerateInput, match=f"^scenario must be a Scenario, got {kind}$"):
+            replace(report, scenario=scenario)
+        with pytest.raises(DegenerateInput, match=f"^scenario must be a Scenario, got {kind}$"):
+            DetectionReport(scenario, report.trace_distance)
+
+    def test_only_the_scenario_and_d_are_given(self):
+        # Every other field is derived: replace of one raises, as does passing one.
+        report = run_doc(FULL_DOC)
+        assert [f.name for f in fields(DetectionReport) if f.init] == ["scenario",
+                                                                      "trace_distance"]
+        for f in fields(DetectionReport):
+            if not f.init:
+                with pytest.raises(ValueError, match=f"field {f.name} is declared with init=False"):
+                    replace(report, **{f.name: getattr(report, f.name)})
+                with pytest.raises(TypeError, match=f.name):
+                    DetectionReport(report.scenario, report.trace_distance,
+                                    **{f.name: getattr(report, f.name)})
+        assert DetectionReport(report.scenario, report.trace_distance) == report
+
+    @pytest.mark.parametrize("trials, prior_h0", [(100, 0.5), (99, 0.5), (10, 0.3), (10, 0.2),
+                                                  (7, 0.0), (0, 0.5)])
+    def test_monte_carlo_is_the_scenarios(self, trials, prior_h0):
+        # The scenario's seed, its trials split by prior_h0 and the closed form's Born pair
+        # at its priors; None without trials.
+        scenario = Scenario(phase_rad=1, reflectivity=0.5, noise_excitation=0.1, trials=trials,
+                            seed=5, prior_h0=prior_h0, prior_h1=1 - prior_h0)
+        report = run_scenario(scenario)
+        if not trials:
+            assert report.monte_carlo is None
+            return
+        assert [o.trials for o in report.monte_carlo] == list(split_trials(prior_h0, trials))
+        born = born_pair(0.5, 0.1, scenario.prior_h0, scenario.prior_h1)
+        assert report.monte_carlo == draw_counts(born, prior_h0, trials, 5)
+        assert {o.seed for o in report.monte_carlo} == {5}
+
     @pytest.mark.parametrize("trials, prior_h0, monte_carlo", [
-        (100, 0.5, montecarlo.draw_counts((0.3, 0.7), 0.5, 10, 99)),  # other seed and trials
-        (100, 0.5, montecarlo.draw_counts((0.3, 0.7), 0.5, 100, 99)),  # other seed
-        (100, 0.5, montecarlo.draw_counts((0.3, 0.7), 0.5, 99, 5)),   # other trials
-        (10, 0.3, montecarlo.draw_counts((0.3, 0.7), 0.4, 10, 5)),    # other split: 4 + 6
-        (10, 0.3, montecarlo.draw_counts((0.3, 0.7), 0.2, 10, 5)),    # other split: 2 + 8
+        (100, 0.5, draw_counts((0.3, 0.7), 0.5, 10, 99)),  # other seed and trials
+        (100, 0.5, draw_counts((0.3, 0.7), 0.5, 100, 99)),  # other seed
+        (100, 0.5, draw_counts((0.3, 0.7), 0.5, 99, 5)),   # other trials
+        (10, 0.3, draw_counts((0.3, 0.7), 0.4, 10, 5)),    # other split: 4 + 6
+        (10, 0.3, draw_counts((0.3, 0.7), 0.2, 10, 5)),    # other split: 2 + 8
         (100, 0.5, None),
-        (0, 0.5, montecarlo.draw_counts((0.3, 0.7), 0.5, 100, 5)),
+        (0, 0.5, draw_counts((0.3, 0.7), 0.5, 100, 5)),
         (0, 0.5, NO_TRIALS),
     ], ids=["seed-and-trials", "seed", "trials", "split-up", "split-down", "missing",
             "without-trials", "empty-without-trials"])
     def test_monte_carlo_matches_its_scenario(self, trials, prior_h0, monte_carlo):
+        # A pair that is not the scenario's cannot be given; moved onto a scenario of the
+        # pair's seed and split, the report derives a pair of that seed and split.
         scenario = Scenario(phase_rad=1, reflectivity=0.5, noise_excitation=0.1, trials=trials,
                             seed=5, prior_h0=prior_h0, prior_h1=1 - prior_h0)
         report = run_scenario(scenario)
-        if trials:
-            assert [o.trials for o in report.monte_carlo] == list(split_trials(prior_h0, trials))
-        with pytest.raises(DegenerateInput, match="monte_carlo must be the scenario's"):
+        assert report.monte_carlo != monte_carlo
+        with pytest.raises(ValueError, match="field monte_carlo is declared with init=False"):
             replace(report, monte_carlo=monte_carlo)
+        with pytest.raises(TypeError, match="monte_carlo"):
+            DetectionReport(scenario, report.trace_distance, monte_carlo=monte_carlo)
+        if monte_carlo is None or monte_carlo == NO_TRIALS:
+            return
+        h0, h1 = monte_carlo
+        total = h0.trials + h1.trials
+        moved = replace(report, scenario=replace(scenario, seed=h0.seed, trials=total,
+                                                 prior_h0=h0.trials / total,
+                                                 prior_h1=h1.trials / total))
+        assert moved == run_scenario(moved.scenario)
+        assert [(o.trials, o.seed) for o in moved.monte_carlo] == [(o.trials, o.seed)
+                                                                   for o in monte_carlo]
 
     def test_report_stores_its_sequences_as_tuples(self):
-        report = run_doc(FULL_DOC)
-        rebuilt = replace(report, monte_carlo=list(report.monte_carlo), warnings=["a warning"])
-        assert rebuilt.monte_carlo == report.monte_carlo and rebuilt.roc is report.roc
-        assert rebuilt.warnings == ("a warning",)
-        assert emit_report(replace(rebuilt, warnings=())) == emit_report(report)
+        # The derived pair and warnings are tuples; a list cannot be given in their place.
+        report = run_doc(FULL_DOC + "link_budget.shield_thickness_m = 0.001\n"
+                                    "link_budget.wavelength_m = 0.01\n")
+        assert type(report.monte_carlo) is tuple and type(report.warnings) is tuple
+        assert report.warnings == report.link_budget.warnings != ()
+        for name in ("monte_carlo", "warnings"):
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                replace(report, **{name: list(getattr(report, name))})
+        assert emit_report(replace(report)) == emit_report(report)
 
     @pytest.mark.parametrize("call, match", [
         (lambda: emit_report(None), "NoneType"),
@@ -477,11 +524,7 @@ class TestReportSerialization:
         (lambda: roc_csv(None), "NoneType"),
         (lambda: roc_csv([1, 2]), "points must be a curve run_scenario built, got list"),
         (lambda: outcome_error(*NO_TRIALS), "no trials"),
-        # A report without trials holds no outcome pair, so outcome_error never sees one.
-        (lambda: report_to_dict(replace(run_doc(ANCHOR_DOC), monte_carlo=NO_TRIALS)),
-         "monte_carlo must be the scenario's: None without trials"),
-    ], ids=["emit_report", "report_to_dict", "roc_csv", "roc_csv-items", "outcome_error",
-            "report_to_dict-outcomes"])
+    ], ids=["emit_report", "report_to_dict", "roc_csv", "roc_csv-items", "outcome_error"])
     def test_report_entry_points_raise_typed_errors(self, call, match):
         with pytest.raises(DegenerateInput, match=match):
             call()
@@ -496,6 +539,31 @@ class TestReportSerialization:
         for line, point in zip(lines[1:], report.roc):
             t, p_fa, p_d = (float(tok) for tok in line.split(","))
             assert (t, p_fa, p_d) == (point.threshold, point.p_false_alarm, point.p_detection)
+
+
+def moved_probe():
+    """A report of η = 0.9 and a 1e-16 W link budget, moved by replace onto η = 0.1,
+    φ = 2 and 1 W."""
+    report = run_doc("phase_rad = 1\nreflectivity = 0.9\nnoise_excitation = 0.1\n"
+                     "link_budget.power_w = 1e-16\n")
+    return replace(report, scenario=replace(report.scenario, reflectivity=0.1, phase_rad=2.0,
+                                            link_budget=LinkBudgetInputs(power_w=1.0)))
+
+
+class TestMovedReport:
+    def test_a_moved_report_emits_its_scenarios_results(self):
+        # A fresh run of the new scenario gives F 0.9880, P_e 0.4606, φ 2.0 and 30 dBm.
+        doc = json.loads(emit_report(moved_probe(), "structured"))
+        assert round(doc["metrics"]["fidelity"], 4) == 0.9880
+        assert round(doc["metrics"]["helstrom_error"], 4) == 0.4606
+        assert doc["phase_effective_rad"] == 2.0
+        assert doc["link_budget"]["power_dbm"] == 30.0
+
+    @pytest.mark.xfail(strict=True, reason="D is given until ROADMAP item 2")
+    def test_a_moved_report_emits_its_scenarios_trace_distance(self):
+        # The moved report keeps η = 0.9's D, 0.7097; a fresh run gives 0.0789.
+        doc = json.loads(emit_report(moved_probe(), "structured"))
+        assert round(doc["metrics"]["trace_distance"], 4) == 0.0789
 
 
 @pytest.fixture

@@ -19,9 +19,9 @@ from qiradar.detector import (
 from qiradar.errors import (MAX_TRIALS, DegenerateInput, DimensionMismatch, NumericalDomain,
                             _check_thresholds, clamp_unit)
 from qiradar.metrics import helstrom_error
-from qiradar.montecarlo import draw_counts
+from qiradar.montecarlo import TrialOutcome, draw_counts, outcome_error
 from qiradar.qstate import DensityOperator, eigendecompose_hermitian
-from qiradar.report import RocPoint, TrialOutcome, _Curve, outcome_error
+from qiradar.report import RocPoint, _Curve
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]), (2,))
 KET1 = DensityOperator(np.diag([0.0, 1.0]), (2,))

@@ -14,6 +14,8 @@
   point by point (clamped), to the last bit.
 * Every accepted Scenario's F and P_e, which the pipeline takes from the closed
   form, are the generic metrics of its states within their tolerances.
+* A report moved by replace onto another scenario, given that scenario's D, is
+  that scenario's fresh report, field for field and byte for byte.
 
 Examples are derandomized and bounded so the suite stays fast and
 reproducible. Trial counts are kept small only for run time; every other
@@ -23,7 +25,7 @@ field ranges over the whole float range.
 import json
 import math
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -175,6 +177,33 @@ def test_pipeline_metrics_are_the_generic_ones(values):
     priors = (scenario.prior_h0, scenario.prior_h1)
     assert abs(report.fidelity - metrics.fidelity(rho0, rho1)) <= generic_fidelity_atol(eta, p)
     assert abs(report.helstrom_error - metrics.helstrom_error(rho0, rho1, priors)) <= GENERIC_ATOL
+
+
+@st.composite
+def full_scenarios(draw):
+    """Valid scenarios with Monte Carlo, a ROC, a link budget and the thermal pair."""
+    moderate = st.floats(1e-20, 1e3)
+    p0 = draw(unit)
+    return Scenario(
+        phase_rad=draw(st.floats(-10.0, 10.0)), reflectivity=draw(unit),
+        frequency_hz=draw(st.floats(1e8, 1e13)), temperature_k=draw(st.floats(0.01, 1e4)),
+        prior_h0=p0, prior_h1=1.0 - p0, trials=draw(st.integers(1, 3000)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        roc_thresholds=sorted(draw(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=5))),
+        link_budget=LinkBudgetInputs(**{f.name: draw(moderate) for f in fields(LinkBudgetInputs)}))
+
+
+@BOUNDED
+@given(full_scenarios(), full_scenarios())
+def test_a_report_moved_onto_another_scenario_is_its_report(first, second):
+    # replace(report, scenario=…) derives every result but D from the new scenario, so with
+    # the new scenario's D the moved report is a fresh run's, field for field and byte for byte.
+    fresh = run_scenario(second)
+    moved = replace(run_scenario(first), scenario=second, trace_distance=fresh.trace_distance)
+    assert moved == fresh
+    for fmt in ("structured", "table"):
+        assert emit_report(moved, fmt) == emit_report(fresh, fmt)
+    assert roc_csv(moved.roc) == roc_csv(fresh.roc)
 
 
 @st.composite
