@@ -24,20 +24,8 @@ from .errors import (
     QIRadarError,
     ValidationError,
 )
-from .linkbudget import (
-    LinkBudgetInputs,
-    LinkBudgetResult,
-    evaluate_link_budget,
-    occupancy_to_excitation,
-    thermal_occupancy,
-)
-from .metrics import (
-    DistinguishabilityReport,
-    distinguishability,
-    fidelity,
-    helstrom_error,
-    trace_distance,
-)
+from .linkbudget import LinkBudgetInputs, LinkBudgetResult, evaluate_link_budget
+from .metrics import DistinguishabilityReport, fidelity, helstrom_error, trace_distance
 from .qstate import (
     DensityOperator,
     PureState,

@@ -70,6 +70,8 @@ def _write_stdout(text: str) -> None:
     exit status 120). Pointing stdout's descriptor at os.devnull lets that flush succeed.
     """
     try:
+        if sys.stdout is None:  # Python's stdout when the process started with fd 1 closed
+            raise OSError("stdout is closed")
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError:

@@ -19,9 +19,7 @@ An output beyond the float range, or a photon energy that underflows to 0,
 raises NumericalDomain. SE and SA are evaluated verbatim even in regimes where
 the sign is physically questionable (d < λ gives negative "effectiveness",
 A_stop < A_pass gives negative attenuation); the evaluator annotates those
-regimes with warnings instead of altering the formulas. ``thermal_occupancy``
-and ``occupancy_to_excitation`` are the public bridge from a thermal
-background to a Scenario's noise excitation.
+regimes with warnings instead of altering the formulas.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DegenerateInput, NumericalDomain, _real, _require_positive
+from .errors import DegenerateInput, NumericalDomain, _require_positive
 
 
 PLANCK_H = 6.62607015e-34    # J·s
@@ -68,18 +66,15 @@ def _occupancy_direct(x: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def thermal_occupancy(f: float, t: float) -> float:
-    """Bose-Einstein mean photon number n̄ = 1/(e^{h·f/k_B·T} − 1).
+def _occupancy(f: float, t: float) -> float:
+    """Bose-Einstein mean photon number n̄ = 1/(e^{h·f/k_B·T} − 1) of a gated
+    frequency and temperature.
 
     Evaluated via expm1, switching to the Laurent series below
     x = h·f/(k_B·T) = 1e-6 to avoid cancellation. Occupancies below 1e-100
     (a bath frozen for any practical purpose) are floored to exactly 0; one
     beyond the float range raises NumericalDomain.
     """
-    return _occupancy(_require_positive("frequency", f), _require_positive("temperature", t))
-
-
-def _occupancy(f: float, t: float) -> float:  # thermal_occupancy of gated inputs
     kt = BOLTZMANN_KB * t
     if kt > 0.0:
         x = PLANCK_H * f / kt
@@ -96,17 +91,9 @@ def _occupancy(f: float, t: float) -> float:  # thermal_occupancy of gated input
     return nbar if nbar >= OCCUPANCY_FLOOR else 0.0
 
 
-def occupancy_to_excitation(nbar: float) -> float:
-    """Map a mean photon number onto a qubit excitation probability,
-    p = n̄/(1 + n̄) in [0, 1).
-
-    This is the bridge from a thermal background to the two-level noise
-    model; it saturates toward 1 for n̄ ≫ 1, where a qubit truncation can no
-    longer represent the bath.
-    """
-    nbar = _real("occupancy", nbar)
-    if nbar < 0.0:
-        raise DegenerateInput(f"occupancy must be >= 0, got {nbar!r}")
+def _excitation_of(nbar: float) -> float:
+    """The qubit excitation p = n̄/(1 + n̄) in [0, 1) of an occupancy _occupancy made;
+    it saturates toward 1 for n̄ ≫ 1, where a qubit cannot represent the bath."""
     return nbar / (1.0 + nbar)
 
 
@@ -175,7 +162,7 @@ def evaluate_link_budget(inputs: LinkBudgetInputs) -> LinkBudgetResult:
     if i.frequency_hz is not None and i.temperature_k is not None:
         nbar = _occupancy(i.frequency_hz, i.temperature_k)
         values["thermal_occupancy"] = nbar
-        values["noise_excitation"] = occupancy_to_excitation(nbar)
+        values["noise_excitation"] = _excitation_of(nbar)
         if nbar > SATURATION_NBAR:
             warnings.append(
                 f"thermal occupancy {nbar:.6g} far exceeds 1; the two-level noise model "

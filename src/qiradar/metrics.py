@@ -85,12 +85,3 @@ class DistinguishabilityReport:
         for name, value in (("trace_distance", d), ("fidelity", f), ("helstrom_error", pe)):
             object.__setattr__(self, name, value)
 
-
-def distinguishability(a: DensityOperator, b: DensityOperator,
-                       priors=(0.5, 0.5)) -> DistinguishabilityReport:
-    """Compute all three metrics for a state pair in one pass."""
-    return DistinguishabilityReport(
-        trace_distance=trace_distance(a, b),
-        fidelity=fidelity(a, b),
-        helstrom_error=helstrom_error(a, b, priors),
-    )

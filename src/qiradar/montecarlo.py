@@ -31,25 +31,14 @@ HYPOTHESIS_H1 = "H1"
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Decision counts from a batch of measurement trials under one true state."""
+    """Decision counts from a batch of measurement trials under one true state, as
+    draw_counts makes them: plain ints that sum to trials, the tag H0 or H1 and the seed."""
 
     decide_h1_count: int
     decide_h0_count: int
     trials: int
     true_hypothesis: str
     seed: int
-
-    def __post_init__(self):
-        trials = _check_integer("trials", self.trials, 0, MAX_TRIALS)
-        h1 = _check_integer("decide_h1_count", self.decide_h1_count, 0, trials)
-        h0 = _check_integer("decide_h0_count", self.decide_h0_count, 0, trials)
-        if h1 + h0 != trials:
-            raise DegenerateInput(f"counts {h1} + {h0} do not sum to {trials} trials")
-        if not (isinstance(h := self.true_hypothesis, str) and h in (HYPOTHESIS_H0, HYPOTHESIS_H1)):
-            raise DegenerateInput(f"true_hypothesis must be H0 or H1, got {h!r}")
-        for name, value in (("decide_h1_count", h1), ("decide_h0_count", h0),
-                            ("trials", trials), ("seed", _check_seed(self.seed))):
-            object.__setattr__(self, name, value)
 
 
 def split_trials(prior_h0: float, trials: int) -> tuple[int, int]:

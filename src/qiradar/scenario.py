@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 from .errors import (MAX_TRIALS, DegenerateInput, NumericalDomain, ParseError, ValidationError,
                      _check_integer, _check_seed, _check_thresholds, _excitation, _real,
                      _reflectivity, _require_positive, check_priors)
-from .linkbudget import _INPUT_FIELDS, LinkBudgetInputs, _occupancy, occupancy_to_excitation
+from .linkbudget import _INPUT_FIELDS, LinkBudgetInputs, _excitation_of, _occupancy
 
 _LINK_PREFIX = "link_budget."
 _LINK_KEYS = frozenset(_LINK_PREFIX + name for name in _INPUT_FIELDS)
@@ -105,7 +105,7 @@ class Scenario:
                 _set(self, field, _require_positive(field, self.temperature_k))
                 try:
                     nbar = _occupancy(self.frequency_hz, self.temperature_k)
-                    derived = occupancy_to_excitation(nbar)
+                    derived = _excitation_of(nbar)
                 except NumericalDomain:  # the occupancy overflows
                     derived = 1.0
                 _require(derived < 1.0, "temperature_k",

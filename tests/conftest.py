@@ -7,12 +7,17 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import HealthCheck, settings
 
 import qiradar
 from qiradar.channel import apply_signal_phase
 from qiradar.closed_form import TIE_ATOL
 from qiradar.metrics import FVG_ATOL
 from qiradar.qstate import DensityOperator, PureState, bell_phi_plus, density_from_pure
+
+# Property tests run a fixed, small set of examples, so the suite stays fast and reproducible.
+BOUNDED = settings(max_examples=40, deadline=None, derandomize=True,
+                   suppress_health_check=[HealthCheck.too_slow])
 
 GENERIC_ATOL = 1e-12  # the generic path's D, P_e and Born probabilities against the closed form
 

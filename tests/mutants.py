@@ -63,6 +63,8 @@ MUTANTS = (
            "a Born probability of exactly 1/2 is drawn mirrored"),
     Mutant("montecarlo.py", "f *= a / x - r", "f *= a / x",
            "the inversion recurrence f(x)/f(x - 1) loses its - p/(1 - p) term"),
+    Mutant("montecarlo.py", "        if not 0 <= k <= n:\n            continue\n", "",
+           "BTRD takes a candidate outside [0, n] to its acceptance tests"),
     Mutant("montecarlo.py", "if v <= 0.86 * v_r:", "if v <= v_r:",
            "BTRD's quick acceptance covers the hat's whole centre, with no rejection test"),
     Mutant("montecarlo.py", "            if v <= f:\n", "            if v <= 1.0:\n",
@@ -112,6 +114,22 @@ MUTANTS = (
            "a bad seed is reported under the trials field"),
     Mutant("cli.py", "            os.dup2(devnull, fd)\n", "",
            "a full stdout keeps the report's bytes, and the flush at exit fails on them again"),
+    Mutant("cli.py", "    except OSError:\n        try:\n            fd = sys.stdout.fileno()",
+           "    except ValueError:\n        try:\n            fd = sys.stdout.fileno()",
+           "_write_stdout has no OSError handler, so a full stdout's bytes fail the exit flush"),
+    Mutant("cli.py", "        if sys.stdout is None:", "        if False:",
+           "a closed stdout (sys.stdout is None) gives a traceback instead of exit 2"),
+    Mutant("cli.py", """    output = emit_report(report, args.format)
+    try:  # a failed --roc-out write comes after the report has gone out
+        if args.out:
+            Path(args.out).write_text(output, encoding="utf-8")
+""", """    output = emit_report(report, args.format)
+    if args.out:
+        Path(args.out).write_text(output, encoding="utf-8")
+    try:  # a failed --roc-out write comes after the report has gone out
+        if args.out:
+            pass
+""", "the --out write is outside the try, so an unwritable --out gives a traceback"),
     Mutant("errors.py", "abs(p0 + p1 - 1.0) <= PRIOR_ATOL", "p0 + p1 - 1.0 <= PRIOR_ATOL",
            "priors that sum to less than 1 are accepted"),
     Mutant("scenario.py", "for name, value in sorted(link.items()):",

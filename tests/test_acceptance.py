@@ -27,7 +27,7 @@ from qiradar.detector import (
     helstrom_measurement,
     measurement_error,
 )
-from qiradar.linkbudget import LinkBudgetInputs, evaluate_link_budget, thermal_occupancy
+from qiradar.linkbudget import LinkBudgetInputs, evaluate_link_budget
 from qiradar.metrics import fidelity, helstrom_error, trace_distance
 from qiradar.montecarlo import outcome_error
 from qiradar.qstate import eigendecompose_hermitian, partial_trace
@@ -195,6 +195,10 @@ def test_helstrom_measurement_optimality():
     _finish("Helstrom optimality", failures)
 
 
+def thermal_occupancy(f, t):
+    return evaluate_link_budget(LinkBudgetInputs(frequency_hz=f, temperature_k=t)).thermal_occupancy
+
+
 def test_thermal_occupancy_reference():
     mpmath = pytest.importorskip("mpmath")
     failures = []
@@ -212,7 +216,7 @@ def test_thermal_occupancy_reference():
     value = thermal_occupancy(1e10, 290.0)
     reference = float(frozen)
     if abs(value - reference) > 1e-6 * reference:
-        failures.append(f"thermal_occupancy(1e10, 290) = {value!r}, want {reference!r} "
+        failures.append(f"thermal occupancy at (1e10, 290) = {value!r}, want {reference!r} "
                         f"within 1e-6 relative")
     by_temperature = [thermal_occupancy(1e10, t) for t in (4.0, 77.0, 150.0, 290.0, 600.0)]
     if by_temperature != sorted(by_temperature):

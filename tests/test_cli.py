@@ -708,6 +708,14 @@ class TestCommandLine:
         assert done.returncode == 2
         assert done.stderr == "error: cannot write output file: [Errno 28] No space left on device\n"
 
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+    def test_closed_stdout_exits_2_in_a_process(self, scenario_file):
+        # Started with descriptor 1 closed, Python sets sys.stdout to None.
+        done = python_m_qiradar(["run", scenario_file(ANCHOR_DOC)], stderr=subprocess.PIPE,
+                                text=True, preexec_fn=lambda: os.close(1))
+        assert done.returncode == 2
+        assert done.stderr == "error: cannot write output file: stdout is closed\n"
+
     def test_max_trials_run_takes_its_start_up_only(self):
         # MAX_TRIALS is one binomial draw per hypothesis, well under a millisecond, so the
         # process takes its start-up; a per-trial stream would take minutes.

@@ -19,7 +19,7 @@ from qiradar.detector import (
 from qiradar.errors import (MAX_TRIALS, DegenerateInput, DimensionMismatch, NumericalDomain,
                             _check_thresholds, clamp_unit)
 from qiradar.metrics import helstrom_error
-from qiradar.montecarlo import TrialOutcome, draw_counts, outcome_error
+from qiradar.montecarlo import draw_counts, outcome_error
 from qiradar.qstate import DensityOperator, eigendecompose_hermitian
 from qiradar.report import RocPoint, _Curve
 
@@ -254,35 +254,6 @@ class TestTrialCounts:
         rho0, rho1 = pure_pair(1.0)
         with pytest.raises(DegenerateInput):
             detection_counts(rho0, rho1, HALF, trials, seed)
-
-    def test_unknown_hypothesis_rejected(self):
-        for label in ("H2", ["H1"], 0):  # an unhashable label is no TypeError
-            with pytest.raises(DegenerateInput, match="true_hypothesis"):
-                TrialOutcome(0, 0, 0, label, 0)
-
-    def test_trial_outcome_count_invariant(self):
-        with pytest.raises(DegenerateInput):
-            TrialOutcome(decide_h1_count=3, decide_h0_count=3, trials=5,
-                         true_hypothesis="H1", seed=0)
-
-    @pytest.mark.parametrize("counts", [
-        (0.5, 0.5, 1, "H0", 0),        # fractional counts that sum to the trials
-        (1, 0, 1, "H0", "x"),          # a str seed
-        (True, False, 1, "H0", -1),    # bool counts and a negative seed
-        (2, -1, 1, "H1", 0),           # a negative count
-        (1, 0, 1.0, "H1", 0),          # float trials
-        (0, MAX_TRIALS + 1, MAX_TRIALS + 1, "H0", 0),
-        (0, 0, 0, "H0", 2**64),
-    ])
-    def test_trial_outcome_fields_pass_the_integer_gate(self, counts):
-        with pytest.raises(DegenerateInput):
-            TrialOutcome(*counts)
-
-    def test_trial_outcome_stores_plain_ints(self):
-        outcome = TrialOutcome(np.int64(3), np.uint8(2), np.int32(5), "H1", np.uint64(2**64 - 1))
-        values = (outcome.decide_h1_count, outcome.decide_h0_count, outcome.trials, outcome.seed)
-        assert values == (3, 2, 5, 2**64 - 1)
-        assert all(type(v) is int for v in values)
 
 
 class TestEmpiricalError:

@@ -1,21 +1,15 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import pure_pair, random_density, random_pure, random_unitary
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.errors import (CLAMP_WINDOW, DegenerateInput, DimensionMismatch, NumericalDomain,
                             check_priors, clamp_unit)
-from qiradar.metrics import (
-    DistinguishabilityReport,
-    distinguishability,
-    fidelity,
-    helstrom_error,
-    trace_distance,
-)
+from qiradar.metrics import DistinguishabilityReport, fidelity, helstrom_error, trace_distance
 from qiradar.qstate import DensityOperator, density_from_pure
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]), (2,))
@@ -43,11 +37,24 @@ def nuclear_norm(matrix):
     return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
-def sqrtm_fidelity(a, b):
-    """Independent fidelity oracle via scipy's general matrix square root."""
-    root_a = scipy.linalg.sqrtm(a.matrix)
-    inner = scipy.linalg.sqrtm(root_a @ b.matrix @ root_a)
-    return float(np.trace(inner).real) ** 2
+def metrics_of(a, b):
+    """The three metrics of a state pair at equal priors, checked as one record."""
+    return DistinguishabilityReport(trace_distance(a, b), fidelity(a, b), helstrom_error(a, b))
+
+
+def mp_sqrt_psd(m):
+    """√ of a Hermitian mpmath matrix from its eigenpairs, Q·diag(√max(λ, 0))·Q†."""
+    w, q = mpmath.eighe(m)
+    return q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * q.H
+
+
+def mp_fidelity(a, b):
+    """Independent fidelity oracle at 30 digits: (Σ √λ(√a·b·√a))² from mpmath's eigensolver."""
+    with mpmath.workdps(30):
+        root_a = mp_sqrt_psd(mpmath.matrix(a.matrix.tolist()))
+        inner = root_a * mpmath.matrix(b.matrix.tolist()) * root_a
+        eigs = mpmath.eighe((inner + inner.H) / 2, eigvals_only=True)
+        return float(sum(mpmath.sqrt(max(x, 0)) for x in eigs) ** 2)
 
 
 class TestTraceDistance:
@@ -107,12 +114,12 @@ class TestFidelity:
             a, b = pure_pair(phi)
             assert abs(fidelity(a, b) - math.cos(phi / 2) ** 2) <= 1e-10
 
-    def test_matches_scipy_sqrtm_oracle(self):
+    def test_matches_the_mpmath_oracle(self):
         rng = np.random.default_rng(1618)
         for _ in range(10):
             a = random_density(rng, 4, dims=(2, 2))
             b = random_density(rng, 4, dims=(2, 2))
-            assert abs(fidelity(a, b) - sqrtm_fidelity(a, b)) <= 1e-8
+            assert abs(fidelity(a, b) - mp_fidelity(a, b)) <= 1e-8
 
     def test_stays_in_unit_interval(self):
         rng = np.random.default_rng(23)
@@ -129,7 +136,7 @@ class TestFidelity:
         b = hypothesis_h0(0.2)
         for first, second in ((a, b), (b, a)):
             assert 0.0 <= fidelity(first, second) <= 1.0
-            distinguishability(first, second)
+            metrics_of(first, second)
 
 
 class TestHelstromError:
@@ -240,16 +247,6 @@ class TestSharedProperties:
 
 
 class TestDistinguishabilityReport:
-    def test_bundles_all_three_metrics(self):
-        rng = np.random.default_rng(53)
-        a = random_density(rng, 4, dims=(2, 2))
-        b = random_density(rng, 4, dims=(2, 2))
-        report = distinguishability(a, b)
-        assert report.trace_distance == trace_distance(a, b)
-        assert report.fidelity == fidelity(a, b)
-        assert report.helstrom_error == helstrom_error(a, b, (0.5, 0.5))
-        assert not hasattr(report, "priors")  # helstrom_error checks them; no reader needs them
-
     def test_sandwich_violation_rejected(self):
         # D = 0.9 with F = 0.9 would break D <= sqrt(1-F) ~ 0.316. The slack is 1e-7:
         # D = 0.5 ± 5e-7 lies past √(1 − 0.75) = 0.5 or below 1 − √0.25 = 0.5.
@@ -287,7 +284,7 @@ class TestClampWindow:
         b = DensityOperator(np.diag([-9e-10, 0, 0, 1 + 9e-10]).astype(complex), (2, 2))
         assert trace_distance(a, b) == 1.0  # 1 + 1.8e-9 before clamping
         assert helstrom_error(a, b) == 0.0
-        report = distinguishability(a, b)
+        report = metrics_of(a, b)
         assert (report.trace_distance, report.fidelity, report.helstrom_error) == (1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("d", [4, 16])

@@ -1,5 +1,5 @@
 """Monte Carlo stream version 3: the binomial draw's distribution, cost and pinned counts,
-and draw_counts' input gate.
+draw_counts' input gate and the outcome records it makes.
 
 The chi-square tests hold both branches of the sampler, inversion and BTRD, to the exact
 Binomial(n, p) pmf over many seeds. The pinned counts fix the stream itself, so that a
@@ -13,10 +13,13 @@ from collections import Counter
 
 import mpmath
 import pytest
+from conftest import BOUNDED
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qiradar import montecarlo
-from qiradar.errors import MAX_TRIALS, DegenerateInput
-from qiradar.montecarlo import draw_counts
+from qiradar.errors import MAX_SEED, MAX_TRIALS, DegenerateInput
+from qiradar.montecarlo import HYPOTHESIS_H0, HYPOTHESIS_H1, draw_counts, split_trials
 
 DRAWS = 2000  # seeds per chi-square test
 
@@ -169,3 +172,28 @@ def test_final_test_is_the_log_pmf_ratio(n, p):
 def test_draw_counts_gates_its_inputs(born, prior_h0):
     with pytest.raises(DegenerateInput):
         draw_counts(born, prior_h0, 10, 1)
+
+
+# A TrialOutcome does not check its fields: draw_counts is its only maker, so the record's
+# contract is held here, over Born probabilities at 0, the smallest subnormal, 1/2, the
+# largest double below 1 and 1, and trial counts at both ends of their range.
+born_values = st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]),
+                        st.floats(0.0, 1.0))
+trial_counts = st.one_of(
+    st.sampled_from([1, MAX_TRIALS]),
+    st.floats(0.0, math.log(MAX_TRIALS)).map(lambda x: min(MAX_TRIALS, round(math.exp(x)))))
+
+
+@BOUNDED
+@given(st.tuples(born_values, born_values), st.floats(0.0, 1.0), trial_counts,
+       st.integers(0, MAX_SEED))
+def test_draw_counts_makes_outcomes_that_keep_their_contract(born, prior_h0, trials, seed):
+    outcomes = draw_counts(born, prior_h0, trials, seed)
+    assert tuple(outcome.trials for outcome in outcomes) == split_trials(prior_h0, trials)
+    for outcome, tag, p in zip(outcomes, (HYPOTHESIS_H0, HYPOTHESIS_H1), born):
+        n, h1, h0 = outcome.trials, outcome.decide_h1_count, outcome.decide_h0_count
+        assert all(type(count) is int for count in (n, h1, h0, outcome.seed))
+        assert 0 <= h1 <= n and 0 <= h0 <= n and h1 + h0 == n
+        assert (outcome.true_hypothesis, outcome.seed) == (tag, seed)
+        if p in (0.0, 1.0):  # a certain outcome is drawn with certainty
+            assert h1 == p * n

@@ -16,32 +16,40 @@
   form, are the generic metrics of its states within their tolerances.
 * A report moved by replace onto another scenario, given that scenario's D, is
   that scenario's fresh report, field for field and byte for byte.
+* Every command line given to cli.main exits 0, 2 or 3, a failed one with one
+  error line and no traceback, whatever sink its report goes to; the
+  structured report of a run that exits 0 holds check_report's invariants.
 
 Examples are derandomized and bounded so the suite stays fast and
 reproducible. Trial counts are kept small only for run time; every other
 field ranges over the whole float range.
 """
 
+import contextlib
+import errno
+import io
 import json
 import math
+import os
 import struct
+import tempfile
 from dataclasses import fields, replace
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
-from conftest import GENERIC_ATOL, generic_fidelity_atol, unstopped_born_pair
+from conftest import BOUNDED, GENERIC_ATOL, generic_fidelity_atol, unstopped_born_pair
 
 from qiradar import metrics
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
-from qiradar.cli import run_scenario
+from qiradar.cli import main, run_scenario
 from qiradar.closed_form import born_pair
-from qiradar.errors import NumericalDomain, ParseError, ValidationError, clamp_unit
+from qiradar.errors import (MAX_SEED, MAX_TRIALS, NumericalDomain, ParseError, ValidationError,
+                            clamp_unit)
 from qiradar.linkbudget import LinkBudgetInputs
+from qiradar.metrics import FVG_ATOL
+from qiradar.montecarlo import split_trials
 from qiradar.report import ROC_CSV_HEADER, emit_report, report_to_dict, roc_csv
 from qiradar.scenario import KNOWN_KEYS, Scenario, parse_scenario
-
-BOUNDED = settings(max_examples=40, deadline=None, derandomize=True,
-                   suppress_health_check=[HealthCheck.too_slow])
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 positive = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
@@ -123,6 +131,16 @@ def plausible_scenarios(draw):
     return values
 
 
+def scenario_of_echo(echo: dict) -> Scenario:
+    """The Scenario a structured report's scenario block describes."""
+    echo = dict(echo)
+    if echo["link_budget"] is not None:
+        echo["link_budget"] = LinkBudgetInputs(**echo["link_budget"])
+    if echo["roc_thresholds"] is not None:
+        echo["roc_thresholds"] = tuple(echo["roc_thresholds"])
+    return Scenario(**echo)
+
+
 @BOUNDED
 @given(plausible_scenarios())
 def test_accepted_scenarios_run_or_raise_numerical_domain(values):
@@ -143,12 +161,7 @@ def test_accepted_scenarios_run_or_raise_numerical_domain(values):
     assert json.loads(text) == doc
     # The emitted scenario block replays: it rebuilds the scenario, whose rerun
     # emits the same bytes.
-    echo = json.loads(text)["scenario"]
-    if echo["link_budget"] is not None:
-        echo["link_budget"] = LinkBudgetInputs(**echo["link_budget"])
-    if echo["roc_thresholds"] is not None:
-        echo["roc_thresholds"] = tuple(echo["roc_thresholds"])
-    replayed = Scenario(**echo)
+    replayed = scenario_of_echo(json.loads(text)["scenario"])
     assert replayed == scenario
     rerun = run_scenario(replayed)
     assert emit_report(rerun, "structured") == text
@@ -235,3 +248,175 @@ def test_pipeline_roc_is_born_pair_on_every_sorted_sweep(values, thresholds):
 
 def ieee_bytes(points) -> bytes:
     return struct.pack(f"{3 * len(points)}d", *(x for point in points for x in point))
+
+
+# cli.main over whole command lines: documents with edge values, --seed/--trials overrides,
+# both formats and --roc-out at a file, a missing directory or a directory. Each command
+# line runs once per output sink: a stdout that takes the report, raises ENOSPC on write,
+# is /dev/full (buffered, so its flush fails) or is None (a process started with
+# descriptor 1 closed), and --out at a file, a missing directory or a directory.
+EDGE_TEXT = ["5e-324", "1e308", "-0.0", "0", str(2**64), str(10**400), "nan", "NaN", "-inf"]
+GOOD_OVERRIDES = ["0", "1", "7", str(MAX_TRIALS)]
+BAD_OVERRIDES = ["-1", str(MAX_TRIALS + 1), str(2**64), "nan"]
+FAILING_STDOUTS = ["raises", "closed"] + (["full"] if os.path.exists("/dev/full") else [])
+HELSTROM_POINT_ATOL = 1e-9  # an eigenvalue within TIE_ATOL = 1e-10 of 0 may fall either side
+
+
+def given_fields(scenario: Scenario) -> dict:
+    """The field values that build ``scenario``: those not None, and of a thermal scenario
+    the pair rather than the noise excitation derived from it."""
+    values = {f.name: getattr(scenario, f.name) for f in fields(Scenario)}
+    if scenario.thermal_occupancy is not None:
+        del values["noise_excitation"]
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def document_text(values) -> dict[str, str]:
+    """The document entries of a scenario's field values."""
+    entries = {}
+    for key, value in values.items():
+        if key == "link_budget":
+            entries.update({f"link_budget.{f.name}": repr(getattr(value, f.name))
+                            for f in fields(value) if getattr(value, f.name) is not None})
+        elif key == "roc_thresholds":
+            entries[key] = ", ".join(map(repr, value))
+        else:
+            entries[key] = repr(value)
+    return entries
+
+
+@st.composite
+def command_lines(draw):
+    """(document, overrides, format, --roc-out): the document of a plausible or a full
+    scenario, often with the threshold 1, and, in about half the draws, edge text in some
+    keys, a grammar line of the documents strategy, rejected overrides and an unwritable
+    --roc-out or one without thresholds."""
+    clean = draw(st.booleans())
+    rough = st.just(False) if clean else st.booleans()
+    values = draw(st.one_of(plausible_scenarios(), full_scenarios().map(given_fields)))
+    if "roc_thresholds" in values and draw(st.booleans()):
+        values["roc_thresholds"] = sorted([*values["roc_thresholds"], 1.0])
+    entries = document_text(values)
+    if draw(rough):  # keys the document gives are drawn about twice as often as others
+        keys = st.sampled_from(sorted(entries) + sorted(KNOWN_KEYS))
+        entries.update(draw(st.dictionaries(keys, st.sampled_from(EDGE_TEXT), min_size=1,
+                                            max_size=3)))
+    text = [f"{key} = {value}" for key, value in entries.items()]
+    if draw(rough):
+        text.append(draw(lines))
+    override = st.sampled_from(GOOD_OVERRIDES + ([] if clean else BAD_OVERRIDES))
+    overrides = draw(st.fixed_dictionaries({}, optional={"--seed": override,
+                                                         "--trials": override}))
+    roc_out = draw(st.sampled_from([None, "file"] + ([] if clean else ["missing", "dir"])))
+    if "roc_thresholds" not in entries and not draw(rough):
+        roc_out = None
+    return "\n".join(text), overrides, draw(st.sampled_from(["structured", "table"])), roc_out
+
+
+class RaisingStdout:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def run_main(argv, stdout_kind):
+    """(exit code, stdout text or None) of cli.main(argv) with the given stdout; its stderr
+    must hold one error line if the run failed, none otherwise, and no traceback.
+    /dev/full is flushed once more after the run, as at interpreter exit, which fails if a
+    failed write left its bytes in the buffer."""
+    stdout = {"buffer": io.StringIO, "raises": RaisingStdout, "closed": lambda: None,
+              "full": lambda: open("/dev/full", "w")}[stdout_kind]()
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects an override
+                code = exc.code
+        if stdout_kind == "full":
+            stdout.flush()
+    finally:
+        if stdout_kind == "full":
+            with contextlib.suppress(OSError):
+                stdout.close()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(error_lines) == (1 if code else 0)
+    return code, stdout.getvalue() if stdout_kind == "buffer" else None
+
+
+def check_report(doc, ran: Scenario) -> None:
+    """The invariants of one structured report of the scenario ``ran``."""
+    s, m = doc["scenario"], doc["metrics"]
+    d, f, pe = m["trace_distance"], m["fidelity"], m["helstrom_error"]
+    assert 0.0 <= pe <= min(s["prior_h0"], s["prior_h1"]) + GENERIC_ATOL
+    assert 1.0 - math.sqrt(f) <= d + FVG_ATOL and d <= math.sqrt(1.0 - f) + FVG_ATOL
+    if s["prior_h0"] == s["prior_h1"]:
+        assert abs(pe - (1.0 - d) / 2.0) <= GENERIC_ATOL
+    if doc["roc"] is not None:
+        points = [(pt["threshold"], pt["p_false_alarm"], pt["p_detection"]) for pt in doc["roc"]]
+        assert [t for t, _, _ in points] == s["roc_thresholds"]
+        for (_, fa, pd), (_, next_fa, next_pd) in zip(points, points[1:]):
+            assert next_fa <= fa and next_pd <= pd
+        for t, fa, pd in points:
+            if t == 1.0:  # the equal-prior Helstrom test
+                assert abs((fa + 1.0 - pd) / 2.0 - (1.0 - d) / 2.0) <= HELSTROM_POINT_ATOL
+    mc = doc["monte_carlo"]
+    assert (mc is None) == (s["trials"] == 0)
+    if mc is not None:
+        h0, h1 = mc["h0"], mc["h1"]
+        assert (h0["trials"], h1["trials"]) == split_trials(s["prior_h0"], s["trials"])
+        for outcome in h0, h1:
+            assert outcome["decide_h0_count"] + outcome["decide_h1_count"] == outcome["trials"]
+        assert mc["seed"] == s["seed"]
+    link = doc["link_budget"]
+    if link is not None and link["photon_energy_j"] is not None:
+        assert link["photon_energy_j"] > 0.0
+    assert scenario_of_echo(s) == ran
+
+
+# Faults found by hand before this test existed stay as explicit examples: forty draws
+# rarely put one edge value into the one key that reaches a given corner.
+UNDERFLOWING_PHOTON_ENERGY = ("phase_rad = 1\nreflectivity = 0.5\nnoise_excitation = 0.1\n"
+                              "link_budget.frequency_hz = 5e-324\n", {}, "structured", None)
+
+
+@BOUNDED
+@given(command_lines())
+@example(UNDERFLOWING_PHOTON_ENERGY)
+def test_cli_main_keeps_its_contract(command_line):
+    # Every run exits 0, 2 or 3, a failed one with one error line and no traceback. A run
+    # whose report cannot go out exits 2; one that exits 0 wrote the same bytes to stdout
+    # and to --out, and its structured report holds check_report's invariants.
+    text, overrides, fmt, roc_out = command_line
+    with tempfile.TemporaryDirectory() as tmp:
+        targets = {"missing": os.path.join(tmp, "absent", "x"), "dir": tmp}
+        scenario_path = os.path.join(tmp, "scenario.cfg")
+        with open(scenario_path, "w", encoding="utf-8") as file:
+            file.write(text)
+        argv = ["run", scenario_path, "--format", fmt]
+        for flag, value in overrides.items():
+            argv += [flag, value]
+        if roc_out is not None:
+            argv += ["--roc-out", targets.get(roc_out, os.path.join(tmp, "roc.csv"))]
+        code, report_text = run_main(argv, "buffer")
+        for stdout_kind in FAILING_STDOUTS:
+            assert run_main(argv, stdout_kind)[0] == (code or 2)
+        for out in "missing", "dir":
+            assert run_main(argv + ["--out", targets[out]], "buffer") == (code or 2, "")
+        out_path = os.path.join(tmp, "report.out")
+        assert run_main(argv + ["--out", out_path], "buffer") == (code, "")
+        if code != 0:
+            return
+        assert roc_out in (None, "file")
+        with open(out_path, encoding="utf-8") as file:
+            assert file.read() == report_text
+        assert report_text.endswith("\n")
+        if fmt == "structured":
+            ran = parse_scenario(text)
+            if overrides:
+                ran = replace(ran, **{flag[2:]: int(value) for flag, value in overrides.items()})
+            check_report(json.loads(report_text), ran)

@@ -11,7 +11,7 @@ from qiradar.detector import detection_counts, roc_sweep
 from qiradar.errors import (MAX_SEED, MAX_TRIALS, DegenerateInput, ParseError, ValidationError,
                             _check_integer, _check_seed, check_priors)
 from qiradar.cli import run_scenario
-from qiradar.linkbudget import LinkBudgetInputs, occupancy_to_excitation, thermal_occupancy
+from qiradar.linkbudget import LinkBudgetInputs, evaluate_link_budget
 from qiradar.qstate import bell_phi_plus
 from qiradar import linkbudget
 from qiradar import scenario as scenario_module
@@ -410,8 +410,9 @@ class TestDirectConstruction:
     def test_thermal_occupancy_follows_replace(self):
         thermal = Scenario(phase_rad=0.5, reflectivity=0.6, **THERMAL)
         colder = replace(thermal, temperature_k=4.0, noise_excitation=None)
-        assert colder.thermal_occupancy == thermal_occupancy(1e10, 4.0)
-        assert thermal.thermal_occupancy == thermal_occupancy(1e10, 290.0)
+        for scenario in colder, thermal:
+            link = LinkBudgetInputs(frequency_hz=1e10, temperature_k=scenario.temperature_k)
+            assert scenario.thermal_occupancy == evaluate_link_budget(link).thermal_occupancy
         direct = replace(thermal, frequency_hz=None, temperature_k=None, noise_excitation=0.25)
         assert direct.thermal_occupancy is None
 
@@ -509,8 +510,6 @@ NUMBER_ENTRY_POINTS = {  # name -> (call with one number, matching Scenario fiel
     **{f"LinkBudgetInputs.{name}": (lambda v, name=name: LinkBudgetInputs(**{name: v}),
                                     name if name in THERMAL else None)
        for name in (spec.name for spec in fields(LinkBudgetInputs))},
-    "thermal_occupancy": (lambda v: thermal_occupancy(1e10, v), None),
-    "occupancy_to_excitation": (occupancy_to_excitation, None),
     "check_priors[0]": (lambda v: check_priors((v, 0.0)), "prior_h0"),
     "check_priors[1]": (lambda v: check_priors((0.0, v)), "prior_h1"),
     "roc_sweep": (lambda v: roc_sweep(R0, R1, [v]), "roc_thresholds"),
