@@ -231,6 +231,16 @@ class TestTrialCounts:
         with pytest.raises(NumericalDomain, match="Born probability"):
             draw_counts((0.5, 1.0 + 1e-6), 0.5, 10, 1)
 
+    def test_trial_outcome_stores_plain_ints(self):
+        rho0, rho1 = pure_pair(1.0)
+        outcomes = detection_counts(rho0, rho1, HALF, np.int32(5), np.uint64(2**64 - 1))
+        for outcome in outcomes:
+            values = (outcome.decide_h1_count, outcome.decide_h0_count, outcome.trials,
+                      outcome.seed)
+            assert all(type(v) is int for v in values)
+            assert outcome.seed == 2**64 - 1
+        assert sum(outcome.trials for outcome in outcomes) == 5
+
     def test_binomial_consistency(self):
         rho0, rho1 = pure_pair(math.pi / 2)
         m = helstrom_measurement(rho0, rho1, HALF)

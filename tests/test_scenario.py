@@ -12,6 +12,7 @@ from qiradar.errors import (MAX_SEED, MAX_TRIALS, DegenerateInput, ParseError, V
                             _check_integer, _check_seed, check_priors)
 from qiradar.cli import run_scenario
 from qiradar.linkbudget import LinkBudgetInputs, evaluate_link_budget
+from qiradar.montecarlo import draw_counts
 from qiradar.qstate import bell_phi_plus
 from qiradar import linkbudget
 from qiradar import scenario as scenario_module
@@ -514,8 +515,17 @@ NUMBER_ENTRY_POINTS = {  # name -> (call with one number, matching Scenario fiel
     "check_priors[1]": (lambda v: check_priors((0.0, v)), "prior_h1"),
     "roc_sweep": (lambda v: roc_sweep(R0, R1, [v]), "roc_thresholds"),
     "detection_counts.seed": (lambda v: detection_counts(R0, R1, (0.5, 0.5), 1, v), "seed"),
+    # The H0 state and the Monte Carlo draw take their numbers straight from a caller. As a
+    # TrialOutcome no longer checks its fields, draw_counts' gates are the only ones its
+    # counts, trials and seed pass.
+    "hypothesis_h0": (hypothesis_h0, "noise_excitation"),
+    "draw_counts.born[0]": (lambda v: draw_counts((v, 0.5), 0.5, 1, 0), None),
+    "draw_counts.born[1]": (lambda v: draw_counts((0.5, v), 0.5, 1, 0), None),
+    "draw_counts.prior_h0": (lambda v: draw_counts((0.5, 0.5), v, 1, 0), None),
+    "draw_counts.trials": (lambda v: draw_counts((0.5, 0.5), 0.5, v, 0), None),
 }
-REAL_ENTRY_POINTS = [name for name in NUMBER_ENTRY_POINTS if name != "detection_counts.seed"]
+INTEGER_ENTRY_POINTS = {"detection_counts.seed", "draw_counts.trials"}
+REAL_ENTRY_POINTS = [name for name in NUMBER_ENTRY_POINTS if name not in INTEGER_ENTRY_POINTS]
 NOT_NUMBERS = {"str": "0.5", "bytes": b"1", "bool": True, "False": False,
                "Decimal": Decimal("0.5"), "None": None, "nan": math.nan, "inf": math.inf,
                "10**400": 10**400}
