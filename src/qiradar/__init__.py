@@ -7,7 +7,7 @@ reproducible Monte Carlo trials and ROC sweeps, and evaluates the
 closed-form link budget with its thermal-noise and EMI figures.
 """
 
-from .channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
+from .channel import TargetParams, hypothesis_h0, hypothesis_h1
 from .detector import (
     BinaryMeasurement,
     born_probability,
@@ -26,15 +26,7 @@ from .errors import (
 )
 from .linkbudget import LinkBudgetInputs, LinkBudgetResult, evaluate_link_budget
 from .metrics import DistinguishabilityReport, fidelity, helstrom_error, trace_distance
-from .qstate import (
-    DensityOperator,
-    PureState,
-    bell_phi_plus,
-    density_from_pure,
-    eigendecompose_hermitian,
-    partial_trace,
-    sqrt_psd,
-)
+from .qstate import DensityOperator, eigendecompose_hermitian, sqrt_psd
 from .montecarlo import TrialOutcome
 from .report import DetectionReport, RocPoint, emit_report, report_to_dict, roc_csv
 from .scenario import Scenario, parse_scenario

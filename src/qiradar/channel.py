@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, _excitation, _real, _reduce_phase, _reflectivity
-from .qstate import DensityOperator, PureState
+from .errors import _excitation, _real, _reduce_phase, _reflectivity
+from .qstate import DensityOperator
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,6 @@ class TargetParams:
         object.__setattr__(self, "noise_excitation_p", _excitation(self.noise_excitation_p))
 
 
-def apply_signal_phase(psi: PureState, phi: float) -> PureState:
-    """Imprint |1⟩_S → e^{iφ}|1⟩_S on the signal (first) mode of a 2x2 state.
-
-    Norm is unchanged; the entangled pair maps to (|00⟩ + e^{iφ}|11⟩)/√2.
-    """
-    if psi.dims != (2, 2):
-        raise DimensionMismatch(f"expected a state on dims (2, 2), got {psi.dims}")
-    amps = psi.amplitudes.copy()
-    amps[2:] *= cmath.exp(1j * _real("phase", phi))  # basis index 2s + i, signal-first
-    return PureState(amps, psi.dims)
-
-
 def _h0_matrix(p: float) -> np.ndarray:  # diag(1 − p, p) ⊗ I/2; halving is exact
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0.flat[::5] = ((1.0 - p) / 2.0, (1.0 - p) / 2.0, p / 2.0, p / 2.0)
@@ -63,7 +51,7 @@ def _h0_matrix(p: float) -> np.ndarray:  # diag(1 − p, p) ⊗ I/2; halving is 
 
 def hypothesis_h0(p: float) -> DensityOperator:
     """No-target hypothesis ρ₀ = diag(1 − p, p) ⊗ I/2 on return ⊗ idler."""
-    return DensityOperator(_h0_matrix(_excitation(p)), (2, 2))
+    return DensityOperator(_h0_matrix(_excitation(p)))
 
 
 def hypothesis_h1(params: TargetParams) -> DensityOperator:
@@ -74,8 +62,8 @@ def hypothesis_h1(params: TargetParams) -> DensityOperator:
     validated TargetParams, so only the result is checked as a state.
     """
     amps = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    amps[2:] *= cmath.exp(1j * params.phase_phi)  # as apply_signal_phase(bell_phi_plus(), φ)
+    amps[2:] *= cmath.exp(1j * params.phase_phi)  # basis index 2r + i, return mode first
     pure = amps[:, None] * amps.conj()  # |ψ′⟩⟨ψ′|
     eta = params.reflectivity_eta
     rho0 = _h0_matrix(params.noise_excitation_p)
-    return DensityOperator(eta * pure + (1.0 - eta) * rho0, (2, 2))
+    return DensityOperator(eta * pure + (1.0 - eta) * rho0)

@@ -43,8 +43,17 @@ def run_scenario(scenario: Scenario) -> DetectionReport:
         raise type(exc)(f"while running scenario: {exc}") from exc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's exit 2 with usage and message, which skips the usage when sys.stderr
+        is None: argparse would print it to stdout."""
+        if sys.stderr is not None:
+            self.print_usage(sys.stderr)
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qiradar",
         description="Entangled-photon radar detection simulator",
     )
@@ -86,6 +95,16 @@ def _write_stdout(text: str) -> None:
         raise
 
 
+def _error(message: str) -> None:
+    """Write one ``error:`` line to stderr, or nothing if stderr is None (descriptor 2 closed,
+    where print would write to stdout) or its write fails, so the exit code stands."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(f"error: {message}\n")
+        except OSError:
+            pass
+
+
 def main(argv=None) -> int:
     arg_parser = build_arg_parser()
     args = arg_parser.parse_args(argv)
@@ -93,7 +112,7 @@ def main(argv=None) -> int:
     try:
         text = Path(args.scenario).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
+        _error(f"cannot read scenario file: {exc}")
         return 2
 
     try:
@@ -111,10 +130,10 @@ def main(argv=None) -> int:
             )
         report = run_scenario(scenario)
     except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     except QIRadarError as exc:  # NumericalDomain, or any other failure of a valid scenario
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 3
 
     output = emit_report(report, args.format)
@@ -126,7 +145,7 @@ def main(argv=None) -> int:
         if args.roc_out:
             Path(args.roc_out).write_text(roc_csv(report.roc), encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        _error(f"cannot write output file: {exc}")
         return 2
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .closed_form import TIE_ATOL
 from .errors import DimensionMismatch, NumericalDomain, _check_thresholds, check_priors, clamp_unit
-from .metrics import _require_same_dims
+from .metrics import _require_same_shape
 from .montecarlo import TrialOutcome, draw_counts
 from .qstate import DensityOperator, _checked_hermitian, eigendecompose_hermitian
 from .report import RocPoint
@@ -67,7 +67,7 @@ def helstrom_measurement(rho0: DensityOperator, rho1: DensityOperator,
     project_h1 spans the strictly positive eigenspace of π₁ρ₁ − π₀ρ₀; its
     analytic error probability equals helstrom_error within 1e-8.
     """
-    _require_same_dims(rho0, rho1)
+    _require_same_shape(rho0, rho1)
     p0, p1 = check_priors(priors)
     return BinaryMeasurement(
         _positive_eigenspace_projector(p1 * rho1.matrix - p0 * rho0.matrix))
@@ -85,7 +85,7 @@ def born_probability(m: BinaryMeasurement, rho: DensityOperator) -> float:
 def measurement_error(m: BinaryMeasurement, rho0: DensityOperator, rho1: DensityOperator,
                       priors=(0.5, 0.5)) -> float:
     """Analytic error probability π₀·Tr(P₁ρ₀) + π₁·Tr((I − P₁)ρ₁) of a measurement."""
-    _require_same_dims(rho0, rho1)
+    _require_same_shape(rho0, rho1)
     p0, p1 = check_priors(priors)
     false_alarm = born_probability(m, rho0)
     detection = born_probability(m, rho1)
@@ -109,7 +109,7 @@ def roc_sweep(rho0: DensityOperator, rho1: DensityOperator, thresholds) -> list[
     the point records (t, Tr(P·ρ₀), Tr(P·ρ₁)). The t = 1 point coincides with
     the equal-prior Helstrom test. Each test holds one d×d projector.
     """
-    _require_same_dims(rho0, rho1)
+    _require_same_shape(rho0, rho1)
     points = []
     for t in _check_thresholds(thresholds):
         m = BinaryMeasurement(_positive_eigenspace_projector(rho1.matrix - t * rho0.matrix))

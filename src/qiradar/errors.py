@@ -17,8 +17,8 @@ class DegenerateInput(QIRadarError):
 
 
 class DimensionMismatch(QIRadarError):
-    """Operands disagree in shape or subsystem layout, or exceed the supported
-    Hilbert dimension."""
+    """Operands disagree in shape, or a state is not a d×d matrix with
+    1 <= d <= MAX_DIMENSION."""
 
 
 class NumericalDomain(QIRadarError):
@@ -68,8 +68,8 @@ def _check_integer(name: str, value, low: int, high: int) -> int:
     return int(value)
 
 
-MAX_DIMENSION = 16     # the largest total Hilbert dimension of a state
-STATE_ATOL = 1e-9      # norm, trace and hermiticity tolerance
+MAX_DIMENSION = 16     # the largest d of a d×d DensityOperator
+STATE_ATOL = 1e-9      # trace, eigenvalue and hermiticity tolerance of a state
 MAX_SEED = 2**64 - 1
 MAX_TRIALS = 10**9     # the longest Monte Carlo run; one binomial draw each way, well under 1 ms
 PRIOR_ATOL = 1e-9

@@ -27,21 +27,21 @@ from .qstate import DensityOperator, eigendecompose_hermitian, sqrt_psd
 FVG_ATOL = 1e-7  # Fuchs-van de Graaff sandwich slack
 
 
-def _require_same_dims(a: DensityOperator, b: DensityOperator) -> None:
-    if a.dims != b.dims:
-        raise DimensionMismatch(f"operands live on different spaces: {a.dims} vs {b.dims}")
+def _require_same_shape(a: DensityOperator, b: DensityOperator) -> None:
+    if a.matrix.shape != b.matrix.shape:
+        raise DimensionMismatch(f"operands differ in shape: {a.matrix.shape} vs {b.matrix.shape}")
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """½ ‖a − b‖₁ via the eigenvalues of the Hermitian difference."""
-    _require_same_dims(a, b)
+    _require_same_shape(a, b)
     eigs, _ = eigendecompose_hermitian(a.matrix - b.matrix)
     return clamp_unit(0.5 * float(np.abs(eigs).sum()), "trace distance")
 
 
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     """Uhlmann fidelity (Tr √(√a · b · √a))², in [0, 1]."""
-    _require_same_dims(a, b)
+    _require_same_shape(a, b)
     root_a = sqrt_psd(a.matrix)
     inner = root_a @ b.matrix @ root_a  # sqrt_psd takes its Hermitian part
     value = float(np.trace(sqrt_psd(inner)).real) ** 2
@@ -51,7 +51,7 @@ def fidelity(a: DensityOperator, b: DensityOperator) -> float:
 def helstrom_error(a: DensityOperator, b: DensityOperator, priors=(0.5, 0.5)) -> float:
     """Minimum error probability ½(1 − ‖π₁ b − π₀ a‖₁) of the binary test
     H0 = a versus H1 = b at the given priors (π₀, π₁)."""
-    _require_same_dims(a, b)
+    _require_same_shape(a, b)
     p0, p1 = check_priors(priors)
     eigs, _ = eigendecompose_hermitian(p1 * b.matrix - p0 * a.matrix)
     return clamp_unit(0.5 * (1.0 - float(np.abs(eigs).sum())), "Helstrom error")

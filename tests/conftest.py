@@ -10,10 +10,9 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 import qiradar
-from qiradar.channel import apply_signal_phase
 from qiradar.closed_form import TIE_ATOL
 from qiradar.metrics import FVG_ATOL
-from qiradar.qstate import DensityOperator, PureState, bell_phi_plus, density_from_pure
+from qiradar.qstate import DensityOperator
 
 # Property tests run a fixed, small set of examples, so the suite stays fast and reproducible.
 BOUNDED = settings(max_examples=40, deadline=None, derandomize=True,
@@ -44,25 +43,21 @@ def python_m_qiradar(argv, **kwargs):
     return python_with_qiradar(["-m", "qiradar", *argv], **kwargs)
 
 
-def random_density(rng, dim, dims=None):
+def random_density(rng, dim):
     """Full-rank random density operator via a Wishart-style construction."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     m /= m.trace().real
-    return DensityOperator(m, dims if dims is not None else (dim,))
-
-
-def random_pure(rng, dims):
-    """Haar-ish random pure state from normalized complex Gaussians."""
-    dim = int(np.prod(dims))
-    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(amps / np.linalg.norm(amps), tuple(dims))
+    return DensityOperator(m)
 
 
 def pure_pair(phi):
-    """The Bell pair and its copy with phase phi on the signal, as density operators."""
-    psi = bell_phi_plus()
-    return density_from_pure(psi), density_from_pure(apply_signal_phase(psi, phi))
+    """The Bell pair (|00⟩ + |11⟩)/√2 and its copy with phase phi imprinted on the signal
+    by diag(1, e^{iφ}) ⊗ I, as density operators."""
+    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    shifted = np.kron(np.diag([1.0, np.exp(1j * phi)]), np.eye(2)) @ bell
+    return (DensityOperator(np.outer(bell, bell.conj())),
+            DensityOperator(np.outer(shifted, shifted.conj())))
 
 
 def random_unitary(rng, dim):

@@ -130,6 +130,17 @@ MUTANTS = (
         if args.out:
             pass
 """, "the --out write is outside the try, so an unwritable --out gives a traceback"),
+    Mutant("cli.py", """    if sys.stderr is not None:
+        try:
+            sys.stderr.write(f"error: {message}\\n")
+        except OSError:
+            pass
+""", """    print(f"error: {message}", file=sys.stderr)
+""", "with descriptor 2 closed, print(file=None) puts the error line on stdout"),
+    Mutant("cli.py", "    parser = _ArgumentParser(", "    parser = argparse.ArgumentParser(",
+           "with descriptor 2 closed, argparse prints a usage error's usage line on stdout"),
+    Mutant("qstate.py", "1 <= mat.shape[0] <= MAX_DIMENSION", "1 <= mat.shape[0]",
+           "DensityOperator takes a state larger than the MAX_DIMENSION that CLAMP_WINDOW covers"),
     Mutant("errors.py", "abs(p0 + p1 - 1.0) <= PRIOR_ATOL", "p0 + p1 - 1.0 <= PRIOR_ATOL",
            "priors that sum to less than 1 are accepted"),
     Mutant("scenario.py", "for name, value in sorted(link.items()):",

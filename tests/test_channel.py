@@ -3,24 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_pure
+from conftest import pure_pair
 from qiradar import channel
-from qiradar.channel import (
-    TargetParams,
-    _h0_matrix,
-    apply_signal_phase,
-    hypothesis_h0,
-    hypothesis_h1,
-)
-from qiradar.errors import DegenerateInput, DimensionMismatch
+from qiradar.channel import TargetParams, _h0_matrix, hypothesis_h0, hypothesis_h1
+from qiradar.errors import DegenerateInput
 from qiradar.metrics import trace_distance
-from qiradar.qstate import (
-    DensityOperator,
-    PureState,
-    bell_phi_plus,
-    density_from_pure,
-    partial_trace,
-)
+from qiradar.qstate import DensityOperator
 
 PHI_GRID = [k * math.pi / 4 for k in range(9)]           # 0 .. 2pi
 ETA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -50,56 +38,6 @@ class TestTargetParams:
             TargetParams(0.0, 1.0, -0.2)
 
 
-class TestApplySignalPhase:
-    def test_zero_phase_is_identity(self):
-        psi = bell_phi_plus()
-        out = apply_signal_phase(psi, 0.0)
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-15)
-
-    def test_pi_flips_the_corner(self):
-        out = apply_signal_phase(bell_phi_plus(), math.pi)
-        inv = 1.0 / math.sqrt(2.0)
-        np.testing.assert_allclose(out.amplitudes, [inv, 0, 0, -inv], atol=1e-12)
-
-    def test_overlap_closed_form(self):
-        # |⟨ψ|ψ′⟩|² = cos²(φ/2), checked by direct vector arithmetic.
-        psi = bell_phi_plus()
-        for phi in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-            shifted = apply_signal_phase(psi, phi)
-            overlap_sq = abs(np.vdot(psi.amplitudes, shifted.amplitudes)) ** 2
-            assert abs(overlap_sq - math.cos(phi / 2) ** 2) <= 1e-12
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(61803)
-        for _ in range(30):
-            psi = random_pure(rng, (2, 2))
-            phi = rng.uniform(-10.0, 10.0)
-            out = apply_signal_phase(psi, phi)
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
-
-    def test_only_signal_one_block_changes(self):
-        psi = PureState([0.5, 0.5, 0.5, 0.5], [2, 2])
-        out = apply_signal_phase(psi, math.pi / 3)
-        np.testing.assert_allclose(out.amplitudes[:2], psi.amplitudes[:2], atol=1e-15)
-        factor = out.amplitudes[2:] / psi.amplitudes[2:]
-        np.testing.assert_allclose(factor, np.exp(1j * math.pi / 3) * np.ones(2), atol=1e-12)
-
-    def test_two_pi_periodicity(self):
-        rng = np.random.default_rng(271828)
-        for _ in range(10):
-            psi = random_pure(rng, (2, 2))
-            phi = rng.uniform(0.0, 2 * math.pi)
-            a = apply_signal_phase(psi, phi)
-            b = apply_signal_phase(psi, phi + 2 * math.pi)
-            np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
-
-    def test_wrong_dims_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            apply_signal_phase(PureState([1, 0], [2]), 0.5)
-        with pytest.raises(DimensionMismatch):
-            apply_signal_phase(PureState([1, 0, 0, 0], [4]), 0.5)
-
-
 class TestHypotheses:
     def test_h0_maximally_mixed_at_half(self):
         np.testing.assert_allclose(hypothesis_h0(0.5).matrix, np.eye(4) / 4, atol=1e-15)
@@ -123,9 +61,9 @@ class TestHypotheses:
         # must not move by one bit, so report bytes cannot move.
         built = []
 
-        def recording(matrix, dims):
+        def recording(matrix):
             built.append(matrix)
-            return DensityOperator(matrix, dims)
+            return DensityOperator(matrix)
 
         monkeypatch.setattr(channel, "DensityOperator", recording)
         off_diagonal = ~np.eye(4, dtype=bool)
@@ -143,8 +81,8 @@ class TestHypotheses:
                         assert stored.tobytes() == ((raw + raw.conj().T) / 2.0).tobytes()
 
     def test_h0_return_factor(self):
-        rho = partial_trace(hypothesis_h0(0.3), {0})
-        np.testing.assert_allclose(rho.matrix, np.diag([0.7, 0.3]), atol=1e-15)
+        reduced = hypothesis_h0(0.3).matrix.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+        np.testing.assert_allclose(reduced, np.diag([0.7, 0.3]), atol=1e-15)
 
     def test_h0_excitation_range_rejected(self):
         for p in (1.0, -0.1):
@@ -153,14 +91,13 @@ class TestHypotheses:
 
     def test_h0_idler_factor(self):
         for p in P_GRID:
-            reduced = partial_trace(hypothesis_h0(p), {1})
-            np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
+            reduced = hypothesis_h0(p).matrix.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+            np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_h1_pure_at_full_reflectivity(self):
         for phi in (0.0, math.pi / 3, math.pi):
             rho1 = hypothesis_h1(TargetParams(phi, 1.0, 0.5))
-            psi = apply_signal_phase(bell_phi_plus(), phi)
-            np.testing.assert_allclose(rho1.matrix, density_from_pure(psi).matrix, atol=1e-12)
+            np.testing.assert_allclose(rho1.matrix, pure_pair(phi)[1].matrix, atol=1e-12)
             purity = float(np.trace(rho1.matrix @ rho1.matrix).real)
             assert abs(purity - 1.0) <= 1e-10
 
@@ -171,7 +108,7 @@ class TestHypotheses:
 
     def test_h1_convex_combination(self):
         rho1 = hypothesis_h1(TargetParams(0.0, 0.5, 0.5))
-        bell = density_from_pure(bell_phi_plus()).matrix
+        bell = pure_pair(0.0)[0].matrix
         np.testing.assert_allclose(rho1.matrix, 0.5 * bell + 0.125 * np.eye(4), atol=1e-12)
 
     def test_grid_produces_valid_densities(self):
@@ -186,8 +123,16 @@ class TestHypotheses:
         # For eta=1 the reduced idler state of rho1 is I/2 whatever the phase.
         for phi in PHI_GRID:
             rho1 = hypothesis_h1(TargetParams(phi, 1.0, 0.5))
-            reduced = partial_trace(rho1, {1})
-            np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
+            reduced = rho1.matrix.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+            np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-10)
+
+    def test_h1_two_pi_periodicity(self):
+        rng = np.random.default_rng(271828)
+        for _ in range(20):
+            phi, eta, p = rng.uniform(-10.0, 10.0), rng.uniform(), rng.uniform(0.0, 0.99)
+            a = hypothesis_h1(TargetParams(phi, eta, p)).matrix
+            b = hypothesis_h1(TargetParams(phi + 2 * math.pi, eta, p)).matrix
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_trace_distance_monotone_in_reflectivity(self):
         rho0 = hypothesis_h0(0.5)

@@ -716,6 +716,19 @@ class TestCommandLine:
         assert done.returncode == 2
         assert done.stderr == "error: cannot write output file: stdout is closed\n"
 
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+    @pytest.mark.parametrize("doc, flags", [
+        ("phase_rad = 1\nreflectivity = 2\nnoise_excitation = 0\n", []),
+        (ANCHOR_DOC, ["--trials", "-5"]),
+        (ANCHOR_DOC, ["--seed", "x"]),
+    ], ids=["invalid-document", "invalid-override", "unparsable-flag"])
+    def test_closed_stderr_exits_2_in_a_process(self, scenario_file, doc, flags):
+        # Started with descriptor 2 closed, Python sets sys.stderr to None, and both
+        # print(file=None) and argparse's usage line would go to stdout.
+        done = python_m_qiradar(["run", scenario_file(doc), *flags], stdout=subprocess.PIPE,
+                                text=True, preexec_fn=lambda: os.close(2))
+        assert (done.returncode, done.stdout) == (2, "")
+
     def test_max_trials_run_takes_its_start_up_only(self):
         # MAX_TRIALS is one binomial draw per hypothesis, well under a millisecond, so the
         # process takes its start-up; a per-trial stream would take minutes.

@@ -23,8 +23,8 @@ from qiradar.montecarlo import draw_counts, outcome_error
 from qiradar.qstate import DensityOperator, eigendecompose_hermitian
 from qiradar.report import RocPoint, _Curve
 
-KET0 = DensityOperator(np.diag([1.0, 0.0]), (2,))
-KET1 = DensityOperator(np.diag([0.0, 1.0]), (2,))
+KET0 = DensityOperator(np.diag([1.0, 0.0]))
+KET1 = DensityOperator(np.diag([0.0, 1.0]))
 HALF = (0.5, 0.5)
 
 
@@ -107,7 +107,7 @@ class TestBinaryMeasurement:
 
 class TestHelstromMeasurement:
     def test_identical_states_decide_h0_everywhere(self):
-        rho = random_density(np.random.default_rng(3), 4, dims=(2, 2))
+        rho = random_density(np.random.default_rng(3), 4)
         m = helstrom_measurement(rho, rho, HALF)
         assert float(np.max(np.abs(m.project_h1))) <= 1e-12
         assert abs(measurement_error(m, rho, rho, HALF) - 0.5) <= 1e-12
@@ -118,8 +118,8 @@ class TestHelstromMeasurement:
         assert measurement_error(m, KET0, KET1, HALF) <= 1e-12
 
     def test_zero_eigenvalues_side_with_h0(self):
-        a = DensityOperator(np.diag([0.5, 0.3, 0.2, 0.0]), (4,))
-        b = DensityOperator(np.diag([0.3, 0.5, 0.2, 0.0]), (4,))
+        a = DensityOperator(np.diag([0.5, 0.3, 0.2, 0.0]))
+        b = DensityOperator(np.diag([0.3, 0.5, 0.2, 0.0]))
         m = helstrom_measurement(a, b, HALF)
         # Difference diag(-0.1, 0.1, 0, 0); only the second axis is positive.
         np.testing.assert_allclose(m.project_h1, np.diag([0.0, 1.0, 0.0, 0.0]), atol=1e-12)
@@ -137,8 +137,8 @@ class TestHelstromMeasurement:
     def test_unequal_priors(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            a = random_density(rng, 4, dims=(2, 2))
-            b = random_density(rng, 4, dims=(2, 2))
+            a = random_density(rng, 4)
+            b = random_density(rng, 4)
             p0 = rng.uniform(0.1, 0.9)
             priors = (p0, 1.0 - p0)
             m = helstrom_measurement(a, b, priors)
@@ -148,12 +148,12 @@ class TestHelstromMeasurement:
 
 class TestBornProbability:
     def test_identity_projector(self):
-        rho = random_density(np.random.default_rng(13), 4, dims=(4,))
+        rho = random_density(np.random.default_rng(13), 4)
         assert born_probability(identity_measurement(4), rho) == 1.0
 
     def test_diagonal_readout(self):
         m = BinaryMeasurement(project_h1=np.diag([0.0, 1.0]))
-        rho = DensityOperator(np.diag([0.7, 0.3]), (2,))
+        rho = DensityOperator(np.diag([0.7, 0.3]))
         assert abs(born_probability(m, rho) - 0.3) <= 1e-12
 
     def test_consistent_with_analytic_error(self):
@@ -165,7 +165,7 @@ class TestBornProbability:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             born_probability(identity_measurement(2),
-                             random_density(np.random.default_rng(1), 4, dims=(4,)))
+                             random_density(np.random.default_rng(1), 4))
 
 
 class TestTrialCounts:
@@ -186,7 +186,7 @@ class TestTrialCounts:
 
     @pytest.mark.parametrize("trials", [1000, MAX_TRIALS])
     def test_certain_outcomes(self, trials):
-        rho = random_density(np.random.default_rng(21), 4, dims=(4,))
+        rho = random_density(np.random.default_rng(21), 4)
         certain = (born_probability(identity_measurement(4), rho),
                    born_probability(never_measurement(4), rho))
         for prior_h0, side in ((1.0, 0), (0.0, 1)):  # every trial under one hypothesis
@@ -271,7 +271,7 @@ class TestEmpiricalError:
         assert outcome_error(*detection_counts(KET0, KET1, HALF, 10_000, seed=3)) == 0.0
 
     def test_identical_states_err_half(self):
-        rho = random_density(np.random.default_rng(2), 4, dims=(2, 2))
+        rho = random_density(np.random.default_rng(2), 4)
         trials = 100_000
         value = outcome_error(*detection_counts(rho, rho, HALF, trials, seed=11))
         sigma = math.sqrt(0.25 / trials)
@@ -312,10 +312,10 @@ class TestRocSweep:
         # 1.2e-8 in ρ₁ − 30ρ₀ and the sweep raised "not Hermitian".
         m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         m[0, 1], m[1, 0] = 0.05 + 4e-10j, 0.05
-        rho0, rho1 = DensityOperator(m, (2, 2)), DensityOperator(np.eye(4) / 4, (2, 2))
+        rho0, rho1 = DensityOperator(m), DensityOperator(np.eye(4) / 4)
         thresholds = [30.0, 100.0, 1e6]
         swept = roc_sweep(rho0, rho1, thresholds)
-        assert swept == roc_sweep(DensityOperator((m + m.conj().T) / 2, (2, 2)), rho1, thresholds)
+        assert swept == roc_sweep(DensityOperator((m + m.conj().T) / 2), rho1, thresholds)
         # I/4 − tρ₀ is negative definite for t >= 30 (ρ₀'s eigenvalues exceed 0.09).
         assert [(p.threshold, p.p_false_alarm, p.p_detection) for p in swept] == [
             (t, 0.0, 0.0) for t in thresholds]
@@ -336,8 +336,8 @@ class TestRocSweep:
     def test_unit_threshold_matches_equal_prior_helstrom(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
-            a = random_density(rng, 4, dims=(2, 2))
-            b = random_density(rng, 4, dims=(2, 2))
+            a = random_density(rng, 4)
+            b = random_density(rng, 4)
             point = roc_sweep(a, b, [1.0])[0]
             m = helstrom_measurement(a, b, HALF)
             assert abs(point.p_false_alarm - born_probability(m, a)) <= 1e-9
@@ -396,8 +396,8 @@ class TestRocSweep:
 
     def test_an_eigenvalue_at_the_tie_tolerance_sides_with_h0(self):
         # ρ₁ − 0·ρ₀ has the eigenvalue TIE_ATOL exactly; only λ > TIE_ATOL decides H1.
-        rho0 = DensityOperator(np.eye(2) / 2, (2,))
-        rho1 = DensityOperator(np.diag([TIE_ATOL, 1.0 - TIE_ATOL]), (2,))
+        rho0 = DensityOperator(np.eye(2) / 2)
+        rho1 = DensityOperator(np.diag([TIE_ATOL, 1.0 - TIE_ATOL]))
         [point] = roc_sweep(rho0, rho1, [0.0])
         assert (point.p_false_alarm, point.p_detection) == (0.5, 1.0 - TIE_ATOL)
 
@@ -430,8 +430,8 @@ class TestOptimality:
     def test_helstrom_beats_random_projective_tests(self):
         rng = np.random.default_rng(4747)
         for _ in range(5):
-            a = random_density(rng, 4, dims=(2, 2))
-            b = random_density(rng, 4, dims=(2, 2))
+            a = random_density(rng, 4)
+            b = random_density(rng, 4)
             best = measurement_error(helstrom_measurement(a, b, HALF), a, b, HALF)
             for _ in range(20):
                 rival = random_projective_measurement(rng, 4)

@@ -69,7 +69,7 @@ def reachable(starts) -> dict[str, list[str]]:
 
 def test_the_import_reader_sees_the_linear_algebra_layer():
     # Guards the two checks below against a reader that finds no imports at all.
-    assert imports("qstate")[1] >= {"numpy", "math"}
+    assert imports("qstate")[1] >= {"numpy", "dataclasses"}
     assert imports("cli")[0] >= {"channel", "metrics", "report", "scenario"}
     assert imports("report")[0] >= {"closed_form", "linkbudget", "montecarlo", "scenario"}
     assert reachable(["cli"]).get("qstate") is not None

@@ -321,14 +321,15 @@ class RaisingStdout:
         pass
 
 
-def run_main(argv, stdout_kind):
-    """(exit code, stdout text or None) of cli.main(argv) with the given stdout; its stderr
-    must hold one error line if the run failed, none otherwise, and no traceback.
+def run_main(argv, stdout_kind, stderr_kind="buffer"):
+    """(exit code, stdout text or None) of cli.main(argv) with the given stdout and stderr;
+    a buffer stderr must hold one error line if the run failed, none otherwise, and no
+    traceback. A closed stderr is None, as in a process started with descriptor 2 closed.
     /dev/full is flushed once more after the run, as at interpreter exit, which fails if a
     failed write left its bytes in the buffer."""
     stdout = {"buffer": io.StringIO, "raises": RaisingStdout, "closed": lambda: None,
               "full": lambda: open("/dev/full", "w")}[stdout_kind]()
-    err = io.StringIO()
+    err = {"buffer": io.StringIO, "raises": RaisingStdout, "closed": lambda: None}[stderr_kind]()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
             try:
@@ -342,9 +343,10 @@ def run_main(argv, stdout_kind):
             with contextlib.suppress(OSError):
                 stdout.close()
     assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
-    assert len(error_lines) == (1 if code else 0)
+    if stderr_kind == "buffer":
+        assert "Traceback" not in err.getvalue()
+        error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(error_lines) == (1 if code else 0)
     return code, stdout.getvalue() if stdout_kind == "buffer" else None
 
 
@@ -388,9 +390,10 @@ UNDERFLOWING_PHOTON_ENERGY = ("phase_rad = 1\nreflectivity = 0.5\nnoise_excitati
 @given(command_lines())
 @example(UNDERFLOWING_PHOTON_ENERGY)
 def test_cli_main_keeps_its_contract(command_line):
-    # Every run exits 0, 2 or 3, a failed one with one error line and no traceback. A run
-    # whose report cannot go out exits 2; one that exits 0 wrote the same bytes to stdout
-    # and to --out, and its structured report holds check_report's invariants.
+    # Every run exits 0, 2 or 3, a failed one with one error line and no traceback, and
+    # with a closed or failing stderr the same code and stdout. A run whose report cannot
+    # go out exits 2; one that exits 0 wrote the same bytes to stdout and to --out, and
+    # its structured report holds check_report's invariants.
     text, overrides, fmt, roc_out = command_line
     with tempfile.TemporaryDirectory() as tmp:
         targets = {"missing": os.path.join(tmp, "absent", "x"), "dir": tmp}
@@ -403,6 +406,8 @@ def test_cli_main_keeps_its_contract(command_line):
         if roc_out is not None:
             argv += ["--roc-out", targets.get(roc_out, os.path.join(tmp, "roc.csv"))]
         code, report_text = run_main(argv, "buffer")
+        for stderr_kind in "closed", "raises":
+            assert run_main(argv, "buffer", stderr_kind) == (code, report_text)
         for stdout_kind in FAILING_STDOUTS:
             assert run_main(argv, stdout_kind)[0] == (code or 2)
         for out in "missing", "dir":

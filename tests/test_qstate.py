@@ -1,176 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure
+from conftest import random_density
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
-from qiradar.errors import DegenerateInput, DimensionMismatch, NumericalDomain
-from qiradar.qstate import (
-    DensityOperator,
-    PureState,
-    _checked_hermitian,
-    bell_phi_plus,
-    density_from_pure,
-    eigendecompose_hermitian,
-    partial_trace,
-    sqrt_psd,
-)
-
-def manual_reduced_state(rho, keep_second):
-    """Independent partial-trace oracle for a 2x2-subsystem operator: direct
-    summation over the traced-out basis, no reshape tricks."""
-    out = np.zeros((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for s in range(2):
-                if keep_second:
-                    out[a, b] += rho.matrix[2 * s + a, 2 * s + b]
-                else:
-                    out[a, b] += rho.matrix[2 * a + s, 2 * b + s]
-    return out
-
-
-class TestPureState:
-    def test_basis_state(self):
-        psi = PureState([1, 0], [2])
-        np.testing.assert_allclose(psi.amplitudes, [1.0, 0.0], atol=1e-15)
-        assert psi.dims == (2,)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            PureState([1, 0, 0], [2, 2])
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionMismatch):
-            PureState([1] + [0] * 31, [2] * 5)
-
-    # The norm is taken after scaling by the largest |amplitude|, so squaring
-    # neither overflows (1e200) nor underflows to 0 (1e-200): both are rejected
-    # as unnormalized without a RuntimeWarning.
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_extreme_magnitudes_rejected(self, scale):
-        with pytest.raises(DegenerateInput):
-            PureState(np.array([scale, scale]), (2,))
-
-    def test_complex_amplitudes_normalized(self):
-        psi = PureState([1 / np.sqrt(2.0), 1j / np.sqrt(2.0)], [2])
-        assert psi.amplitudes.dtype == complex
-        norm_sq = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
-        assert abs(norm_sq - 1.0) <= 1e-12
-
-    def test_subnormal_norm_rejected(self):
-        # Scaling by the largest |amplitude| keeps a subnormal norm from reading as 0.
-        with pytest.raises(DegenerateInput, match="state norm 1.4"):
-            PureState([1e-320, 1e-320], [2])
-
-    # Dimensions go through the shared integer gate: int() would truncate
-    # 2.7 to 2 and read "2" as 2.
-    @pytest.mark.parametrize("dims", [[2.7], [2.0], ["2"], [True, 2], [np.float64(2)], 2])
-    def test_non_integer_dims_rejected(self, dims):
-        with pytest.raises(DimensionMismatch):
-            PureState([1, 0], dims)
-
-    def test_numpy_integer_dims_accepted(self):
-        psi = PureState([1, 0], [np.int64(2)])
-        assert psi.dims == (2,) and type(psi.dims[0]) is int
-        assert psi.dimension == 2
-
-    # A zero, NaN or infinite norm must fail the norm tolerance.
-    @pytest.mark.parametrize("amps", [[1.0, 1.0], [0, 0], [np.nan, 1.0], [np.inf, 1.0]])
-    def test_unnormalized_constructor_rejected(self, amps):
-        with pytest.raises(DegenerateInput):
-            PureState(np.array(amps), (2,))
-
-
-class TestBellPhiPlus:
-    def test_amplitudes(self):
-        psi = bell_phi_plus()
-        np.testing.assert_allclose(psi.amplitudes, [0.7071067811865476, 0, 0, 0.7071067811865476],
-                                   atol=1e-12)
-        assert psi.dims == (2, 2)
-
-    def test_reduced_idler_is_maximally_mixed(self):
-        rho = density_from_pure(bell_phi_plus())
-        reduced = partial_trace(rho, {1})
-        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
-        # Cross-check against the independent summation oracle.
-        np.testing.assert_allclose(manual_reduced_state(rho, keep_second=True),
-                                   np.eye(2) / 2, atol=1e-12)
-
-    def test_unit_norm(self):
-        psi = bell_phi_plus()
-        assert abs(np.vdot(psi.amplitudes, psi.amplitudes) - 1.0) <= 1e-12
-
-
-class TestDensityFromPure:
-    def test_basis_projector(self):
-        rho = density_from_pure(PureState([1, 0], [2]))
-        np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_bell_corners(self):
-        rho = density_from_pure(bell_phi_plus())
-        amps = bell_phi_plus().amplitudes
-        np.testing.assert_allclose(rho.matrix, np.outer(amps, amps.conj()), atol=1e-15)
-        for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-            assert abs(rho.matrix[i, j] - 0.5) <= 1e-12
-
-    def test_purity(self):
-        rng = np.random.default_rng(1351)
-        for dims in [(2,), (2, 2), (2, 2, 2)]:
-            for _ in range(8):
-                rho = density_from_pure(random_pure(rng, dims))
-                purity = float(np.trace(rho.matrix @ rho.matrix).real)
-                assert abs(purity - 1.0) <= 1e-9
-
-
-class TestPartialTrace:
-    def test_product_basis_keep_second(self):
-        ket01 = PureState([0, 1, 0, 0], [2, 2])  # |0⟩ first, |1⟩ second
-        rho = density_from_pure(ket01)
-        out = partial_trace(rho, {1})
-        np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_three_subsystems(self):
-        rng = np.random.default_rng(5621)
-        a = random_density(rng, 2)
-        b = random_density(rng, 2)
-        c = random_density(rng, 2)
-        joint = DensityOperator(np.kron(np.kron(a.matrix, b.matrix), c.matrix), (2, 2, 2))
-        np.testing.assert_allclose(partial_trace(joint, {1}).matrix, b.matrix, atol=1e-10)
-        two = partial_trace(joint, {0, 2})
-        np.testing.assert_allclose(two.matrix, np.kron(a.matrix, c.matrix), atol=1e-10)
-
-    def test_inverts_the_kronecker_product(self):
-        rng = np.random.default_rng(777)
-        for _ in range(30):
-            a = random_density(rng, 2)
-            b = random_density(rng, 2)
-            joint = DensityOperator(np.kron(a.matrix, b.matrix), (2, 2))
-            np.testing.assert_allclose(partial_trace(joint, {0}).matrix, a.matrix, atol=1e-10)
-            np.testing.assert_allclose(partial_trace(joint, {1}).matrix, b.matrix, atol=1e-10)
-
-    def test_maximally_mixed_product(self):
-        joint = DensityOperator(np.eye(4) / 4, (2, 2))
-        for keep in ({0}, {1}):
-            np.testing.assert_allclose(partial_trace(joint, keep).matrix, np.eye(2) / 2, atol=1e-15)
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(33)
-        rho = random_density(rng, 4, dims=(2, 2))
-        out = partial_trace(rho, {0})
-        assert abs(out.matrix.trace() - 1.0) <= 1e-12
-
-    def test_invalid_index_rejected(self):
-        rho = density_from_pure(bell_phi_plus())
-        with pytest.raises(DimensionMismatch):
-            partial_trace(rho, {2})
-        with pytest.raises(DimensionMismatch):
-            partial_trace(rho, set())
-
-    # int() would keep subsystem 0 for 0.9 and for "0".
-    @pytest.mark.parametrize("keep", [[0.9], ["0"], [True], [-1], 0])
-    def test_non_integer_index_rejected(self, keep):
-        with pytest.raises(DimensionMismatch):
-            partial_trace(density_from_pure(bell_phi_plus()), keep)
+from qiradar.errors import MAX_DIMENSION, DimensionMismatch, NumericalDomain
+from qiradar.qstate import DensityOperator, _checked_hermitian, eigendecompose_hermitian, sqrt_psd
 
 
 class TestEigendecomposeHermitian:
@@ -196,7 +30,7 @@ class TestEigendecomposeHermitian:
     def test_eigenvalue_sum_is_trace(self):
         rng = np.random.default_rng(88)
         for _ in range(10):
-            rho = random_density(rng, 4, dims=(4,))
+            rho = random_density(rng, 4)
             w, _ = eigendecompose_hermitian(rho)
             assert abs(w.sum() - 1.0) <= 1e-9
 
@@ -300,15 +134,15 @@ class TestDensityOperatorInvariants:
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(NumericalDomain):
-            DensityOperator(m, (2,))
+            DensityOperator(m)
 
     def test_bad_trace_rejected(self):
         with pytest.raises(NumericalDomain):
-            DensityOperator(np.eye(2), (2,))
+            DensityOperator(np.eye(2))
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NumericalDomain):
-            DensityOperator(np.diag([1.5, -0.5]), (2,))
+            DensityOperator(np.diag([1.5, -0.5]))
 
     def test_psd_floor_is_checked_on_the_hermitized_matrix(self):
         # The lower triangle alone has eigenvalues -9e-10, inside the window,
@@ -317,13 +151,13 @@ class TestDensityOperatorInvariants:
         m = np.diag([1 + 3.6e-9, -9e-10, -9e-10, -9e-10]).astype(complex)
         m[np.triu_indices(4, 1)] += 9e-10
         with pytest.raises(NumericalDomain, match="smallest eigenvalue"):
-            DensityOperator(m, (4,))
+            DensityOperator(m)
 
     def test_hermitian_part_is_stored(self):
         m = np.diag([0.5, 0.5]).astype(complex)
         m[0, 1] = 5e-10 + 3e-10j
         m[1, 1] += 4e-10j
-        stored = DensityOperator(m, (2,)).matrix
+        stored = DensityOperator(m).matrix
         assert np.array_equal(stored, (m + m.conj().T) / 2)
         assert np.array_equal(stored, stored.conj().T)
 
@@ -335,8 +169,8 @@ class TestDensityOperatorInvariants:
 
         def perturbed():
             residual = rng.uniform(-3e-10, 3e-10, (2, 4, 4)) * off_diagonal
-            return DensityOperator(random_density(rng, 4).matrix + residual[0] + 1j * residual[1],
-                                   (2, 2)).matrix
+            return DensityOperator(random_density(rng, 4).matrix + residual[0]
+                                   + 1j * residual[1]).matrix
 
         for _ in range(50):
             a, b = perturbed(), perturbed()
@@ -344,9 +178,18 @@ class TestDensityOperatorInvariants:
                 combination = a - t * b
                 assert np.array_equal(combination, combination.conj().T)
 
-    def test_shape_dims_mismatch_rejected(self):
+    # A state is one d×d matrix with 1 <= d <= MAX_DIMENSION; the cap bounds CLAMP_WINDOW.
+    @pytest.mark.parametrize("matrix", [
+        np.eye(MAX_DIMENSION + 1) / (MAX_DIMENSION + 1), np.zeros((0, 0)), np.zeros((2, 3)),
+        np.full(4, 0.25), np.eye(2)[None] / 2, np.array(1.0),
+    ], ids=["past-the-cap", "0x0", "2x3", "vector", "stack", "scalar"])
+    def test_what_is_not_d_by_d_within_the_cap_is_rejected(self, matrix):
         with pytest.raises(DimensionMismatch):
-            DensityOperator(np.eye(2) / 2, (2, 2))
+            DensityOperator(matrix)
+
+    @pytest.mark.parametrize("d", [1, MAX_DIMENSION])
+    def test_both_ends_of_the_dimension_range_build(self, d):
+        assert DensityOperator(np.eye(d) / d).dimension == d
 
     # NaN passes a "residual > tolerance" test, a 4x4 NaN matrix ends in
     # LinAlgError, and inf - inf warns (pyproject.toml makes that an error).
@@ -358,12 +201,12 @@ class TestDensityOperatorInvariants:
     ], ids=["nan-2x2", "nan-4x4", "inf-off-diagonal", "inf-diagonal"])
     def test_non_finite_entries_rejected(self, matrix):
         with pytest.raises(NumericalDomain, match="non-finite"):
-            DensityOperator(matrix, (matrix.shape[0],))
+            DensityOperator(matrix)
 
     def test_random_constructions_pass(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
-            rho = random_density(rng, 4, dims=(2, 2))
+            rho = random_density(rng, 4)
             m = rho.matrix
             assert float(np.max(np.abs(m - m.conj().T))) <= 1e-9
             assert abs(m.trace() - 1.0) <= 1e-9

@@ -6,14 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qiradar.channel import TargetParams, apply_signal_phase, hypothesis_h0, hypothesis_h1
+from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.detector import detection_counts, roc_sweep
 from qiradar.errors import (MAX_SEED, MAX_TRIALS, DegenerateInput, ParseError, ValidationError,
                             _check_integer, _check_seed, check_priors)
 from qiradar.cli import run_scenario
 from qiradar.linkbudget import LinkBudgetInputs, evaluate_link_budget
 from qiradar.montecarlo import draw_counts
-from qiradar.qstate import bell_phi_plus
 from qiradar import linkbudget
 from qiradar import scenario as scenario_module
 from qiradar.scenario import KNOWN_KEYS, Scenario, parse_scenario
@@ -504,7 +503,8 @@ R0 = hypothesis_h0(0.1)
 R1 = hypothesis_h1(TargetParams(1.0, 0.5, 0.1))
 NUMBER_ENTRY_POINTS = {  # name -> (call with one number, matching Scenario field or None)
     "TargetParams.phase_phi": (lambda v: TargetParams(v, 0.5, 0.1), "phase_rad"),
-    "apply_signal_phase": (lambda v: apply_signal_phase(bell_phi_plus(), v), "env_phase_rad"),
+    # run_scenario gives TargetParams phase_rad - env_phase_rad, so its gate checks both fields.
+    "TargetParams.phase_phi[env_phase_rad]": (lambda v: TargetParams(v, 0.5, 0.1), "env_phase_rad"),
     "TargetParams.reflectivity_eta": (lambda v: TargetParams(0.0, v, 0.1), "reflectivity"),
     "TargetParams.noise_excitation_p": (lambda v: TargetParams(0.0, 0.5, v), "noise_excitation"),
     # Every link-budget value, of which the thermal pair is also a Scenario field.
