@@ -1,9 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from conftest import pure_pair
+from conftest import pure_pair, random_density
 from qiradar import channel
 from qiradar.channel import TargetParams, _h0_matrix, hypothesis_h0, hypothesis_h1
 from qiradar.errors import DegenerateInput
@@ -141,3 +142,77 @@ class TestHypotheses:
             for eta in ETA_GRID
         ]
         assert all(b >= a - 1e-12 for a, b in zip(distances, distances[1:]))
+
+
+def reduced_idler(m):
+    return m.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+
+
+def reduced_return(m):
+    return m.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+
+
+class TestReducedStates:
+    """The reduced states of the model's two hypotheses on return ⊗ idler, return first."""
+
+    def test_reshape_and_trace_matches_the_summation_oracle(self):
+        # Direct summation over the traced-out basis (index 2r + i), no reshape.
+        def oracle(m, keep_idler):
+            out = np.zeros((2, 2), dtype=complex)
+            for a in range(2):
+                for b in range(2):
+                    for s in range(2):
+                        i, j = (2 * s + a, 2 * s + b) if keep_idler else (2 * a + s, 2 * b + s)
+                        out[a, b] += m[i, j]
+            return out
+
+        for phi in (0.0, 1.0, 4.0):
+            for eta in ETA_GRID:
+                m = hypothesis_h1(TargetParams(phi, eta, 0.3)).matrix
+                np.testing.assert_allclose(reduced_idler(m), oracle(m, True), atol=1e-15)
+                np.testing.assert_allclose(reduced_return(m), oracle(m, False), atol=1e-15)
+
+    def test_reshape_and_trace_inverts_the_kronecker_product(self):
+        rng = np.random.default_rng(777)
+        for _ in range(30):
+            a, b = random_density(rng, 2).matrix, random_density(rng, 2).matrix
+            joint = np.kron(a, b)
+            np.testing.assert_allclose(reduced_return(joint), a, atol=1e-12)
+            np.testing.assert_allclose(reduced_idler(joint), b, atol=1e-12)
+
+    # The pair's return half is I/2, so ρ₁'s return state mixes it with ρ₀'s diag(1 − p, p).
+    @pytest.mark.parametrize("eta", ETA_GRID)
+    def test_h1_return_state(self, eta):
+        for p in P_GRID:
+            for phi in PHI_GRID:
+                m = hypothesis_h1(TargetParams(phi, eta, p)).matrix
+                expected = eta * np.eye(2) / 2 + (1.0 - eta) * np.diag([1.0 - p, p])
+                np.testing.assert_allclose(reduced_return(m), expected, atol=1e-12)
+
+    # The idler alone never tells H1 from H0: its state is I/2 at every η, φ and p.
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_h1_idler_state_is_maximally_mixed(self, p):
+        for eta in ETA_GRID:
+            for phi in PHI_GRID:
+                m = hypothesis_h1(TargetParams(phi, eta, p)).matrix
+                np.testing.assert_allclose(reduced_idler(m), np.eye(2) / 2, atol=1e-12)
+
+    # diag(1, e^{iφ}) ⊗ I moves only the |11⟩ amplitude: of ρ₁ just the |00⟩⟨11| coherence
+    # and its adjoint depend on φ, as η e^{∓iφ}/2 (at φ = π the corner flips sign).
+    @pytest.mark.parametrize("phi", PHI_GRID)
+    def test_only_the_corner_coherences_carry_the_phase(self, phi):
+        corners = np.zeros((4, 4), dtype=bool)
+        corners[0, 3] = corners[3, 0] = True
+        for eta in ETA_GRID:
+            m = hypothesis_h1(TargetParams(phi, eta, 0.4)).matrix
+            m0 = hypothesis_h1(TargetParams(0.0, eta, 0.4)).matrix
+            np.testing.assert_allclose(m[~corners], m0[~corners], rtol=0.0, atol=1e-15)
+            assert abs(m[3, 0] - eta * cmath.exp(1j * phi) / 2) <= 1e-12
+            assert abs(m[0, 3] - eta * cmath.exp(-1j * phi) / 2) <= 1e-12
+
+    def test_overlap_with_the_unshifted_pair(self):
+        # ⟨ψ|ρ₁|ψ⟩ = cos²(φ/2) at η = 1, with |ψ⟩ the pair before the target.
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        for phi in PHI_GRID:
+            m = hypothesis_h1(TargetParams(phi, 1.0, 0.5)).matrix
+            assert abs(float((bell @ m @ bell).real) - math.cos(phi / 2) ** 2) <= 1e-12

@@ -203,6 +203,56 @@ class TestDensityOperatorInvariants:
         with pytest.raises(NumericalDomain, match="non-finite"):
             DensityOperator(matrix)
 
+    # The trace check is what normalizes a state: a matrix scaled far past or below unit
+    # trace fails it without a RuntimeWarning (pyproject.toml makes one an error).
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_rejected(self, scale):
+        with pytest.raises(NumericalDomain, match="trace deviates"):
+            DensityOperator(np.eye(2) * scale)
+
+    def test_subnormal_trace_rejected(self):
+        with pytest.raises(NumericalDomain, match="trace deviates from 1 by 1"):
+            DensityOperator(np.diag([1e-320, 1e-320]))
+
+    # |a⟩⟨a| of an unnormalized, zero, NaN or infinite vector fails the trace or finiteness check.
+    @pytest.mark.parametrize("amps", [[1.0, 1.0], [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_unnormalized_projector_rejected(self, amps):
+        a = np.array(amps)
+        with pytest.raises(NumericalDomain):
+            DensityOperator(np.outer(a, a))
+
+    def test_basis_projector(self):
+        rho = DensityOperator(np.diag([1, 0]))
+        assert rho.matrix.dtype == complex and rho.dimension == 2
+        np.testing.assert_array_equal(rho.matrix, np.diag([1.0, 0.0]))
+
+    def test_complex_projector(self):
+        a = np.array([1.0, 1j]) / np.sqrt(2.0)
+        rho = DensityOperator(np.outer(a, a.conj()))
+        np.testing.assert_allclose(rho.matrix, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
+
+    # A rank-1 projector sits on the PSD boundary: its zero eigenvalues come out of eigvalsh
+    # as roundoff of either sign, which the -STATE_ATOL floor accepts.
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_random_projectors_build_with_unit_purity(self, d):
+        rng = np.random.default_rng(1351 + d)
+        for _ in range(8):
+            a = rng.normal(size=d) + 1j * rng.normal(size=d)
+            a /= np.linalg.norm(a)
+            m = DensityOperator(np.outer(a, a.conj())).matrix
+            assert abs(float(np.trace(m @ m).real) - 1.0) <= 1e-9
+
+    def test_stored_matrix_is_read_only(self):
+        rho = DensityOperator(np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
+    def test_stored_matrix_does_not_alias_the_input(self):
+        m = np.eye(2, dtype=complex) / 2
+        rho = DensityOperator(m)
+        m[0, 0] = 1.0
+        np.testing.assert_array_equal(rho.matrix, np.eye(2) / 2)
+
     def test_random_constructions_pass(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
