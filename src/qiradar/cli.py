@@ -45,11 +45,9 @@ def run_scenario(scenario: Scenario) -> DetectionReport:
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        """argparse's exit 2 with usage and message, which skips the usage when sys.stderr
-        is None: argparse would print it to stdout."""
-        if sys.stderr is not None:
-            self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        """argparse's usage error, usage line and message, written by _stderr: exit 2."""
+        _stderr(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        sys.exit(2)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -95,12 +93,12 @@ def _write_stdout(text: str) -> None:
         raise
 
 
-def _error(message: str) -> None:
-    """Write one ``error:`` line to stderr, or nothing if stderr is None (descriptor 2 closed,
-    where print would write to stdout) or its write fails, so the exit code stands."""
+def _stderr(text: str) -> None:
+    """Write text to stderr, or nothing if stderr is None (descriptor 2 closed, where print
+    would write to stdout) or its write fails, so the exit code stands."""
     if sys.stderr is not None:
         try:
-            sys.stderr.write(f"error: {message}\n")
+            sys.stderr.write(text)
         except OSError:
             pass
 
@@ -112,7 +110,7 @@ def main(argv=None) -> int:
     try:
         text = Path(args.scenario).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        _error(f"cannot read scenario file: {exc}")
+        _stderr(f"error: cannot read scenario file: {exc}\n")
         return 2
 
     try:
@@ -130,10 +128,10 @@ def main(argv=None) -> int:
             )
         report = run_scenario(scenario)
     except (ParseError, ValidationError) as exc:
-        _error(str(exc))
+        _stderr(f"error: {exc}\n")
         return 2
     except QIRadarError as exc:  # NumericalDomain, or any other failure of a valid scenario
-        _error(str(exc))
+        _stderr(f"error: {exc}\n")
         return 3
 
     output = emit_report(report, args.format)
@@ -145,7 +143,7 @@ def main(argv=None) -> int:
         if args.roc_out:
             Path(args.roc_out).write_text(roc_csv(report.roc), encoding="utf-8")
     except OSError as exc:
-        _error(f"cannot write output file: {exc}")
+        _stderr(f"error: cannot write output file: {exc}\n")
         return 2
     return 0
 

@@ -48,10 +48,10 @@ class DensityOperator:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
-        if not (mat.ndim == 2 and 1 <= mat.shape[0] <= MAX_DIMENSION):
+        hermitian = _checked_hermitian(mat)
+        if not (1 <= mat.shape[0] <= MAX_DIMENSION):
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} is not d×d with 1 <= d <= {MAX_DIMENSION}")
-        hermitian = _checked_hermitian(mat)
         trace = complex(mat.trace())
         if not (abs(trace - 1.0) <= STATE_ATOL):
             raise NumericalDomain(f"trace deviates from 1 by {abs(trace - 1.0):.3g}")

@@ -132,10 +132,10 @@ MUTANTS = (
 """, "the --out write is outside the try, so an unwritable --out gives a traceback"),
     Mutant("cli.py", """    if sys.stderr is not None:
         try:
-            sys.stderr.write(f"error: {message}\\n")
+            sys.stderr.write(text)
         except OSError:
             pass
-""", """    print(f"error: {message}", file=sys.stderr)
+""", """    print(text, end="", file=sys.stderr)
 """, "with descriptor 2 closed, print(file=None) puts the error line on stdout"),
     Mutant("cli.py", "    parser = _ArgumentParser(", "    parser = argparse.ArgumentParser(",
            "with descriptor 2 closed, argparse prints a usage error's usage line on stdout"),
