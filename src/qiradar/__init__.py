@@ -8,14 +8,7 @@ closed-form link budget with its thermal-noise and EMI figures.
 """
 
 from .channel import TargetParams, hypothesis_h0, hypothesis_h1
-from .detector import (
-    BinaryMeasurement,
-    born_probability,
-    detection_counts,
-    helstrom_measurement,
-    measurement_error,
-    roc_sweep,
-)
+from .detector import roc_sweep
 from .errors import (
     DegenerateInput,
     DimensionMismatch,

@@ -109,8 +109,8 @@ def check_priors(priors) -> tuple[float, float]:
 
 
 def _reduce_phase(phi: float) -> float:
-    """Map any finite angle into [0, 2π)."""
-    reduced = math.fmod(phi, math.tau)
+    """Map any finite angle into [0, 2π), −0.0 onto +0.0."""
+    reduced = math.fmod(phi, math.tau) + 0.0  # −0.0 + 0.0 is +0.0
     if reduced < 0.0:
         reduced += math.tau
     if reduced >= math.tau:

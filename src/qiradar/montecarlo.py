@@ -12,8 +12,8 @@ u > f, taking u -= f, then x += 1, then f *= a/x - r; a u that outlasts the pmf 
 roundoff (f reaches 0, or x reaches n) is replaced by the next uniform. Otherwise it is
 Hörmann's BTRD, a transformed rejection with a squeeze whose expected number of uniforms
 is bounded in n (W. Hörmann, J. Stat. Comput. Simul. 46, 101-110, 1993).
-detector.detection_counts passes the generic measurement's Born probabilities, the
-pipeline closed_form.born_pair's. The outcome records and their error rate live here too.
+The pipeline draws at closed_form.born_pair's Born probabilities, the tests also at the
+generic detector.born_pair's. The outcome records and their error rate live here too.
 """
 
 from __future__ import annotations

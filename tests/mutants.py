@@ -51,7 +51,9 @@ MUTANTS = (
            "a block eigenvalue of exactly TIE_ATOL decides H1"),
     Mutant("detector.py", "eigenvectors * (eigenvalues > TIE_ATOL)",
            "eigenvectors * (eigenvalues >= TIE_ATOL)",
-           "an eigenvalue of exactly TIE_ATOL decides H1 in the generic test"),
+           "an eigenvalue of exactly TIE_ATOL decides H1 in born_pair's generic test"),
+    Mutant("detector.py", "born_pair(rho0, rho1, t, 1.0)", "born_pair(rho0, rho1, 1.0, t)",
+           "roc_sweep tests t·ρ₁ − ρ₀ for ρ₁ − t·ρ₀"),
     Mutant("montecarlo.py", "n_h0 = math.floor(prior_h0 * trials)",
            "n_h0 = round(prior_h0 * trials)", "the trial allocation rounds instead of flooring"),
     Mutant("montecarlo.py", "_STREAM_TAG = {HYPOTHESIS_H0: 0, HYPOTHESIS_H1: 1}",
@@ -108,6 +110,8 @@ MUTANTS = (
            "MAX_DIMENSION**1.5 / 2) * STATE_ATOL * 10", "the clamp window is 10x wider"),
     Mutant("metrics.py", "pe <= 0.5 + 1e-12", "pe <= 0.5 + 1e-6",
            "the Helstrom error may exceed 1/2 by 1e-6"),
+    Mutant("errors.py", "math.fmod(phi, math.tau) + 0.0", "math.fmod(phi, math.tau)",
+           "a phase of −0.0 reduces to −0.0, outside [0, 2π) by its sign"),
     Mutant("errors.py", "if type(value) is int and low <= value <= high:",
            "if type(value) is int:", "an exact int skips the integer gate's range check"),
     Mutant("scenario.py", '            field = "seed"\n', "",

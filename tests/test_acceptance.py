@@ -21,15 +21,10 @@ import qiradar
 from conftest import pure_pair, random_density, random_unitary
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import main
-from qiradar.detector import (
-    BinaryMeasurement,
-    detection_counts,
-    helstrom_measurement,
-    measurement_error,
-)
+from qiradar.detector import born_pair
 from qiradar.linkbudget import LinkBudgetInputs, evaluate_link_budget
 from qiradar.metrics import fidelity, helstrom_error, trace_distance
-from qiradar.montecarlo import outcome_error
+from qiradar.montecarlo import draw_counts, outcome_error
 from qiradar.qstate import eigendecompose_hermitian
 
 HALF = (0.5, 0.5)
@@ -121,7 +116,8 @@ def test_monte_carlo_matches_analytic_error():
             rho0 = hypothesis_h0(0.5)
             rho1 = hypothesis_h1(TargetParams(phi, eta, 0.5))
             analytic = helstrom_error(rho0, rho1, HALF)
-            empirical = outcome_error(*detection_counts(rho0, rho1, HALF, trials, seed))
+            born = born_pair(rho0, rho1, *HALF)
+            empirical = outcome_error(*draw_counts(born, 0.5, trials, seed))
             sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
             if abs(empirical - analytic) > 4.0 * sigma:
                 failures.append(
@@ -179,14 +175,18 @@ def test_helstrom_measurement_optimality():
     for pair_index in range(20):
         a = random_density(rng, 4)
         b = random_density(rng, 4)
-        best = measurement_error(helstrom_measurement(a, b, HALF), a, b, HALF)
+        p_fa, p_d = born_pair(a, b, *HALF)
+        best = 0.5 * p_fa + 0.5 * (1.0 - p_d)
+        bound = helstrom_error(a, b, HALF)
+        if abs(best - bound) > 1e-12:
+            failures.append(f"pair {pair_index}: Helstrom test error {best!r}, bound {bound!r}")
         for rival_index in range(50):
             u = random_unitary(rng, 4)
             rank = int(rng.integers(0, 5))
             cols = u[:, :rank]
             p1 = cols @ cols.conj().T
-            rival = BinaryMeasurement(project_h1=p1)
-            rival_error = measurement_error(rival, a, b, HALF)
+            p_fa, p_d = (float(np.trace(p1 @ rho.matrix).real) for rho in (a, b))
+            rival_error = 0.5 * p_fa + 0.5 * (1.0 - p_d)
             if best > rival_error + 1e-12:
                 failures.append(
                     f"pair {pair_index}, rival {rival_index}: Helstrom error {best!r} "

@@ -80,13 +80,12 @@ class TestRunScenario:
 
     def test_detector_half_runs_on_the_closed_form(self, monkeypatch):
         # F, P_e, the ROC and the Monte Carlo Born probabilities come from
-        # closed_form: no measurement, no ROC eigensolve and no matrix square
-        # root. The one eigensolve left is D's.
+        # closed_form: no generic Born probabilities, no ROC eigensolve and no
+        # matrix square root. The one eigensolve left is D's.
         def forbidden(*args, **kwargs):
             raise AssertionError("the pipeline ran the generic detector or F")
 
-        for name in ("roc_sweep", "helstrom_measurement", "detection_counts",
-                     "_positive_eigenspace_projector", "BinaryMeasurement"):
+        for name in ("born_pair", "roc_sweep"):
             monkeypatch.setattr(detector, name, forbidden)
         for module in (qstate, metrics):
             monkeypatch.setattr(module, "sqrt_psd", forbidden)
@@ -97,7 +96,7 @@ class TestRunScenario:
             calls.append(m.shape)
             return original(m)
 
-        for module in (qstate, metrics):
+        for module in (qstate, metrics, detector):
             monkeypatch.setattr(module, "eigendecompose_hermitian", counted)
         report = run_doc(FULL_DOC)
         assert len(report.roc) == 3 and sum(o.trials for o in report.monte_carlo) == 20000

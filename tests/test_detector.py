@@ -8,14 +8,7 @@ import pytest
 from conftest import pure_pair, random_density, random_unitary
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.closed_form import TIE_ATOL
-from qiradar.detector import (
-    BinaryMeasurement,
-    born_probability,
-    detection_counts,
-    helstrom_measurement,
-    measurement_error,
-    roc_sweep,
-)
+from qiradar.detector import born_pair, roc_sweep
 from qiradar.errors import (MAX_TRIALS, DegenerateInput, DimensionMismatch, NumericalDomain,
                             _check_thresholds, clamp_unit)
 from qiradar.metrics import helstrom_error
@@ -56,73 +49,46 @@ def documented_count(p, n, seed, tag):
             return x
 
 
-def identity_measurement(dim):
-    return BinaryMeasurement(project_h1=np.eye(dim))
+def born_error(rho0, rho1, priors):
+    """π₀·Tr(Pρ₀) + π₁·(1 − Tr(Pρ₁)) of born_pair's test at the priors."""
+    p_fa, p_d = born_pair(rho0, rho1, *priors)
+    return priors[0] * p_fa + priors[1] * (1.0 - p_d)
 
 
-def never_measurement(dim):
-    return BinaryMeasurement(project_h1=np.zeros((dim, dim)))
+def generic_counts(rho0, rho1, priors, trials, seed):
+    """The generic Monte Carlo run: draw_counts of born_pair's Born probabilities at the priors."""
+    return draw_counts(born_pair(rho0, rho1, *priors), priors[0], trials, seed)
 
 
-def random_projective_measurement(rng, dim):
-    u = random_unitary(rng, dim)
-    rank = int(rng.integers(0, dim + 1))
-    cols = u[:, :rank]
-    p1 = cols @ cols.conj().T
-    return BinaryMeasurement(project_h1=p1)
+def random_projector(rng, dim):
+    """A random orthogonal projector of random rank, as a plain matrix."""
+    cols = random_unitary(rng, dim)[:, :int(rng.integers(0, dim + 1))]
+    return cols @ cols.conj().T
 
 
-class TestBinaryMeasurement:
-    def test_invariants_accept_valid_projectors(self):
-        rng = np.random.default_rng(101)
-        m = random_projective_measurement(rng, 4)
-        p1 = m.project_h1
-        p0 = np.eye(m.dimension) - p1
-        assert float(np.max(np.abs(p1 @ p1 - p1))) <= 1e-8
-        assert float(np.max(np.abs(p0 @ p0 - p0))) <= 1e-8
-        assert float(np.max(np.abs(p1 @ p0))) <= 1e-8
-
-    def test_non_idempotent_rejected(self):
-        with pytest.raises(NumericalDomain):
-            BinaryMeasurement(project_h1=np.eye(2) / 2)
-
-    def test_non_hermitian_rejected(self):
-        p1 = np.array([[0.5, 0.5], [0.2, 0.5]])
-        with pytest.raises(NumericalDomain):
-            BinaryMeasurement(project_h1=p1)
-
-    @pytest.mark.parametrize("p1", [
-        np.full((2, 2), np.nan),
-        np.diag([np.inf, 0.0]),
-    ], ids=["nan", "inf"])
-    def test_non_finite_entries_rejected(self, p1):
-        with pytest.raises(NumericalDomain, match="non-finite"):
-            BinaryMeasurement(project_h1=p1)
-
-    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
-    def test_non_square_rejected(self, shape):
-        with pytest.raises(DimensionMismatch):
-            BinaryMeasurement(project_h1=np.zeros(shape))
+def projector_error(p1, rho0, rho1, priors):
+    """π₀·Tr(P₁ρ₀) + π₁·(1 − Tr(P₁ρ₁)) of the test that decides H1 on projector p1."""
+    born = [float(np.trace(p1 @ rho.matrix).real) for rho in (rho0, rho1)]
+    return priors[0] * born[0] + priors[1] * (1.0 - born[1])
 
 
 class TestHelstromMeasurement:
     def test_identical_states_decide_h0_everywhere(self):
         rho = random_density(np.random.default_rng(3), 4)
-        m = helstrom_measurement(rho, rho, HALF)
-        assert float(np.max(np.abs(m.project_h1))) <= 1e-12
-        assert abs(measurement_error(m, rho, rho, HALF) - 0.5) <= 1e-12
+        assert born_pair(rho, rho, *HALF) == (0.0, 0.0)
+        assert born_error(rho, rho, HALF) == 0.5
 
     def test_orthogonal_pure_states(self):
-        m = helstrom_measurement(KET0, KET1, HALF)
-        np.testing.assert_allclose(m.project_h1, np.diag([0.0, 1.0]), atol=1e-12)
-        assert measurement_error(m, KET0, KET1, HALF) <= 1e-12
+        p_fa, p_d = born_pair(KET0, KET1, *HALF)
+        assert p_fa <= 1e-12 and abs(p_d - 1.0) <= 1e-12
+        assert born_error(KET0, KET1, HALF) <= 1e-12
 
     def test_zero_eigenvalues_side_with_h0(self):
         a = DensityOperator(np.diag([0.5, 0.3, 0.2, 0.0]))
         b = DensityOperator(np.diag([0.3, 0.5, 0.2, 0.0]))
-        m = helstrom_measurement(a, b, HALF)
         # Difference diag(-0.1, 0.1, 0, 0); only the second axis is positive.
-        np.testing.assert_allclose(m.project_h1, np.diag([0.0, 1.0, 0.0, 0.0]), atol=1e-12)
+        p_fa, p_d = born_pair(a, b, *HALF)
+        assert abs(p_fa - 0.3) <= 1e-12 and abs(p_d - 0.5) <= 1e-12
 
     def test_analytic_error_matches_bound_on_grid(self):
         for phi in (0.0, math.pi / 2, math.pi):
@@ -130,8 +96,7 @@ class TestHelstromMeasurement:
                 for p in (0.25, 0.5):
                     rho0 = hypothesis_h0(p)
                     rho1 = hypothesis_h1(TargetParams(phi, eta, p))
-                    m = helstrom_measurement(rho0, rho1, HALF)
-                    analytic = measurement_error(m, rho0, rho1, HALF)
+                    analytic = born_error(rho0, rho1, HALF)
                     assert abs(analytic - helstrom_error(rho0, rho1, HALF)) <= 1e-8
 
     def test_unequal_priors(self):
@@ -141,54 +106,51 @@ class TestHelstromMeasurement:
             b = random_density(rng, 4)
             p0 = rng.uniform(0.1, 0.9)
             priors = (p0, 1.0 - p0)
-            m = helstrom_measurement(a, b, priors)
-            assert abs(measurement_error(m, a, b, priors)
-                       - helstrom_error(a, b, priors)) <= 1e-8
+            assert abs(born_error(a, b, priors) - helstrom_error(a, b, priors)) <= 1e-8
 
 
 class TestBornProbability:
     def test_identity_projector(self):
-        rho = random_density(np.random.default_rng(13), 4)
-        assert born_probability(identity_measurement(4), rho) == 1.0
+        # At w₀ = 0 the test on a full-rank ρ₁ decides H1 on every state.
+        rng = np.random.default_rng(13)
+        rho0, rho1 = random_density(rng, 4), random_density(rng, 4)
+        assert all(abs(p - 1.0) <= 1e-12 for p in born_pair(rho0, rho1, 0.0, 1.0))
 
     def test_diagonal_readout(self):
-        m = BinaryMeasurement(project_h1=np.diag([0.0, 1.0]))
-        rho = DensityOperator(np.diag([0.7, 0.3]))
-        assert abs(born_probability(m, rho) - 0.3) <= 1e-12
+        rho0 = DensityOperator(np.diag([0.7, 0.3]))
+        rho1 = DensityOperator(np.diag([0.3, 0.7]))
+        p_fa, p_d = born_pair(rho0, rho1, *HALF)  # decides H1 on the second axis
+        assert abs(p_fa - 0.3) <= 1e-12 and abs(p_d - 0.7) <= 1e-12
 
     def test_consistent_with_analytic_error(self):
         rho0, rho1 = pure_pair(math.pi / 2)
-        m = helstrom_measurement(rho0, rho1, HALF)
-        composed = 0.5 * born_probability(m, rho0) + 0.5 * (1.0 - born_probability(m, rho1))
-        assert abs(composed - helstrom_error(rho0, rho1, HALF)) <= 1e-10
+        assert abs(born_error(rho0, rho1, HALF) - helstrom_error(rho0, rho1, HALF)) <= 1e-10
 
     def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(1)
         with pytest.raises(DimensionMismatch):
-            born_probability(identity_measurement(2),
-                             random_density(np.random.default_rng(1), 4))
+            born_pair(random_density(rng, 2), random_density(rng, 4), *HALF)
 
 
 class TestTrialCounts:
     def test_deterministic_for_fixed_seed(self):
         rho0, rho1 = pure_pair(math.pi / 3)
-        _, a = detection_counts(rho0, rho1, HALF, 100_000, seed=99)
-        _, b = detection_counts(rho0, rho1, HALF, 100_000, seed=99)
+        _, a = generic_counts(rho0, rho1, HALF, 100_000, seed=99)
+        _, b = generic_counts(rho0, rho1, HALF, 100_000, seed=99)
         assert (a.decide_h1_count, a.decide_h0_count) == (b.decide_h1_count, b.decide_h0_count)
-        _, c = detection_counts(rho0, rho1, HALF, 100_000, seed=100)
+        _, c = generic_counts(rho0, rho1, HALF, 100_000, seed=100)
         assert c.decide_h1_count != a.decide_h1_count
 
     def test_counts_sum_and_metadata(self):
         rho0, rho1 = pure_pair(1.0)
-        out, _ = detection_counts(rho0, rho1, HALF, 24_690, seed=7)
+        out, _ = generic_counts(rho0, rho1, HALF, 24_690, seed=7)
         assert out.decide_h0_count + out.decide_h1_count == out.trials == 12_345
         assert out.true_hypothesis == "H0"
         assert out.seed == 7
 
     @pytest.mark.parametrize("trials", [1000, MAX_TRIALS])
     def test_certain_outcomes(self, trials):
-        rho = random_density(np.random.default_rng(21), 4)
-        certain = (born_probability(identity_measurement(4), rho),
-                   born_probability(never_measurement(4), rho))
+        certain = (1.0, 0.0)  # Born probabilities of the tests that always and never decide H1
         for prior_h0, side in ((1.0, 0), (0.0, 1)):  # every trial under one hypothesis
             always, never = (draw_counts((p, p), prior_h0, trials, 1)[side]
                              for p in certain)
@@ -203,14 +165,13 @@ class TestTrialCounts:
         # these n, n*min(p, 1 - p) < 10. BTRD's counts are pinned in test_montecarlo.py.
         rho0 = hypothesis_h0(0.3)
         rho1 = hypothesis_h1(TargetParams(1.0, 0.6, 0.3))
-        m = helstrom_measurement(rho0, rho1, HALF)
-        p = {0: born_probability(m, rho0), 1: born_probability(m, rho1)}
+        p = dict(enumerate(born_pair(rho0, rho1, *HALF)))
         n_h0 = trials // 2
         for seed in (5150, 2**64 - 1):
             for tag, prior_h0 in ((0, 1.0), (1, 0.0)):  # every trial under hypothesis tag
                 out = draw_counts((p[0], p[1]), prior_h0, trials, seed)[tag]
                 assert out.decide_h1_count == documented_count(p[tag], trials, seed, tag)
-            out0, out1 = detection_counts(rho0, rho1, HALF, trials, seed)
+            out0, out1 = generic_counts(rho0, rho1, HALF, trials, seed)
             assert (out0.trials, out1.trials) == (n_h0, trials - n_h0)
             assert out0.decide_h1_count == documented_count(p[0], n_h0, seed, 0)
             assert out1.decide_h1_count == documented_count(p[1], trials - n_h0, seed, 1)
@@ -233,7 +194,7 @@ class TestTrialCounts:
 
     def test_trial_outcome_stores_plain_ints(self):
         rho0, rho1 = pure_pair(1.0)
-        outcomes = detection_counts(rho0, rho1, HALF, np.int32(5), np.uint64(2**64 - 1))
+        outcomes = generic_counts(rho0, rho1, HALF, np.int32(5), np.uint64(2**64 - 1))
         for outcome in outcomes:
             values = (outcome.decide_h1_count, outcome.decide_h0_count, outcome.trials,
                       outcome.seed)
@@ -243,9 +204,8 @@ class TestTrialCounts:
 
     def test_binomial_consistency(self):
         rho0, rho1 = pure_pair(math.pi / 2)
-        m = helstrom_measurement(rho0, rho1, HALF)
         trials = 1_000_000
-        p = born_probability(m, rho1)
+        _, p = born_pair(rho0, rho1, *HALF)
         _, out = draw_counts((0.0, p), 0.0, trials, 20240817)
         sigma = math.sqrt(p * (1.0 - p) / trials)
         assert abs(out.decide_h1_count / trials - p) <= 4.0 * sigma
@@ -263,17 +223,17 @@ class TestTrialCounts:
     def test_degenerate_inputs_rejected(self, trials, seed):
         rho0, rho1 = pure_pair(1.0)
         with pytest.raises(DegenerateInput):
-            detection_counts(rho0, rho1, HALF, trials, seed)
+            generic_counts(rho0, rho1, HALF, trials, seed)
 
 
 class TestEmpiricalError:
     def test_orthogonal_states_never_err(self):
-        assert outcome_error(*detection_counts(KET0, KET1, HALF, 10_000, seed=3)) == 0.0
+        assert outcome_error(*generic_counts(KET0, KET1, HALF, 10_000, seed=3)) == 0.0
 
     def test_identical_states_err_half(self):
         rho = random_density(np.random.default_rng(2), 4)
         trials = 100_000
-        value = outcome_error(*detection_counts(rho, rho, HALF, trials, seed=11))
+        value = outcome_error(*generic_counts(rho, rho, HALF, trials, seed=11))
         sigma = math.sqrt(0.25 / trials)
         assert abs(value - 0.5) <= 4.0 * sigma
 
@@ -282,20 +242,20 @@ class TestEmpiricalError:
         rho1 = hypothesis_h1(TargetParams(math.pi, 0.5, 0.5))
         trials = 1_000_000
         analytic = helstrom_error(rho0, rho1, HALF)
-        value = outcome_error(*detection_counts(rho0, rho1, HALF, trials, seed=90210))
+        value = outcome_error(*generic_counts(rho0, rho1, HALF, trials, seed=90210))
         sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
         assert abs(value - analytic) <= 4.0 * sigma
 
     def test_floor_allocation(self):
         rho0, rho1 = pure_pair(math.pi / 2)
-        out0, out1 = detection_counts(rho0, rho1, (0.3, 0.7), 10, seed=1)
+        out0, out1 = generic_counts(rho0, rho1, (0.3, 0.7), 10, seed=1)
         assert (out0.trials, out1.trials) == (3, 7)
-        out0, out1 = detection_counts(rho0, rho1, HALF, 7, seed=1)
+        out0, out1 = generic_counts(rho0, rho1, HALF, 7, seed=1)
         assert (out0.trials, out1.trials) == (3, 4)
 
     def test_extreme_priors_allocate_everything_to_one_side(self):
         rho0, rho1 = pure_pair(math.pi / 2)
-        out0, out1 = detection_counts(rho0, rho1, (0.0, 1.0), 100, seed=1)
+        out0, out1 = generic_counts(rho0, rho1, (0.0, 1.0), 100, seed=1)
         assert (out0.trials, out1.trials) == (0, 100)
 
 
@@ -339,9 +299,9 @@ class TestRocSweep:
             a = random_density(rng, 4)
             b = random_density(rng, 4)
             point = roc_sweep(a, b, [1.0])[0]
-            m = helstrom_measurement(a, b, HALF)
-            assert abs(point.p_false_alarm - born_probability(m, a)) <= 1e-9
-            assert abs(point.p_detection - born_probability(m, b)) <= 1e-9
+            p_fa, p_d = born_pair(a, b, *HALF)
+            assert abs(point.p_false_alarm - p_fa) <= 1e-9
+            assert abs(point.p_detection - p_d) <= 1e-9
 
     def test_monotone_after_sorting(self):
         rho0 = hypothesis_h0(0.25)
@@ -432,10 +392,10 @@ class TestOptimality:
         for _ in range(5):
             a = random_density(rng, 4)
             b = random_density(rng, 4)
-            best = measurement_error(helstrom_measurement(a, b, HALF), a, b, HALF)
+            best = born_error(a, b, HALF)
+            assert abs(best - helstrom_error(a, b, HALF)) <= 1e-12
             for _ in range(20):
-                rival = random_projective_measurement(rng, 4)
-                assert best <= measurement_error(rival, a, b, HALF) + 1e-12
+                assert best <= projector_error(random_projector(rng, 4), a, b, HALF) + 1e-12
 
 
 class TestPhaseDetectability:

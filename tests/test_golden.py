@@ -34,8 +34,9 @@ from conftest import GENERIC_ATOL, generic_fidelity_atol, python_m_qiradar
 
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import main
-from qiradar.detector import detection_counts, roc_sweep
+from qiradar.detector import born_pair, roc_sweep
 from qiradar.metrics import fidelity, helstrom_error, trace_distance
+from qiradar.montecarlo import draw_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -155,8 +156,8 @@ def test_generic_path_reproduces_the_golden_detector_numbers(name):
         assert abs(point.p_false_alarm - p_fa) <= 1e-13 and abs(point.p_detection - p_d) <= 1e-13, t
     if s["trials"]:
         mc = doc["monte_carlo"]
-        outcomes = detection_counts(rho0, rho1, (s["prior_h0"], s["prior_h1"]), s["trials"],
-                                    mc["seed"])
+        born = born_pair(rho0, rho1, s["prior_h0"], s["prior_h1"])
+        outcomes = draw_counts(born, s["prior_h0"], s["trials"], mc["seed"])
         assert [{"decide_h0_count": o.decide_h0_count, "decide_h1_count": o.decide_h1_count,
                  "trials": o.trials, "true_hypothesis": o.true_hypothesis}
                 for o in outcomes] == [mc["h0"], mc["h1"]]

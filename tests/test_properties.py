@@ -353,6 +353,8 @@ def run_main(argv, stdout_kind, stderr_kind="buffer"):
 def check_report(doc, ran: Scenario) -> None:
     """The invariants of one structured report of the scenario ``ran``."""
     s, m = doc["scenario"], doc["metrics"]
+    phase = doc["phase_effective_rad"]
+    assert math.copysign(1.0, phase) == 1.0 and 0.0 <= phase < math.tau
     d, f, pe = m["trace_distance"], m["fidelity"], m["helstrom_error"]
     assert 0.0 <= pe <= min(s["prior_h0"], s["prior_h1"]) + GENERIC_ATOL
     assert 1.0 - math.sqrt(f) <= d + FVG_ATOL and d <= math.sqrt(1.0 - f) + FVG_ATOL
@@ -384,11 +386,14 @@ def check_report(doc, ran: Scenario) -> None:
 # rarely put one edge value into the one key that reaches a given corner.
 UNDERFLOWING_PHOTON_ENERGY = ("phase_rad = 1\nreflectivity = 0.5\nnoise_excitation = 0.1\n"
                               "link_budget.frequency_hz = 5e-324\n", {}, "structured", None)
+NEGATIVE_ZERO_PHASE = ("phase_rad = -0\nreflectivity = 0.5\nnoise_excitation = 0.1\n", {},
+                       "structured", None)
 
 
 @BOUNDED
 @given(command_lines())
 @example(UNDERFLOWING_PHOTON_ENERGY)
+@example(NEGATIVE_ZERO_PHASE)
 def test_cli_main_keeps_its_contract(command_line):
     # Every run exits 0, 2 or 3, a failed one with one error line and no traceback, and
     # with a closed or failing stderr the same code and stdout. A run whose report cannot

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
-from qiradar.detector import detection_counts, roc_sweep
+from qiradar.detector import born_pair, roc_sweep
 from qiradar.errors import (MAX_SEED, MAX_TRIALS, DegenerateInput, ParseError, ValidationError,
                             _check_integer, _check_seed, check_priors)
 from qiradar.cli import run_scenario
@@ -514,7 +514,8 @@ NUMBER_ENTRY_POINTS = {  # name -> (call with one number, matching Scenario fiel
     "check_priors[0]": (lambda v: check_priors((v, 0.0)), "prior_h0"),
     "check_priors[1]": (lambda v: check_priors((0.0, v)), "prior_h1"),
     "roc_sweep": (lambda v: roc_sweep(R0, R1, [v]), "roc_thresholds"),
-    "detection_counts.seed": (lambda v: detection_counts(R0, R1, (0.5, 0.5), 1, v), "seed"),
+    "born_pair.w0": (lambda v: born_pair(R0, R1, v, 1.0), None),
+    "born_pair.w1": (lambda v: born_pair(R0, R1, 0.5, v), None),
     # The H0 state and the Monte Carlo draw take their numbers straight from a caller. As a
     # TrialOutcome no longer checks its fields, draw_counts' gates are the only ones its
     # counts, trials and seed pass.
@@ -523,8 +524,9 @@ NUMBER_ENTRY_POINTS = {  # name -> (call with one number, matching Scenario fiel
     "draw_counts.born[1]": (lambda v: draw_counts((0.5, v), 0.5, 1, 0), None),
     "draw_counts.prior_h0": (lambda v: draw_counts((0.5, 0.5), v, 1, 0), None),
     "draw_counts.trials": (lambda v: draw_counts((0.5, 0.5), 0.5, v, 0), None),
+    "draw_counts.seed": (lambda v: draw_counts((0.5, 0.5), 0.5, 1, v), "seed"),
 }
-INTEGER_ENTRY_POINTS = {"detection_counts.seed", "draw_counts.trials"}
+INTEGER_ENTRY_POINTS = {"draw_counts.seed", "draw_counts.trials"}
 REAL_ENTRY_POINTS = [name for name in NUMBER_ENTRY_POINTS if name not in INTEGER_ENTRY_POINTS]
 NOT_NUMBERS = {"str": "0.5", "bytes": b"1", "bool": True, "False": False,
                "Decimal": Decimal("0.5"), "None": None, "nan": math.nan, "inf": math.inf,
@@ -579,7 +581,7 @@ def test_every_entry_point_accepts_reals(entry, real):
 @pytest.mark.parametrize("value", [1, np.int64(1), 0, MAX_SEED, _Int(1), _Int(MAX_SEED)],
                          ids=["int", "int64", "low", "high", "int-subclass", "int-subclass-high"])
 def test_integer_gate_accepts_integers(value):
-    NUMBER_ENTRY_POINTS["detection_counts.seed"][0](value)
+    NUMBER_ENTRY_POINTS["draw_counts.seed"][0](value)
     seed = scenario_with("seed", value).seed
     assert seed == value and type(seed) is int
     with pytest.raises(DegenerateInput):
