@@ -27,7 +27,7 @@ from .montecarlo import TrialOutcome, draw_counts, outcome_error
 from .scenario import Scenario
 
 ROC_CSV_HEADER = "threshold,p_false_alarm,p_detection"
-CURVE_WINDOW = 2.0**-50  # the pipeline curve's clamp: 4 ulp; its kernel leaves [0, 1] by ≤ 1 ulp
+CURVE_WINDOW = 2.0**-50  # the curve's and F's clamp: 4 ulp; their kernels leave [0, 1] by ≤ 1 ulp
 
 # The structured line's encoder, built once; json.dumps with these options builds one per call.
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
@@ -73,7 +73,7 @@ class DetectionReport:
         _set(self, "trace_distance", _real("trace_distance", self.trace_distance))
         eta, p, priors = s.reflectivity, s.noise_excitation, (s.prior_h0, s.prior_h1)
         _set(self, "phase_effective_rad", _reduce_phase(s.phase_rad - s.env_phase_rad))
-        _set(self, "fidelity", clamp_unit(closed_form.fidelity(eta, p), "fidelity"))
+        _set(self, "fidelity", _clamp(closed_form.fidelity(eta, p), "fidelity", CURVE_WINDOW))
         _set(self, "helstrom_error",
              clamp_unit(closed_form.helstrom_error(eta, p, priors), "Helstrom error"))
         _set(self, "monte_carlo", draw_counts(closed_form.born_pair(eta, p, *priors), s.prior_h0,

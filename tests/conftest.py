@@ -19,6 +19,9 @@ BOUNDED = settings(max_examples=40, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])
 
 GENERIC_ATOL = 1e-12  # the generic path's D, P_e and Born probabilities against the closed form
+# The generic path's D, P_e and Born probabilities against the 50-digit oracle, beyond what its
+# rounding of w₁ρ₁ − w₀ρ₀ moves a Born probability: measured up to 2.5 ulp of 1.
+EIGH_ATOL = 8 * 2.0**-52
 
 
 def generic_fidelity_atol(eta, p):

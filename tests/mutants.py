@@ -96,6 +96,9 @@ MUTANTS = (
            "the computed prefix skips the range check and the clamp"),
     Mutant("report.py", "CURVE_WINDOW = 2.0**-50", "CURVE_WINDOW = 2.0**-20",
            "the curve snaps a kernel excursion of 1e-12 instead of raising"),
+    Mutant("report.py", '_clamp(closed_form.fidelity(eta, p), "fidelity", CURVE_WINDOW)',
+           'clamp_unit(closed_form.fidelity(eta, p), "fidelity")',
+           "F is snapped within the generic library's CLAMP_WINDOW, so 1 + 1e-12 passes as 1"),
     Mutant("report.py", "*priors), s.prior_h0,", "*priors), s.prior_h1,",
            "the report's Monte Carlo splits its trials at prior_h1 instead of prior_h0"),
     Mutant("report.py", "born_pair(eta, p, *priors)", "born_pair(eta, p, *priors[::-1])",

@@ -112,6 +112,17 @@ class TestRunScenario:
         assert report.roc[0].p_detection == 1.0
         assert report.monte_carlo[1].decide_h1_count == report.monte_carlo[1].trials == 800
 
+    def test_a_fidelity_past_its_window_raises(self, monkeypatch):
+        # F leaves [0, 1] by at most 1 ulp (measured: once in 10⁵ random (η, p)); the report
+        # snaps it within CURVE_WINDOW, 4 ulp, and no further. At η = 0, D = 0 and F = 1, so
+        # the Fuchs-van de Graaff check passes on a snapped F.
+        doc = "phase_rad = 1\nreflectivity = 0\nnoise_excitation = 0.2\n"
+        monkeypatch.setattr(closed_form, "fidelity", lambda eta, p: 1.0 + 2**-50)
+        assert run_doc(doc).fidelity == 1.0
+        monkeypatch.setattr(closed_form, "fidelity", lambda eta, p: 1.0 + 1e-12)
+        with pytest.raises(NumericalDomain, match="fidelity = 1 lies outside"):
+            run_doc(doc)
+
     def test_vanished_target_is_undetectable(self):
         report = run_doc("phase_rad = 1.0\nreflectivity = 0\nnoise_excitation = 0.3\n")
         assert report.trace_distance == 0.0

@@ -5,7 +5,8 @@ and the number gates they share live in modules that import neither numpy nor a 
 that does. This test reads the import statements of the package under test with ast, the
 package __init__ excluded (it re-exports the whole library), and follows every chain of
 imports between its modules. A Monte Carlo run, checked in a fresh interpreter, loads no
-numpy.random.
+numpy.random. The closed form's tests and their 50-digit oracle import none of the generic
+library.
 """
 
 import ast
@@ -24,11 +25,12 @@ NUMPY_FREE = ("scenario", "report", "linkbudget", "errors", "closed_form", "mont
 LINEAR_ALGEBRA = ("qstate", "channel", "metrics", "detector", "cli", "__init__")
 
 
-def imports(module: str) -> tuple[set[str], set[str]]:
-    """(sibling modules, other top-level packages) that module imports anywhere in its
-    text; ``from . import x`` names the module x when there is one, else __init__."""
+def imports(module: str, directory: Path = PACKAGE) -> tuple[set[str], set[str]]:
+    """(package modules, other top-level packages) that module, a file in directory, imports
+    anywhere in its text; ``from . import x`` names the module x when there is one, else
+    __init__."""
     siblings, packages = set(), set()
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = ast.parse((directory / f"{module}.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -86,6 +88,16 @@ def test_numpy_free_modules_reach_no_linear_algebra():
 @pytest.mark.parametrize("module", NUMPY_FREE)
 def test_numpy_free_modules_import_no_numpy(module):
     assert "numpy" not in imports(module)[1]
+
+
+@pytest.mark.parametrize("module", ["test_closed_form", "mp_oracle"])
+def test_the_closed_form_tests_and_their_oracle_import_no_generic_library(module):
+    # The closed form is checked against the 50-digit oracle alone, not against the generic
+    # library that its own tests check against the same oracle.
+    tests = Path(__file__).parent
+    assert "closed_form" in imports(module, tests)[0]  # the reader sees the package imports
+    assert not imports(module, tests)[0] & {"qstate", "metrics", "channel", "detector",
+                                            "__init__"}
 
 
 def test_a_monte_carlo_run_loads_no_numpy_random():

@@ -5,8 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import pure_pair, random_density, random_unitary
+import mp_oracle as mp
+from conftest import EIGH_ATOL, pure_pair, random_density, random_unitary
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
+from qiradar.detector import roc_sweep
 from qiradar.errors import (CLAMP_WINDOW, DegenerateInput, DimensionMismatch, NumericalDomain,
                             check_priors, clamp_unit)
 from qiradar.metrics import DistinguishabilityReport, fidelity, helstrom_error, trace_distance
@@ -242,6 +244,43 @@ class TestSharedProperties:
                     f = fidelity(rho0, rho1)
                     assert 1.0 - math.sqrt(f) <= d + 1e-7
                     assert d <= math.sqrt(1.0 - f) + 1e-7
+
+
+class TestAgainstTheOracle:
+    """The generic D and P_e of the model's states against the 50-digit oracle: D is the
+    pipeline's, and the benchmark gate checks the pipeline's P_e against helstrom_error."""
+
+    def test_trace_distance_and_helstrom_error(self):
+        # Measured over these seeded phases: 1.0 ulp of 1 for D and 1.5 for P_e.
+        rng = np.random.default_rng(5)
+        for eta, p in mp.metric_pairs():
+            phi = float(rng.uniform(-4 * math.pi, 6 * math.pi))
+            rho0, rho1 = hypothesis_h0(p), hypothesis_h1(TargetParams(phi, eta, p))
+            with mpmath.workdps(mp.DPS):
+                d = trace_distance(rho0, rho1)
+                assert abs(d - mp.trace_distance(eta, p)) <= EIGH_ATOL, (eta, p, phi, d)
+                for prior in mp.MP_PRIORS:
+                    priors = (prior, 1.0 - prior)
+                    pe = helstrom_error(rho0, rho1, priors)
+                    ref = mp.helstrom_error(eta, p, priors)
+                    assert abs(pe - ref) <= EIGH_ATOL, (eta, p, phi, prior, pe)
+
+    @pytest.mark.parametrize("eta, p, prior", [(0.6, 0.2, 0.3), (1.0, 0.5, 0.5),
+                                               (0.35, 0.0, 0.8)])
+    def test_metrics_and_roc_do_not_depend_on_the_phase(self, eta, p, prior):
+        # φ is a local unitary on the signal mode that commutes with ρ₀, so the model's
+        # numbers hold no φ at all; the generic path must agree up to roundoff.
+        ts = [0.0, 0.25, 0.5, 1.0 - eta, 1.0, 2.0, 4.0]
+        values = []
+        for k in range(120):
+            rho0 = hypothesis_h0(p)
+            rho1 = hypothesis_h1(TargetParams(2.0 * math.pi * k / 120 - 1.0, eta, p))
+            roc = roc_sweep(rho0, rho1, ts)
+            values.append([trace_distance(rho0, rho1),
+                           helstrom_error(rho0, rho1, (prior, 1.0 - prior)),
+                           *(pt.p_false_alarm for pt in roc), *(pt.p_detection for pt in roc)])
+        spread = np.ptp(np.array(values), axis=0)
+        assert float(spread.max()) <= 1e-14, spread
 
 
 class TestDistinguishabilityReport:
