@@ -1,17 +1,20 @@
 """A 50-digit oracle of the detection model, computed from its 4×4 matrices, and its grids.
 
 The states are the channel module's, ρ₀ = diag(1 − p, p) ⊗ I/2 and ρ₁ = η|ψ′⟩⟨ψ′| + (1 − η)ρ₀
-with |ψ′⟩ = (|00⟩ + e^{iφ}|11⟩)/√2, formed in mpmath from the float (η, p) at a phase
-φ ≠ 0, so every matrix is complex. Every number comes from mpmath.eigh of a 4×4
-Hermitian matrix: nothing here uses the model's 2×2-block structure, the derivation that
-qiradar.closed_form rests on, or the package's linear-algebra layer; numpy only draws the
-seeded pairs of metric_pairs.
+with |ψ′⟩ = (|00⟩ + e^{iφ}|11⟩)/√2, formed in mpmath from the float (η, p). Every number comes
+from mpmath.eigh of a 4×4 Hermitian matrix: nothing here uses the model's 2×2-block structure,
+the derivation that qiradar.closed_form rests on, or the package's linear-algebra layer; numpy
+only draws the seeded pairs of metric_pairs.
+
+The model's numbers hold no φ. The oracle takes φ = π, where e^{iφ} = −1 and |ψ′⟩ is the other
+Bell state (|00⟩ − |11⟩)/√2: its matrices stay real, and mpmath's real eigensolve costs less
+than half its complex one. Another phase factor can be passed, and a test checks that φ = 1
+gives the same numbers.
 
 An eigensolve is good to about 10^−digits of its matrix's norm, so each one runs at DPS digits
-plus the decimal digits of that norm: its eigenvalues are then good to about 10^−DPS however
-large the weights. A number the oracle gives within NOISE of 0 is 0 to it. Each weighted
-spectrum is solved once per process, and a Born pair and a trace norm of the same weights
-share it.
+plus the decimal digits of that norm and of 1/p: its numbers are then good to about 10^−DPS of
+the model's smallest scale p, however large the weights. Each weighted spectrum is solved once
+per process, and a Born pair and a trace norm of the same weights share it.
 """
 
 import functools
@@ -23,13 +26,12 @@ import numpy as np
 from qiradar.closed_form import TIE_ATOL
 
 DPS = 50
-NOISE = 1e-40  # far above the eigensolver's 10^−DPS
-PHI = 1.0  # the model's numbers hold no φ; a complex coupling takes eigh down its complex path
+PHASE = -1  # e^{iφ} at φ = π
 
 
-def _digits(log10_norm: float) -> int:
-    """The digits that leave an eigensolve of a matrix of norm 10^log10_norm good to 10^−DPS."""
-    return DPS + max(0, math.ceil(log10_norm))
+def _digits(p: float, norm: float = 1.0) -> int:
+    """The digits that leave an eigensolve of a matrix of this norm good to 10^−DPS of p."""
+    return DPS + math.ceil(math.log10(max(norm, 1.0))) + (math.ceil(-math.log10(p)) if p else 0)
 
 
 def _matrix(f) -> "mpmath.matrix":
@@ -39,42 +41,33 @@ def _matrix(f) -> "mpmath.matrix":
 
 
 @functools.cache
-def states(eta: float, p: float, dps: int = DPS):
-    """(ρ₀, ρ₁) at dps digits, each a list of rows."""
+def states(eta: float, p: float, dps: int = DPS, phase=PHASE):
+    """(ρ₀, ρ₁) at dps digits with the phase factor e^{iφ}, each a list of rows."""
     with mpmath.workdps(dps):
         eta, p = mpmath.mpf(eta), mpmath.mpf(p)
         diagonal = [(1 - p) / 2, (1 - p) / 2, p / 2, p / 2]
         rho0 = [[diagonal[i] if i == j else mpmath.mpf(0) for j in range(4)] for i in range(4)]
-        psi = [1 / mpmath.sqrt(2), 0, 0, mpmath.expj(PHI) / mpmath.sqrt(2)]
+        psi = [1 / mpmath.sqrt(2), 0, 0, phase / mpmath.sqrt(2)]
         rho1 = [[eta * psi[i] * mpmath.conj(psi[j]) + (1 - eta) * rho0[i][j] for j in range(4)]
                 for i in range(4)]
         return rho0, rho1
 
 
-_SOLVED = {}  # (η, p, w₀, w₁) → (eigenvalues, Born pair, or None where no one asked for it)
-
-
-def spectrum(eta: float, p: float, w0: float, w1: float, born: bool = True):
+@functools.cache
+def spectrum(eta: float, p: float, w0: float, w1: float, phase=PHASE):
     """(the eigenvalues of w₁ρ₁ − w₀ρ₀, (Re Tr Pρ₀, Re Tr Pρ₁)), P the projector onto the
-    eigenvalues > TIE_ATOL, which side with H1 as in the package. The Born pair needs the
-    eigenvectors; with born=False an eigensolve without them gives None in its place."""
-    key = (eta, p, w0, w1)
-    if key not in _SOLVED or born and _SOLVED[key][1] is None:
-        dps = _digits(math.log10(max(w0 + w1, 1.0)))
-        rho0, rho1 = states(eta, p, dps)
-        with mpmath.workdps(dps):
-            w0, w1 = mpmath.mpf(w0), mpmath.mpf(w1)
-            m = _matrix(lambda i, j: w1 * rho1[i][j] - w0 * rho0[i][j])
-            if not born:
-                _SOLVED[key] = tuple(mpmath.eigh(m, eigvals_only=True)), None
-                return _SOLVED[key]
-            values, vectors = mpmath.eigh(m)
-            kept = [[vectors[i, k] for i in range(4)] for k in range(4) if values[k] > TIE_ATOL]
-            _SOLVED[key] = tuple(values), tuple(  # Re Σ v̄ᵢ ρᵢⱼ vⱼ over the kept eigenvectors v
-                mpmath.re(mpmath.fsum(mpmath.conj(v[i]) * rho[i][j] * v[j]
-                                      for v in kept for i in range(4) for j in range(4)))
-                for rho in (rho0, rho1))
-    return _SOLVED[key]
+    eigenvalues > TIE_ATOL, which side with H1 as in the package."""
+    dps = _digits(p, w0 + w1)
+    rho0, rho1 = states(eta, p, dps, phase)
+    with mpmath.workdps(dps):
+        w0, w1 = mpmath.mpf(w0), mpmath.mpf(w1)
+        values, vectors = mpmath.eigh(_matrix(lambda i, j: w1 * rho1[i][j] - w0 * rho0[i][j]),
+                                      overwrite_a=True)
+        kept = [[vectors[i, k] for i in range(4)] for k in range(4) if values[k] > TIE_ATOL]
+        return tuple(values), tuple(  # Re Σ v̄ᵢ ρᵢⱼ vⱼ over the kept eigenvectors v
+            mpmath.re(mpmath.fsum(mpmath.conj(v[i]) * rho[i][j] * v[j] for v in kept
+                                  for i in range(4) for j in range(4) if rho[i][j]))
+            for rho in (rho0, rho1))
 
 
 def born_pair(eta: float, p: float, w0: float, w1: float):
@@ -85,22 +78,26 @@ def born_pair(eta: float, p: float, w0: float, w1: float):
 def trace_distance(eta: float, p: float):
     """D = ½‖ρ₁ − ρ₀‖₁."""
     with mpmath.workdps(DPS):
-        return mpmath.fsum(abs(x) for x in spectrum(eta, p, 1.0, 1.0, born=False)[0]) / 2
+        return mpmath.fsum(abs(x) for x in spectrum(eta, p, 1.0, 1.0)[0]) / 2
 
 
 def helstrom_error(eta: float, p: float, priors: tuple[float, float]):
     """P_e = ½(1 − ‖π₁ρ₁ − π₀ρ₀‖₁), the total trace taken as 1 whatever π₀ + π₁ is, as the
-    package defines it."""
-    with mpmath.workdps(DPS):
-        return (1 - mpmath.fsum(abs(x) for x in spectrum(eta, p, *priors, born=False)[0])) / 2
+    package defines it. 1 − ‖·‖₁ cancels to within 10^−digits of 0 where P_e is 0 (a prior
+    of 0 or 1), so a value that small is 0."""
+    dps = _digits(p, sum(priors))
+    with mpmath.workdps(dps):
+        error = (1 - mpmath.fsum(abs(x) for x in spectrum(eta, p, *priors)[0])) / 2
+        return error if abs(error) > mpmath.mpf(10) ** -dps else mpmath.mpf(0)
 
 
 @functools.cache
-def fidelity(eta: float, p: float):
+def fidelity(eta: float, p: float, phase=PHASE):
     """F = (Σ√λ)² over the eigenvalues λ of √ρ₀ρ₁√ρ₀. ρ₀ is diagonal, so √ρ₀ takes the roots
     of its entries; mpmath.sqrtm divides by zero on the singular ρ₀ at p = 0."""
-    rho0, rho1 = states(eta, p)
-    with mpmath.workdps(DPS):
+    dps = _digits(p)
+    rho0, rho1 = states(eta, p, dps, phase)
+    with mpmath.workdps(dps):
         root = [mpmath.sqrt(rho0[k][k]) for k in range(4)]
         values = mpmath.eigh(_matrix(lambda i, j: root[i] * rho1[i][j] * root[j]),
                              eigvals_only=True)
@@ -113,7 +110,7 @@ def crossings(eta: float, p: float) -> tuple[float, ...]:
     singular, the eigenvalues of ρ₀^{−1/2}ρ₁ρ₀^{−1/2}, whose norm is about 1/p. At p = 0,
     ρ₀^{−1/2} inverts ρ₀ on its support only, and the values are 0, 1 and 1 − η; 1 − η is the
     one threshold where an eigenvalue of ρ₁ − tρ₀ other than |10⟩'s constant 0 crosses 0."""
-    dps = _digits(-math.log10(p)) if p else DPS
+    dps = _digits(p)
     rho0, rho1 = states(eta, p, dps)
     with mpmath.workdps(dps):
         inverse_root = [1 / mpmath.sqrt(rho0[k][k]) if rho0[k][k] else 0 for k in range(4)]
@@ -123,11 +120,10 @@ def crossings(eta: float, p: float) -> tuple[float, ...]:
 
 
 def ulps(got: float, ref) -> float:
-    """|got − ref| in ulps of ref. A reference within NOISE of 0 is 0: got must then lie
-    within NOISE of 0 too, or the distance is inf."""
+    """|got − ref| in ulps of ref; a zero reference must come out exactly 0."""
+    if not ref:
+        return 0.0 if got == 0.0 else math.inf
     with mpmath.workdps(DPS):
-        if abs(ref) <= NOISE:
-            return 0.0 if abs(got) <= NOISE else math.inf
         return float(abs(mpmath.mpf(got) - ref) / math.ulp(float(ref)))
 
 
@@ -152,6 +148,17 @@ def mp_cases():
         for p in MP_PS:
             ts = (*MP_THRESHOLDS, *crossings(eta, p))
             cases += [(eta, p, t, 1.0) for t in ts] + [(eta, p, pr, 1.0 - pr) for pr in MP_PRIORS]
+    return cases
+
+
+def interior_cases():
+    """The seeded pairs of metric_pairs, past its edge grid, each at its crossings, at five
+    seeded thresholds in [0, 8] and at MP_PRIORS, whose solves P_e shares."""
+    rng = np.random.default_rng(20261021)
+    cases = []
+    for eta, p in metric_pairs()[len(MP_ETAS) * len(MP_PS):]:
+        ts = (*crossings(eta, p), *(float(t) for t in rng.uniform(0, 8, 5)))
+        cases += [(eta, p, t, 1.0) for t in ts] + [(eta, p, pr, 1.0 - pr) for pr in MP_PRIORS]
     return cases
 
 

@@ -393,7 +393,7 @@ def test_born_pair_matches_the_oracle_on_the_50_digit_grid():
     # projector by that over the gap between the eigenvalues it keeps and those it drops, and
     # can flip the call on an eigenvalue that close to TIE_ATOL. So it matches within EIGH_ATOL
     # plus that turn wherever no eigenvalue is within 4ε(w₀ + w₁) of the tie line. Measured:
-    # 974 of the 1019 cases are checked, none past 2.5 ulp of 1 beyond the turn; of the 45
+    # 971 of the 1016 cases are checked, none past 2.5 ulp of 1 beyond the turn; of the 45
     # ties skipped, only the far crossing at t ≈ 5.1e8 is off by more than 1e-12, by ½, its
     # call flipped.
     checked = 0
