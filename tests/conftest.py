@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,23 +12,11 @@ from hypothesis import HealthCheck, settings
 
 import qiradar
 from qiradar.closed_form import TIE_ATOL
-from qiradar.metrics import FVG_ATOL
 from qiradar.qstate import DensityOperator
 
 # Property tests run a fixed, small set of examples, so the suite stays fast and reproducible.
 BOUNDED = settings(max_examples=40, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])
-
-GENERIC_ATOL = 1e-12  # the generic path's D, P_e and Born probabilities against the closed form
-# The generic path's D, P_e and Born probabilities against the 50-digit oracle, beyond what its
-# rounding of w₁ρ₁ − w₀ρ₀ moves a Born probability: measured up to 2.5 ulp of 1.
-EIGH_ATOL = 8 * 2.0**-52
-
-
-def generic_fidelity_atol(eta, p):
-    """The generic fidelity's tolerance against the closed form: sqrt_psd of a
-    rank-deficient product at η near 1 or small p amplifies roundoff."""
-    return GENERIC_ATOL if 0.05 <= p <= 0.95 and eta <= 0.99 else FVG_ATOL
 
 
 def python_with_qiradar(args, **kwargs):
@@ -68,6 +57,11 @@ def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(g)
     return q
+
+
+def ieee_bytes(points) -> bytes:
+    """The IEEE doubles of a list of (t, P_FA, P_D) points, so two lists compare bit for bit."""
+    return struct.pack(f"{3 * len(points)}d", *(x for point in points for x in point))
 
 
 def unstopped_born_pair(eta, p, w0, w1):

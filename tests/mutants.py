@@ -7,7 +7,8 @@ directory, replaces the entry's old text (which must occur exactly once in its f
 the entry is stale) with its new text, and runs tier-1 against that copy with -x. A
 mutant passes the check when the run reports a failing test; one the suite passes
 survives, and the script exits 1. The unmutated copy must pass first, so a broken
-harness cannot look like a killed mutant. pytest does not collect this file.
+harness cannot look like a killed mutant. The last line gives the count killed and the
+script's total wall time. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -184,6 +185,7 @@ def run_tier1(src: Path) -> int:
 
 
 def main() -> int:
+    begin = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -210,7 +212,8 @@ def main() -> int:
             print(f"{verdict:18} {time.perf_counter() - start:5.1f} s  {mutant.file}: {mutant.why}")
             if code != 1:
                 survivors.append(mutant)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed in "
+          f"{time.perf_counter() - begin:.0f} s wall")
     return 1 if survivors else 0
 
 

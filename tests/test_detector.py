@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mp_oracle as mp
-from conftest import EIGH_ATOL, pure_pair, random_density, random_unitary
+from conftest import pure_pair, random_density, random_unitary
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.closed_form import TIE_ATOL
 from qiradar.detector import born_pair, roc_sweep
@@ -388,14 +388,13 @@ class TestRocSweep:
 
 
 def test_born_pair_matches_the_oracle_on_the_50_digit_grid():
-    # born_pair feeds the generic Monte Carlo that must reproduce the golden counts. It forms
-    # w₁ρ₁ − w₀ρ₀ from two rounded states: an error of about ε(w₀ + w₁) that turns its
-    # projector by that over the gap between the eigenvalues it keeps and those it drops, and
-    # can flip the call on an eigenvalue that close to TIE_ATOL. So it matches within EIGH_ATOL
-    # plus that turn wherever no eigenvalue is within 4ε(w₀ + w₁) of the tie line. Measured:
-    # 971 of the 1016 cases are checked, none past 2.5 ulp of 1 beyond the turn; of the 45
-    # ties skipped, only the far crossing at t ≈ 5.1e8 is off by more than 1e-12, by ½, its
-    # call flipped.
+    # The generic born_pair forms w₁ρ₁ − w₀ρ₀ from two rounded states: an error of about
+    # ε(w₀ + w₁) that turns its projector by that over the gap between the eigenvalues it keeps
+    # and those it drops, and can flip the call on an eigenvalue that close to TIE_ATOL. So it
+    # matches within EIGH_ATOL plus that turn wherever no eigenvalue is within 4ε(w₀ + w₁) of
+    # the tie line. Measured: 969 of the 1014 cases are checked, none past 2.5 ulp of 1 beyond
+    # the turn; of the 45 ties skipped, only the far crossing at t ≈ 5.1e8 is off by more than
+    # 1e-12, by ½, its call flipped.
     checked = 0
     for eta, p, w0, w1 in mp.mp_cases():
         noise = math.ulp(1.0) * (w0 + w1)
@@ -407,9 +406,9 @@ def test_born_pair_matches_the_oracle_on_the_50_digit_grid():
         gap = float(min(kept) - max(dropped)) if kept and dropped else math.inf
         got = born_pair(hypothesis_h0(p), hypothesis_h1(TargetParams(1.0, eta, p)), w0, w1)
         for x, ref in zip(got, expected):
-            assert abs(x - float(ref)) <= EIGH_ATOL + noise / gap, (eta, p, w0, w1, got)
+            assert abs(x - float(ref)) <= mp.EIGH_ATOL + noise / gap, (eta, p, w0, w1, got)
         checked += 1
-    assert checked >= 970
+    assert checked >= 969
 
 
 class TestOptimality:

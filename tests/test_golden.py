@@ -16,10 +16,11 @@ bump its entry in ``versions``, regenerate the goldens and say so.
 
 Since ``versions.numerics`` 2 the pipeline takes its ROC points and Monte Carlo
 Born probabilities from the closed form, and since 3 its fidelity and Helstrom
-error too. The generic eigensolver path must still reproduce every golden ROC
-point within 1e-13, every golden Monte Carlo count exactly, the trace distance
-to the bit and F and P_e within its documented tolerances, which stands in for
-keeping the files of the earlier versions. Stream version 3 changed the
+error too. Each golden's numbers are held to the 50-digit oracle of
+``mp_oracle``, which stands in for keeping the files of the earlier versions: D,
+F and P_e within their bounds, every ROC point (every tenth of dense's 1000)
+within ``MP_ULPS``, and the Monte Carlo counts exactly, drawn at the oracle's
+Born pair. Stream version 3 changed the
 structured goldens only in ``versions.mc_stream`` and in the Monte Carlo draws that
 moved, which a test checks field by field against the version 2 files' digests.
 """
@@ -30,12 +31,10 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from conftest import GENERIC_ATOL, generic_fidelity_atol, python_m_qiradar
+from conftest import python_m_qiradar
 
-from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
+import mp_oracle as mp
 from qiradar.cli import main
-from qiradar.detector import born_pair, roc_sweep
-from qiradar.metrics import fidelity, helstrom_error, trace_distance
 from qiradar.montecarlo import draw_counts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,37 +125,37 @@ def test_edge_report_matches_golden(fmt, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"edge.{FORMAT_SUFFIX[fmt]}").read_bytes()
 
 
-def golden_states(name):
-    """A structured golden's document and the generic states of its scenario."""
-    doc = json.loads((GOLDEN / f"{name}.structured.json").read_text(encoding="utf-8"))
-    s = doc["scenario"]
-    rho1 = hypothesis_h1(TargetParams(doc["phase_effective_rad"], s["reflectivity"],
-                                      s["noise_excitation"]))
-    return doc, hypothesis_h0(s["noise_excitation"]), rho1
+def golden_doc(name):
+    """A structured golden's document."""
+    return json.loads((GOLDEN / f"{name}.structured.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", ["dense", "edge", "example", "thermal"])
-def test_generic_path_reproduces_the_golden_metrics(name):
-    doc, rho0, rho1 = golden_states(name)
+def test_the_golden_metrics_are_the_oracles(name):
+    doc = golden_doc(name)
     s, golden = doc["scenario"], doc["metrics"]
-    assert trace_distance(rho0, rho1) == golden["trace_distance"]
-    f_atol = generic_fidelity_atol(s["reflectivity"], s["noise_excitation"])
-    assert abs(fidelity(rho0, rho1) - golden["fidelity"]) <= f_atol
-    pe = helstrom_error(rho0, rho1, (s["prior_h0"], s["prior_h1"]))
-    assert abs(pe - golden["helstrom_error"]) <= GENERIC_ATOL
+    mp.check_metrics(s["reflectivity"], s["noise_excitation"], (s["prior_h0"], s["prior_h1"]),
+                     golden["trace_distance"], golden["fidelity"], golden["helstrom_error"])
 
 
-@pytest.mark.parametrize("name", ["dense", "edge", "example"])
-def test_generic_path_reproduces_the_golden_detector_numbers(name):
-    doc, rho0, rho1 = golden_states(name)
+# Each golden's ROC points checked against the oracle, one in this many: every tenth of dense's
+# 1000 points, t = 0.08k, keeps its triple crossing at t = 0.4.
+ROC_STRIDE = {"dense": 10, "edge": 1, "example": 1}
+
+
+@pytest.mark.parametrize("name", ROC_STRIDE)
+def test_the_golden_detector_numbers_are_the_oracles(name):
+    doc = golden_doc(name)
     s = doc["scenario"]
-    golden = [(p["threshold"], p["p_false_alarm"], p["p_detection"]) for p in doc["roc"]]
-    assert [p.threshold for p in roc_sweep(rho0, rho1, s["roc_thresholds"])] == s["roc_thresholds"]
-    for point, (t, p_fa, p_d) in zip(roc_sweep(rho0, rho1, s["roc_thresholds"]), golden):
-        assert abs(point.p_false_alarm - p_fa) <= 1e-13 and abs(point.p_detection - p_d) <= 1e-13, t
+    eta, p = s["reflectivity"], s["noise_excitation"]
+    assert [point["threshold"] for point in doc["roc"]] == s["roc_thresholds"]
+    for point in doc["roc"][::ROC_STRIDE[name]]:
+        got = point["p_false_alarm"], point["p_detection"]
+        for x, ref in zip(got, mp.born_pair(eta, p, point["threshold"], 1.0)):
+            assert mp.ulps(x, ref) <= mp.MP_ULPS, (name, point)
     if s["trials"]:
         mc = doc["monte_carlo"]
-        born = born_pair(rho0, rho1, s["prior_h0"], s["prior_h1"])
+        born = tuple(map(float, mp.born_pair(eta, p, s["prior_h0"], s["prior_h1"])))
         outcomes = draw_counts(born, s["prior_h0"], s["trials"], mc["seed"])
         assert [{"decide_h0_count": o.decide_h0_count, "decide_h1_count": o.decide_h1_count,
                  "trials": o.trials, "true_hypothesis": o.true_hypothesis}

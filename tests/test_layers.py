@@ -6,7 +6,7 @@ that does. This test reads the import statements of the package under test with 
 package __init__ excluded (it re-exports the whole library), and follows every chain of
 imports between its modules. A Monte Carlo run, checked in a fresh interpreter, loads no
 numpy.random. The closed form's tests and their 50-digit oracle import none of the generic
-library.
+library, and no numpy.
 """
 
 import ast
@@ -93,11 +93,11 @@ def test_numpy_free_modules_import_no_numpy(module):
 @pytest.mark.parametrize("module", ["test_closed_form", "mp_oracle"])
 def test_the_closed_form_tests_and_their_oracle_import_no_generic_library(module):
     # The closed form is checked against the 50-digit oracle alone, not against the generic
-    # library that its own tests check against the same oracle.
-    tests = Path(__file__).parent
-    assert "closed_form" in imports(module, tests)[0]  # the reader sees the package imports
-    assert not imports(module, tests)[0] & {"qstate", "metrics", "channel", "detector",
-                                            "__init__"}
+    # library that its own tests check against the same oracle; neither needs numpy.
+    siblings, packages = imports(module, Path(__file__).parent)
+    assert "closed_form" in siblings and "mpmath" in packages  # the reader sees both kinds
+    assert not siblings & {"qstate", "metrics", "channel", "detector", "__init__"}
+    assert "numpy" not in packages
 
 
 def test_a_monte_carlo_run_loads_no_numpy_random():

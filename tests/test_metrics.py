@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mp_oracle as mp
-from conftest import EIGH_ATOL, pure_pair, random_density, random_unitary
+from conftest import pure_pair, random_density, random_unitary
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.detector import roc_sweep
 from qiradar.errors import (CLAMP_WINDOW, DegenerateInput, DimensionMismatch, NumericalDomain,
@@ -251,19 +251,19 @@ class TestAgainstTheOracle:
     pipeline's, and the benchmark gate checks the pipeline's P_e against helstrom_error."""
 
     def test_trace_distance_and_helstrom_error(self):
-        # Measured over these seeded phases: 1.0 ulp of 1 for D and 1.5 for P_e.
+        # Measured over these seeded phases: 1.4 ulp of 1 for D and 1.5 for P_e.
         rng = np.random.default_rng(5)
         for eta, p in mp.metric_pairs():
             phi = float(rng.uniform(-4 * math.pi, 6 * math.pi))
             rho0, rho1 = hypothesis_h0(p), hypothesis_h1(TargetParams(phi, eta, p))
             with mpmath.workdps(mp.DPS):
                 d = trace_distance(rho0, rho1)
-                assert abs(d - mp.trace_distance(eta, p)) <= EIGH_ATOL, (eta, p, phi, d)
+                assert abs(d - mp.trace_distance(eta, p)) <= mp.EIGH_ATOL, (eta, p, phi, d)
                 for prior in mp.MP_PRIORS:
                     priors = (prior, 1.0 - prior)
                     pe = helstrom_error(rho0, rho1, priors)
                     ref = mp.helstrom_error(eta, p, priors)
-                    assert abs(pe - ref) <= EIGH_ATOL, (eta, p, phi, prior, pe)
+                    assert abs(pe - ref) <= mp.EIGH_ATOL, (eta, p, phi, prior, pe)
 
     @pytest.mark.parametrize("eta, p, prior", [(0.6, 0.2, 0.3), (1.0, 0.5, 0.5),
                                                (0.35, 0.0, 0.8)])

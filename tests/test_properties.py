@@ -12,8 +12,8 @@
   that reruns to the same structured and table bytes.
 * Every accepted Scenario's ROC, over any sorted thresholds, is born_pair's
   point by point (clamped), to the last bit.
-* Every accepted Scenario's F and P_e, which the pipeline takes from the closed
-  form, are the generic metrics of its states within their tolerances.
+* Every accepted Scenario's D, F and P_e are the 50-digit oracle's within their
+  bounds.
 * A report moved by replace onto another scenario, given that scenario's D, is
   that scenario's fresh report, field for field and byte for byte.
 * Every command line given to cli.main exits 0, 2 or 3, a failed one with one
@@ -31,16 +31,14 @@ import io
 import json
 import math
 import os
-import struct
 import tempfile
 from dataclasses import fields, replace
 
 from hypothesis import example, given
 from hypothesis import strategies as st
-from conftest import BOUNDED, GENERIC_ATOL, generic_fidelity_atol, unstopped_born_pair
+from conftest import BOUNDED, ieee_bytes, unstopped_born_pair
 
-from qiradar import metrics
-from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
+import mp_oracle as mp
 from qiradar.cli import main, run_scenario
 from qiradar.closed_form import born_pair
 from qiradar.errors import (MAX_SEED, MAX_TRIALS, NumericalDomain, ParseError, ValidationError,
@@ -176,20 +174,16 @@ def test_accepted_scenarios_run_or_raise_numerical_domain(values):
 
 @BOUNDED
 @given(plausible_scenarios())
-def test_pipeline_metrics_are_the_generic_ones(values):
-    # The generic path keeps checking the closed-form kernel on every accepted scenario.
+def test_pipeline_metrics_are_the_oracles(values):
     values.pop("link_budget", None)
     try:
         scenario = Scenario(**values)
     except ValidationError:
         return
     report = run_scenario(scenario)
-    eta, p = scenario.reflectivity, scenario.noise_excitation
-    rho0 = hypothesis_h0(p)
-    rho1 = hypothesis_h1(TargetParams(report.phase_effective_rad, eta, p))
-    priors = (scenario.prior_h0, scenario.prior_h1)
-    assert abs(report.fidelity - metrics.fidelity(rho0, rho1)) <= generic_fidelity_atol(eta, p)
-    assert abs(report.helstrom_error - metrics.helstrom_error(rho0, rho1, priors)) <= GENERIC_ATOL
+    mp.check_metrics(scenario.reflectivity, scenario.noise_excitation,
+                     (scenario.prior_h0, scenario.prior_h1), report.trace_distance,
+                     report.fidelity, report.helstrom_error)
 
 
 @st.composite
@@ -246,10 +240,6 @@ def test_pipeline_roc_is_born_pair_on_every_sorted_sweep(values, thresholds):
         assert got == ieee_bytes(expected), point.__name__
 
 
-def ieee_bytes(points) -> bytes:
-    return struct.pack(f"{3 * len(points)}d", *(x for point in points for x in point))
-
-
 # cli.main over whole command lines: documents with edge values, --seed/--trials overrides,
 # both formats and --roc-out at a file, a missing directory or a directory. Each command
 # line runs once per output sink: a stdout that takes the report, raises ENOSPC on write,
@@ -260,6 +250,8 @@ GOOD_OVERRIDES = ["0", "1", "7", str(MAX_TRIALS)]
 BAD_OVERRIDES = ["-1", str(MAX_TRIALS + 1), str(2**64), "nan"]
 FAILING_STDOUTS = ["raises", "closed"] + (["full"] if os.path.exists("/dev/full") else [])
 HELSTROM_POINT_ATOL = 1e-9  # an eigenvalue within TIE_ATOL = 1e-10 of 0 may fall either side
+# P_e over min(π₀, π₁), and against (1 − D)/2 at equal priors, where D comes from an eigensolve.
+PE_INVARIANT_ATOL = 1e-12
 
 
 def given_fields(scenario: Scenario) -> dict:
@@ -356,10 +348,10 @@ def check_report(doc, ran: Scenario) -> None:
     phase = doc["phase_effective_rad"]
     assert math.copysign(1.0, phase) == 1.0 and 0.0 <= phase < math.tau
     d, f, pe = m["trace_distance"], m["fidelity"], m["helstrom_error"]
-    assert 0.0 <= pe <= min(s["prior_h0"], s["prior_h1"]) + GENERIC_ATOL
+    assert 0.0 <= pe <= min(s["prior_h0"], s["prior_h1"]) + PE_INVARIANT_ATOL
     assert 1.0 - math.sqrt(f) <= d + FVG_ATOL and d <= math.sqrt(1.0 - f) + FVG_ATOL
     if s["prior_h0"] == s["prior_h1"]:
-        assert abs(pe - (1.0 - d) / 2.0) <= GENERIC_ATOL
+        assert abs(pe - (1.0 - d) / 2.0) <= PE_INVARIANT_ATOL
     if doc["roc"] is not None:
         points = [(pt["threshold"], pt["p_false_alarm"], pt["p_detection"]) for pt in doc["roc"]]
         assert [t for t, _, _ in points] == s["roc_thresholds"]
