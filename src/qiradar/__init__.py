@@ -18,8 +18,8 @@ from .errors import (
     ValidationError,
 )
 from .linkbudget import LinkBudgetInputs, LinkBudgetResult, evaluate_link_budget
-from .metrics import DistinguishabilityReport, fidelity, helstrom_error, trace_distance
-from .qstate import DensityOperator, eigendecompose_hermitian, sqrt_psd
+from .metrics import helstrom_error, trace_distance
+from .qstate import DensityOperator, eigendecompose_hermitian
 from .montecarlo import TrialOutcome
 from .report import DetectionReport, RocPoint, emit_report, report_to_dict, roc_csv
 from .scenario import Scenario, parse_scenario

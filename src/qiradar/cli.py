@@ -8,15 +8,18 @@ report), 3 numerical failure while running a valid scenario.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import channel, metrics
-from .errors import DegenerateInput, ParseError, QIRadarError, ValidationError
+from .errors import DegenerateInput, NumericalDomain, ParseError, QIRadarError, ValidationError
 from .report import DetectionReport, emit_report, roc_csv
 from .scenario import Scenario, parse_scenario
+
+FVG_ATOL = 1e-7  # Fuchs-van de Graaff sandwich slack
 
 
 def run_scenario(scenario: Scenario) -> DetectionReport:
@@ -26,8 +29,9 @@ def run_scenario(scenario: Scenario) -> DetectionReport:
     env_phase_rad) and takes the trace distance D from them. The report
     DetectionReport(scenario, D) derives the rest: F and P_e in closed form, and the
     Monte Carlo trials, the ROC sweep and the link budget when the scenario asks for
-    them. DistinguishabilityReport then checks the report's three metrics (ranges and
-    the Fuchs-van de Graaff sandwich). Deterministic for a fixed seed.
+    them. Its three metrics are then checked: D and F in [0, 1], P_e in [0, ½ + 1e-12] and
+    the Fuchs-van de Graaff sandwich 1 − √F ≤ D ≤ √(1 − F) within FVG_ATOL; a violation
+    is a numerical bug, not a property of the states. Deterministic for a fixed seed.
     """
     if not isinstance(scenario, Scenario):
         raise DegenerateInput(f"scenario must be a Scenario, got {type(scenario).__name__}")
@@ -36,8 +40,13 @@ def run_scenario(scenario: Scenario) -> DetectionReport:
                                       scenario.reflectivity, scenario.noise_excitation)
         report = DetectionReport(scenario, metrics.trace_distance(
             channel.hypothesis_h0(scenario.noise_excitation), channel.hypothesis_h1(params)))
-        metrics.DistinguishabilityReport(report.trace_distance, report.fidelity,
-                                         report.helstrom_error)
+        d, f, pe = report.trace_distance, report.fidelity, report.helstrom_error
+        if not (0.0 <= d <= 1.0 and 0.0 <= f <= 1.0):
+            raise NumericalDomain(f"metrics out of range: D={d!r}, F={f!r}")
+        if not (0.0 <= pe <= 0.5 + 1e-12):
+            raise NumericalDomain(f"Helstrom error out of range: {pe!r}")
+        if not (1.0 - math.sqrt(f) <= d + FVG_ATOL and d <= math.sqrt(1.0 - f) + FVG_ATOL):
+            raise NumericalDomain(f"Fuchs-van de Graaff sandwich violated: D={d!r}, F={f!r}")
         return report
     except QIRadarError as exc:
         raise type(exc)(f"while running scenario: {exc}") from exc

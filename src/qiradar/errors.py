@@ -75,7 +75,7 @@ MAX_TRIALS = 10**9     # the longest Monte Carlo run; one binomial draw each way
 PRIOR_ATOL = 1e-9
 
 # Accepted states (δ = STATE_ATOL, n <= MAX_DIMENSION): trace <= 1 + δ, at most n - 1 eigenvalues
-# in [-δ, 0), entries Hermitian within δ (<= n^1.5 δ/2 in trace norm). So D, P_e, F and Born
+# in [-δ, 0), entries Hermitian within δ (<= n^1.5 δ/2 in trace norm). So D, P_e and Born
 # probabilities of an accepted pair leave [0, 1] by at most (2n - 1 + n^1.5/2)δ, about 6.3e-8.
 CLAMP_WINDOW = (2 * MAX_DIMENSION - 1 + MAX_DIMENSION**1.5 / 2) * STATE_ATOL
 

@@ -18,18 +18,18 @@ import numpy as np
 from .errors import MAX_DIMENSION, STATE_ATOL, DimensionMismatch, NumericalDomain
 
 
-def _checked_hermitian(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _checked_hermitian(mat: np.ndarray) -> np.ndarray:
     """The Hermitian part (A + A†)/2 of a square matrix, which must be finite and Hermitian
     within STATE_ATOL. An A equal to A† (a real mix of stored states) is returned."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
+        raise DimensionMismatch(f"matrix must be square, got shape {mat.shape}")
     if not np.isfinite(mat).all():
-        raise NumericalDomain(f"{what} has a non-finite entry")
+        raise NumericalDomain("matrix has a non-finite entry")
     adjoint = mat.conj().T
     if (mat == adjoint).all():
         return mat
     if not (float(np.abs(mat - adjoint).max(initial=0.0)) <= STATE_ATOL):
-        raise NumericalDomain(f"{what} is not Hermitian within {STATE_ATOL:g}")
+        raise NumericalDomain(f"matrix is not Hermitian within {STATE_ATOL:g}")
     return (mat + adjoint) / 2.0
 
 
@@ -62,10 +62,6 @@ class DensityOperator:
         hermitian.setflags(write=False)
         object.__setattr__(self, "matrix", hermitian)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 def eigendecompose_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose one Hermitian d×d matrix, descending.
@@ -77,22 +73,3 @@ def eigendecompose_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     mat = m.matrix if isinstance(m, DensityOperator) else np.asarray(m, dtype=complex)
     w, v = np.linalg.eigh(_checked_hermitian(mat))
     return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def sqrt_psd(m) -> np.ndarray:
-    """Principal square root of a positive-semidefinite Hermitian matrix.
-
-    Eigenvalues in [-STATE_ATOL, 0) = [-1e-9, 0), the window DensityOperator
-    accepts, are clamped to 0 before the square root; anything below raises
-    NumericalDomain. The result S is Hermitian PSD with S·S equal to the
-    input within 1e-8.
-    """
-    w, v = eigendecompose_hermitian(m)
-    if not w.size:
-        raise DimensionMismatch(f"expected one non-empty matrix, got shape {v.shape}")
-    if not (w[-1] >= -STATE_ATOL):
-        raise NumericalDomain(f"eigenvalue {w[-1]:.3g} is below -{STATE_ATOL:g}, "
-                              "matrix is not positive semidefinite")
-    w[w < 0.0] = 0.0
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2.0

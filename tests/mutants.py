@@ -108,11 +108,11 @@ MUTANTS = (
            "the report's effective phase ignores env_phase_rad"),
     Mutant("report.py", "            warnings += (f", "            warnings = (f",
            "the thermal-saturation warning replaces the link budget's warnings"),
-    Mutant("metrics.py", "FVG_ATOL = 1e-7", "FVG_ATOL = 1e-6",
+    Mutant("cli.py", "FVG_ATOL = 1e-7", "FVG_ATOL = 1e-6",
            "the Fuchs-van de Graaff slack is 10x wider"),
     Mutant("errors.py", "MAX_DIMENSION**1.5 / 2) * STATE_ATOL",
            "MAX_DIMENSION**1.5 / 2) * STATE_ATOL * 10", "the clamp window is 10x wider"),
-    Mutant("metrics.py", "pe <= 0.5 + 1e-12", "pe <= 0.5 + 1e-6",
+    Mutant("cli.py", "pe <= 0.5 + 1e-12", "pe <= 0.5 + 1e-6",
            "the Helstrom error may exceed 1/2 by 1e-6"),
     Mutant("errors.py", "math.fmod(phi, math.tau) + 0.0", "math.fmod(phi, math.tau)",
            "a phase of −0.0 reduces to −0.0, outside [0, 2π) by its sign"),
@@ -168,6 +168,9 @@ MUTANTS = (
     Mutant("linkbudget.py", "if i.shield_thickness_m < i.wavelength_m:",
            "if i.shield_thickness_m > i.wavelength_m:",
            "the sub-wavelength warning flags the thick shield instead of the thin one"),
+    Mutant("linkbudget.py", "def _occupancy_direct(",
+           "def _occupancy_unused(x: float) -> float:\n    return x\n\n\ndef _occupancy_direct(",
+           "a function that no run calls is kept in the package"),
 )
 
 

@@ -23,7 +23,7 @@ from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.cli import main
 from qiradar.detector import born_pair
 from qiradar.linkbudget import LinkBudgetInputs, evaluate_link_budget
-from qiradar.metrics import fidelity, helstrom_error, trace_distance
+from qiradar.metrics import helstrom_error, trace_distance
 from qiradar.montecarlo import draw_counts, outcome_error
 from qiradar.qstate import eigendecompose_hermitian
 
@@ -74,14 +74,11 @@ def test_pure_state_closed_forms():
     failures = []
     for phi in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
         rho_bell, rho_phi = pure_pair(phi)
-        want_f = math.cos(phi / 2.0) ** 2
         want_d = abs(math.sin(phi / 2.0))
         want_pe = 0.5 * (1.0 - want_d)
-        got_f = fidelity(rho_bell, rho_phi)
         got_d = trace_distance(rho_bell, rho_phi)
         got_pe = helstrom_error(rho_bell, rho_phi, HALF)
-        for label, got, want in (("fidelity", got_f, want_f),
-                                 ("trace_distance", got_d, want_d),
+        for label, got, want in (("trace_distance", got_d, want_d),
                                  ("helstrom_error", got_pe, want_pe)):
             if abs(got - want) > 1e-8:
                 failures.append(f"phi={phi:.6g}: {label} = {got!r}, want {want!r} within 1e-8")
@@ -135,12 +132,9 @@ def test_metric_property_suite():
         b = random_density(rng, 4)
         c = random_density(rng, 4)
         d_ab, d_ba = trace_distance(a, b), trace_distance(b, a)
-        f_ab, f_ba = fidelity(a, b), fidelity(b, a)
         checks = []
         checks.append(("trace-distance symmetry", abs(d_ab - d_ba) <= 1e-9))
-        checks.append(("fidelity symmetry", abs(f_ab - f_ba) <= 1e-9))
         checks.append(("trace-distance range", 0.0 <= d_ab <= 1.0))
-        checks.append(("fidelity range", 0.0 <= f_ab <= 1.0))
         checks.append((
             "triangle inequality",
             trace_distance(a, c) <= d_ab + trace_distance(b, c) + 1e-12,
@@ -152,12 +146,7 @@ def test_metric_property_suite():
         ub = DensityOperator(u @ b.matrix @ u.conj().T)
         checks.append((
             "unitary invariance",
-            abs(trace_distance(ua, ub) - d_ab) <= 1e-9
-            and abs(fidelity(ua, ub) - f_ab) <= 1e-9,
-        ))
-        checks.append((
-            "Fuchs-van de Graaff sandwich",
-            1.0 - math.sqrt(f_ab) <= d_ab + 1e-7 and d_ab <= math.sqrt(1.0 - f_ab) + 1e-7,
+            abs(trace_distance(ua, ub) - d_ab) <= 1e-9,
         ))
         checks.append((
             "Helstrom reduction",

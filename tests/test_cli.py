@@ -80,15 +80,13 @@ class TestRunScenario:
 
     def test_detector_half_runs_on_the_closed_form(self, monkeypatch):
         # F, P_e, the ROC and the Monte Carlo Born probabilities come from
-        # closed_form: no generic Born probabilities, no ROC eigensolve and no
-        # matrix square root. The one eigensolve left is D's.
+        # closed_form: no generic Born probabilities and no ROC eigensolve.
+        # The one eigensolve left is D's.
         def forbidden(*args, **kwargs):
-            raise AssertionError("the pipeline ran the generic detector or F")
+            raise AssertionError("the pipeline ran the generic detector")
 
         for name in ("born_pair", "roc_sweep"):
             monkeypatch.setattr(detector, name, forbidden)
-        for module in (qstate, metrics):
-            monkeypatch.setattr(module, "sqrt_psd", forbidden)
         calls = []
         original = qstate.eigendecompose_hermitian
 
@@ -212,6 +210,56 @@ class TestRunScenario:
         )
         report = run_doc(doc)
         assert report.warnings == ()
+
+
+class TestMetricChecks:
+    """run_scenario's checks of the report's D, F and P_e, on values patched into the
+    pipeline. Each failure is a NumericalDomain naming its check."""
+
+    @staticmethod
+    def run_with(monkeypatch, d=None, f=None, pe=None):
+        """run_doc(ANCHOR_DOC) (D = 0.75, F = 0.25, P_e = 0.125) with the given metrics."""
+        if d is not None:
+            monkeypatch.setattr(metrics, "trace_distance", lambda a, b: d)
+        if f is not None:
+            monkeypatch.setattr(closed_form, "fidelity", lambda eta, p: f)
+        if pe is not None:
+            monkeypatch.setattr(closed_form, "helstrom_error", lambda eta, p, priors: pe)
+        return run_doc(ANCHOR_DOC)
+
+    # D = 0.9 with F = 0.9 breaks D <= √(1 − F) ~ 0.316. The slack is FVG_ATOL = 1e-7:
+    # D = 0.5 ± 5e-7 lies past √(1 − 0.75) = 0.5 or below 1 − √0.25 = 0.5, ± 5e-8 does not.
+    @pytest.mark.parametrize("d, f", [(0.9, 0.9), (0.5 + 5e-7, 0.75), (0.5 - 5e-7, 0.25)])
+    def test_a_sandwich_violation_raises(self, monkeypatch, d, f):
+        with pytest.raises(NumericalDomain, match="^while running scenario: Fuchs-van de "
+                                                  "Graaff sandwich violated: D="):
+            self.run_with(monkeypatch, d=d, f=f)
+
+    @pytest.mark.parametrize("d, f", [(0.5 + 5e-8, 0.75), (0.5 - 5e-8, 0.25)])
+    def test_the_sandwich_holds_within_its_slack(self, monkeypatch, d, f):
+        report = self.run_with(monkeypatch, d=d, f=f)
+        assert (report.trace_distance, report.fidelity) == (d, f)
+
+    @pytest.mark.parametrize("d, pe, match", [
+        (1.5, None, r"metrics out of range: D=1\.5, F=0\.25"),
+        (None, 0.7, r"Helstrom error out of range: 0\.7"),
+        (None, 0.5 + 1e-9, r"Helstrom error out of range: 0\.500000001"),  # past ½ + 1e-12
+    ], ids=["d-past-one", "pe-past-its-range", "pe-past-one-half"])
+    def test_a_metric_out_of_range_raises(self, monkeypatch, d, pe, match):
+        with pytest.raises(NumericalDomain, match=f"^while running scenario: {match}$"):
+            self.run_with(monkeypatch, d=d, pe=pe)
+
+    def test_helstrom_error_may_pass_one_half_by_roundoff(self, monkeypatch):
+        assert self.run_with(monkeypatch, pe=0.5 + 1e-13).helstrom_error == 0.5 + 1e-13
+
+    def test_a_violation_exits_3_naming_the_check(self, monkeypatch, tmp_path, capsys):
+        cfg = tmp_path / "anchor.cfg"
+        cfg.write_text(ANCHOR_DOC, encoding="utf-8")
+        monkeypatch.setattr(metrics, "trace_distance", lambda a, b: 0.9)
+        monkeypatch.setattr(closed_form, "fidelity", lambda eta, p: 0.9)
+        assert main(["run", str(cfg)]) == 3
+        assert capsys.readouterr() == ("", "error: while running scenario: Fuchs-van de Graaff "
+                                           "sandwich violated: D=0.9, F=0.9\n")
 
 
 class TestReportSerialization:

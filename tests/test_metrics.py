@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,11 +6,12 @@ import pytest
 
 import mp_oracle as mp
 from conftest import pure_pair, random_density, random_unitary
+from qiradar import closed_form
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.detector import roc_sweep
 from qiradar.errors import (CLAMP_WINDOW, DegenerateInput, DimensionMismatch, NumericalDomain,
                             check_priors, clamp_unit)
-from qiradar.metrics import DistinguishabilityReport, fidelity, helstrom_error, trace_distance
+from qiradar.metrics import helstrom_error, trace_distance
 from qiradar.qstate import DensityOperator
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]))
@@ -37,26 +37,6 @@ def edge_state(d, first, tilt=0.0):
 def nuclear_norm(matrix):
     """Independent trace-norm oracle via singular values."""
     return float(np.linalg.svd(matrix, compute_uv=False).sum())
-
-
-def metrics_of(a, b):
-    """The three metrics of a state pair at equal priors, checked as one record."""
-    return DistinguishabilityReport(trace_distance(a, b), fidelity(a, b), helstrom_error(a, b))
-
-
-def mp_sqrt_psd(m):
-    """√ of a Hermitian mpmath matrix from its eigenpairs, Q·diag(√max(λ, 0))·Q†."""
-    w, q = mpmath.eighe(m)
-    return q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * q.H
-
-
-def mp_fidelity(a, b):
-    """Independent fidelity oracle at 30 digits: (Σ √λ(√a·b·√a))² from mpmath's eigensolver."""
-    with mpmath.workdps(30):
-        root_a = mp_sqrt_psd(mpmath.matrix(a.matrix.tolist()))
-        inner = root_a * mpmath.matrix(b.matrix.tolist()) * root_a
-        eigs = mpmath.eighe((inner + inner.H) / 2, eigvals_only=True)
-        return float(sum(mpmath.sqrt(max(x, 0)) for x in eigs) ** 2)
 
 
 class TestTraceDistance:
@@ -98,44 +78,6 @@ class TestTraceDistance:
         assert trace_distance(KET0, KET0) == 0.0
         near = DensityOperator(KET0.matrix * (1 - 1e-12) + KET1.matrix * 1e-12)
         assert trace_distance(KET0, near) <= 1e-9
-
-
-class TestFidelity:
-    def test_identical_states(self):
-        rho = random_density(np.random.default_rng(17), 4)
-        assert abs(fidelity(rho, rho) - 1.0) <= 1e-9
-
-    def test_orthogonal_pure_states(self):
-        assert fidelity(KET0, KET1) <= 1e-12
-
-    def test_pure_phase_pair_closed_form(self):
-        for phi in (math.pi / 3, math.pi / 2, math.pi):
-            a, b = pure_pair(phi)
-            assert abs(fidelity(a, b) - math.cos(phi / 2) ** 2) <= 1e-10
-
-    def test_matches_the_mpmath_oracle(self):
-        rng = np.random.default_rng(1618)
-        for _ in range(10):
-            a = random_density(rng, 4)
-            b = random_density(rng, 4)
-            assert abs(fidelity(a, b) - mp_fidelity(a, b)) <= 1e-8
-
-    def test_stays_in_unit_interval(self):
-        rng = np.random.default_rng(23)
-        for _ in range(40):
-            a = random_density(rng, 4)
-            b = random_density(rng, 4)
-            f = fidelity(a, b)
-            assert 0.0 <= f <= 1.0
-
-    def test_accepts_every_state_the_constructor_accepts(self):
-        # An eigenvalue of -5e-10 is inside DensityOperator's window, so the
-        # square root must clamp it rather than raise.
-        a = DensityOperator(np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]).astype(complex))
-        b = hypothesis_h0(0.2)
-        for first, second in ((a, b), (b, a)):
-            assert 0.0 <= fidelity(first, second) <= 1.0
-            metrics_of(first, second)
 
 
 class TestHelstromError:
@@ -207,7 +149,6 @@ class TestSharedProperties:
             a = random_density(rng, 4)
             b = random_density(rng, 4)
             assert abs(trace_distance(a, b) - trace_distance(b, a)) <= 1e-9
-            assert abs(fidelity(a, b) - fidelity(b, a)) <= 1e-9
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(43)
@@ -218,21 +159,18 @@ class TestSharedProperties:
             ua = DensityOperator(u @ a.matrix @ u.conj().T)
             ub = DensityOperator(u @ b.matrix @ u.conj().T)
             assert abs(trace_distance(a, b) - trace_distance(ua, ub)) <= 1e-9
-            assert abs(fidelity(a, b) - fidelity(ua, ub)) <= 1e-9
 
     def test_pure_state_consistency(self):
-        # The general fidelity formula takes square roots of rank-1 products,
-        # where eigensolver noise near the zero eigenvalues inflates to the
-        # square root of machine epsilon; 1e-7 absorbs that amplification.
+        # For pure states D = √(1 − |⟨ψ|χ⟩|²): |ψ⟩⟨ψ| − |χ⟩⟨χ| has eigenvalues ±D on the
+        # span of the two kets.
         rng = np.random.default_rng(47)
         for _ in range(20):
             psi, chi = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
             psi, chi = psi / np.linalg.norm(psi), chi / np.linalg.norm(chi)
             a = DensityOperator(np.outer(psi, psi.conj()))
             b = DensityOperator(np.outer(chi, chi.conj()))
-            f = fidelity(a, b)
-            assert abs(f - abs(np.vdot(psi, chi)) ** 2) <= 1e-7
-            assert abs(trace_distance(a, b) - math.sqrt(1.0 - f)) <= 1e-7
+            want = math.sqrt(1.0 - abs(np.vdot(psi, chi)) ** 2)
+            assert abs(trace_distance(a, b) - want) <= 1e-12
 
     def test_fuchs_van_de_graaff_on_channel_grid(self):
         for phi in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
@@ -241,7 +179,7 @@ class TestSharedProperties:
                     rho0 = hypothesis_h0(p)
                     rho1 = hypothesis_h1(TargetParams(phi, eta, p))
                     d = trace_distance(rho0, rho1)
-                    f = fidelity(rho0, rho1)
+                    f = closed_form.fidelity(eta, p)
                     assert 1.0 - math.sqrt(f) <= d + 1e-7
                     assert d <= math.sqrt(1.0 - f) + 1e-7
 
@@ -283,46 +221,12 @@ class TestAgainstTheOracle:
         assert float(spread.max()) <= 1e-14, spread
 
 
-class TestDistinguishabilityReport:
-    def test_sandwich_violation_rejected(self):
-        # D = 0.9 with F = 0.9 would break D <= sqrt(1-F) ~ 0.316. The slack is 1e-7:
-        # D = 0.5 ± 5e-7 lies past √(1 − 0.75) = 0.5 or below 1 − √0.25 = 0.5.
-        for d, f in ((0.9, 0.9), (0.5 + 5e-7, 0.75), (0.5 - 5e-7, 0.25)):
-            with pytest.raises(NumericalDomain):
-                DistinguishabilityReport(d, f, 0.05)
-        DistinguishabilityReport(0.5 + 5e-8, 0.75, 0.05)
-        DistinguishabilityReport(0.5 - 5e-8, 0.25, 0.05)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(NumericalDomain):
-            DistinguishabilityReport(1.5, 0.2, 0.1)
-        with pytest.raises(NumericalDomain):
-            DistinguishabilityReport(0.5, 0.2, 0.7)
-        with pytest.raises(NumericalDomain):  # P_e may pass ½ by 1e-12 only
-            DistinguishabilityReport(0.5, 0.5, 0.5 + 1e-9)
-        assert DistinguishabilityReport(0.5, 0.5, 0.5 + 1e-13).helstrom_error > 0.5
-
-    @pytest.mark.parametrize("metrics", [
-        ("0.5", 0.5, 0.25), (0.5, None, 0.25), (0.5, 0.5, True), (math.nan, 0.5, 0.25),
-    ])
-    def test_metrics_pass_the_real_number_gate(self, metrics):
-        with pytest.raises(DegenerateInput, match="must be (a real number|finite)"):
-            DistinguishabilityReport(*metrics)
-
-    def test_metrics_are_stored_as_floats(self):
-        report = DistinguishabilityReport(Fraction(1, 2), np.float32(0.5), 0)
-        assert [type(v) for v in (report.trace_distance, report.fidelity,
-                                  report.helstrom_error)] == [float] * 3
-
-
 class TestClampWindow:
     def test_found_pair_is_certainly_distinguishable(self):
         a = DensityOperator(np.diag([1 + 9e-10, 0, 0, -9e-10]).astype(complex))
         b = DensityOperator(np.diag([-9e-10, 0, 0, 1 + 9e-10]).astype(complex))
         assert trace_distance(a, b) == 1.0  # 1 + 1.8e-9 before clamping
         assert helstrom_error(a, b) == 0.0
-        report = metrics_of(a, b)
-        assert (report.trace_distance, report.fidelity, report.helstrom_error) == (1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("d", [4, 16])
     def test_worst_accepted_pair_is_clamped(self, d):
@@ -336,9 +240,6 @@ class TestClampWindow:
         assert trace_distance(a, b) == 1.0
         for priors in ((0.5, 0.5), (0.3, 0.7)):
             assert helstrom_error(a, b, priors) == 0.0
-        pure = edge_state(d, 0)
-        assert pure.matrix[0, 0].real ** 2 > 1.0 + 1e-9  # F before clamping
-        assert fidelity(pure, pure) == 1.0
 
     def test_larger_excursions_still_raise(self):
         for value in (1.0 + 2 * CLAMP_WINDOW, -2 * CLAMP_WINDOW, math.nan):

@@ -39,12 +39,11 @@ from hypothesis import strategies as st
 from conftest import BOUNDED, ieee_bytes, unstopped_born_pair
 
 import mp_oracle as mp
-from qiradar.cli import main, run_scenario
+from qiradar.cli import FVG_ATOL, main, run_scenario
 from qiradar.closed_form import born_pair
 from qiradar.errors import (MAX_SEED, MAX_TRIALS, NumericalDomain, ParseError, ValidationError,
                             clamp_unit)
 from qiradar.linkbudget import LinkBudgetInputs
-from qiradar.metrics import FVG_ATOL
 from qiradar.montecarlo import split_trials
 from qiradar.report import ROC_CSV_HEADER, emit_report, report_to_dict, roc_csv
 from qiradar.scenario import KNOWN_KEYS, Scenario, parse_scenario

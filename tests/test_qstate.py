@@ -4,7 +4,7 @@ import pytest
 from conftest import random_density
 from qiradar.channel import TargetParams, hypothesis_h0, hypothesis_h1
 from qiradar.errors import MAX_DIMENSION, DimensionMismatch, NumericalDomain
-from qiradar.qstate import DensityOperator, _checked_hermitian, eigendecompose_hermitian, sqrt_psd
+from qiradar.qstate import DensityOperator, _checked_hermitian, eigendecompose_hermitian
 
 
 class TestEigendecomposeHermitian:
@@ -55,10 +55,9 @@ class TestEigendecomposeHermitian:
     # One finiteness check runs before the hermiticity residual, so NaN is not
     # reported as "not Hermitian" and inf - inf never warns.
     @pytest.mark.parametrize("fill", [np.nan, np.inf])
-    @pytest.mark.parametrize("decompose", [eigendecompose_hermitian, sqrt_psd])
-    def test_non_finite_entries_rejected(self, decompose, fill):
+    def test_non_finite_entries_rejected(self, fill):
         with pytest.raises(NumericalDomain, match="non-finite entry"):
-            decompose(np.full((2, 2), fill))
+            eigendecompose_hermitian(np.full((2, 2), fill))
 
     def test_non_square_rejected(self):
         for shape in ((4,), (2, 3), (5, 2, 3)):
@@ -94,42 +93,6 @@ class TestCheckedHermitian:
         assert np.array_equal(got, got.conj().T) and got[0, 1] == 5e-13
 
 
-class TestSqrtPsd:
-    def test_scaled_identity(self):
-        np.testing.assert_allclose(sqrt_psd(np.eye(4) / 4), np.eye(4) / 2, atol=1e-12)
-
-    def test_diagonal(self):
-        out = sqrt_psd(np.diag([0.25, 0.75]))
-        np.testing.assert_allclose(out, np.diag([0.5, 0.8660254037844386]), atol=1e-12)
-
-    def test_squaring_roundtrip(self):
-        rng = np.random.default_rng(1999)
-        for dim in (2, 4, 8):
-            for _ in range(10):
-                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                psd = g @ g.conj().T / dim
-                root = sqrt_psd(psd)
-                np.testing.assert_allclose(root @ root, psd, atol=1e-8)
-                np.testing.assert_allclose(root, root.conj().T, atol=1e-12)
-
-    def test_clamps_roundoff_negatives(self):
-        root = sqrt_psd(np.diag([1.0, -5e-11]))
-        assert root[1, 1] == 0.0
-
-    def test_genuinely_negative_rejected(self):
-        with pytest.raises(NumericalDomain):
-            sqrt_psd(np.diag([1.0, -1e-6]))
-
-    def test_stack_rejected(self):
-        for d in (1, 2, 4):
-            with pytest.raises(DimensionMismatch):
-                sqrt_psd(np.broadcast_to(np.eye(d) / d, (3, d, d)))
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(DimensionMismatch, match="non-empty"):
-            sqrt_psd(np.zeros((0, 0)))
-
-
 class TestDensityOperatorInvariants:
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -147,7 +110,7 @@ class TestDensityOperatorInvariants:
     def test_psd_floor_is_checked_on_the_hermitized_matrix(self):
         # The lower triangle alone has eigenvalues -9e-10, inside the window,
         # but (A + A†)/2, which every later eigensolve decomposes, reaches
-        # -1.35e-9; accepting it let fidelity(a, a) raise NumericalDomain.
+        # -1.35e-9; accepting it let a later eigensolve see an eigenvalue past the window.
         m = np.diag([1 + 3.6e-9, -9e-10, -9e-10, -9e-10]).astype(complex)
         m[np.triu_indices(4, 1)] += 9e-10
         with pytest.raises(NumericalDomain, match="smallest eigenvalue"):
@@ -189,7 +152,7 @@ class TestDensityOperatorInvariants:
 
     @pytest.mark.parametrize("d", [1, MAX_DIMENSION])
     def test_both_ends_of_the_dimension_range_build(self, d):
-        assert DensityOperator(np.eye(d) / d).dimension == d
+        assert DensityOperator(np.eye(d) / d).matrix.shape == (d, d)
 
     # NaN passes a "residual > tolerance" test, a 4x4 NaN matrix ends in
     # LinAlgError, and inf - inf warns (pyproject.toml makes that an error).
@@ -223,7 +186,7 @@ class TestDensityOperatorInvariants:
 
     def test_basis_projector(self):
         rho = DensityOperator(np.diag([1, 0]))
-        assert rho.matrix.dtype == complex and rho.dimension == 2
+        assert rho.matrix.dtype == complex and rho.matrix.shape == (2, 2)
         np.testing.assert_array_equal(rho.matrix, np.diag([1.0, 0.0]))
 
     def test_complex_projector(self):

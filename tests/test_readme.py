@@ -58,7 +58,9 @@ def test_removed_names_stay_removed():
     # A name given with its module is checked there; a bare name in the package and in
     # each of its modules, so it cannot come back in a submodule either.
     names = removed_names()
-    assert {"PureState", "partial_trace", "DensityOperator.dims", "tensor"} <= set(names)
+    assert {"PureState", "partial_trace", "DensityOperator.dims", "tensor", "qiradar.fidelity",
+            "qiradar.metrics.fidelity", "sqrt_psd", "DensityOperator.dimension",
+            "DistinguishabilityReport"} <= set(names)
     modules = [qiradar] + [importlib.import_module(f"qiradar.{info.name}")
                            for info in pkgutil.iter_modules(qiradar.__path__)
                            if info.name != "__main__"]
