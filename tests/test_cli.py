@@ -249,6 +249,17 @@ class TestMetricChecks:
         with pytest.raises(NumericalDomain, match=f"^while running scenario: {match}$"):
             self.run_with(monkeypatch, d=d, pe=pe)
 
+    # A NaN from any of the three kernels stops at its gate in the report: D's real-number
+    # gate, or the window that F and P_e are snapped into. No report holds a NaN metric.
+    @pytest.mark.parametrize("metric, error, match", [
+        ("d", DegenerateInput, r"trace_distance must be finite, got nan"),
+        ("f", NumericalDomain, r"fidelity = nan lies outside \[0, 1\] beyond roundoff"),
+        ("pe", NumericalDomain, r"Helstrom error = nan lies outside \[0, 1\] beyond roundoff"),
+    ])
+    def test_a_nan_metric_raises(self, monkeypatch, metric, error, match):
+        with pytest.raises(error, match=f"^while running scenario: {match}$"):
+            self.run_with(monkeypatch, **{metric: math.nan})
+
     def test_helstrom_error_may_pass_one_half_by_roundoff(self, monkeypatch):
         assert self.run_with(monkeypatch, pe=0.5 + 1e-13).helstrom_error == 0.5 + 1e-13
 

@@ -5,9 +5,9 @@ sweep), its fidelity F and its Helstrom error P_e from the model's 2×2-block st
 without an eigensolver. mp_oracle forms ρ₀ and ρ₁ as 4×4 mpmath matrices and takes every
 number from a 50-digit eigensolve, so it shares no step of that derivation. Here each closed
 form, and the trace distance D that run_scenario reports, is held to the oracle over its
-grids; the rest pins exact ties, the sweep's zero tail and its bits, and the phase. This file
-imports none of the generic library (qstate, metrics, channel, detector), which its own tests
-check against the same oracle, and no numpy.
+grids; the rest pins exact ties, the sweep's zero tail and its bits, the phase, and F where
+η = 0 or 1. This file imports none of the generic library (qstate, metrics, channel,
+detector), which its own tests check against the same oracle, and no numpy.
 """
 
 import math
@@ -261,6 +261,23 @@ def test_pipeline_metrics_do_not_depend_on_the_phase():
                                                prior_h0=0.3, prior_h1=0.7))
                          for k in range(120))}
     assert len(metrics) == 1 and next(iter(metrics))[0] == 0.25
+
+
+P_EDGES = (0.0, 1e-300, 0.2, 0.5, 0.999999)
+
+
+@pytest.mark.parametrize("p", P_EDGES)
+def test_fidelity_is_one_when_the_target_vanishes(p):
+    # At η = 0, ρ₁ = ρ₀: Tr ρ₀ρ₁ + 2√(det ρ₀ det ρ₁) on the block is (a + b)² = ¼, so
+    # F = ¼ + ½ + ¼. Over 10⁵ random p, 7% round to 1 − 2⁻⁵³ and none further.
+    assert mp.ulps(closed_form.fidelity(0.0, p), 1.0) <= 0.5
+
+
+@pytest.mark.parametrize("p", P_EDGES)
+def test_fidelity_against_a_pure_return_is_a_quarter(p):
+    # At η = 1, ρ₁ = |ψ⟩⟨ψ| with |ψ⟩ = (|00⟩ + e^{iφ}|11⟩)/√2, so F = ⟨ψ|ρ₀|ψ⟩ = (a + b)/2 = ¼:
+    # det ρ₁ and 1 − η are 0, and Tr ρ₀ρ₁ = ¼ is exact.
+    assert closed_form.fidelity(1.0, p) == 0.25
 
 
 # π₀·P_FA + π₁·P_miss from a rounded Born pair against the report's P_e plus miss/2.
